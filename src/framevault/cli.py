@@ -21,8 +21,7 @@ from .instrument import (AnnotationError, ListParseError, instrument, parse_list
                          provenance_listing)
 from .program import ProgramFormatError, emit, parse
 from .reporting import (campaign_to_dict, diff_to_dict, render_campaign, render_diff,
-                        render_report, report_to_dict, stats_table, to_json,
-                        REPORT_VERSION)
+                        render_report, render_stats, report_to_dict, to_json)
 
 _INPUT_ERRORS = (ProgramFormatError, ListParseError, AnnotationError,
                  ImageMapError, OSError, ValueError)
@@ -63,20 +62,12 @@ def cmd_instrument(args) -> int:
 
 def cmd_run(args) -> int:
     program, table = _load_run_inputs(args)
-    report = run(program, table, args.entry, strict=args.strict)
+    report = run_native(program, table, args.entry) if args.native \
+        else run(program, table, args.entry, strict=args.strict)
     doc = to_json(report_to_dict(report)) if args.format == "json" \
         else render_report(report)
     _emit(doc, args.output)
     return 1 if report.violations else 0
-
-
-def cmd_native(args) -> int:
-    program, table = _load_run_inputs(args)
-    report = run_native(program, table, args.entry)
-    doc = to_json(report_to_dict(report)) if args.format == "json" \
-        else render_report(report)
-    _emit(doc, args.output)
-    return 0
 
 
 def cmd_diff(args) -> int:
@@ -92,14 +83,7 @@ def cmd_diff(args) -> int:
 def cmd_stats(args) -> int:
     program, table = _load_run_inputs(args)
     report = run(program, table, args.entry)
-    lines = [REPORT_VERSION, "mode: stats", f"entry: {report.entry}"]
-    lines.extend(stats_table(report.stats))
-    if report.provenance_counts:
-        lines.append("provenance")
-        width = max(len(k) for k in report.provenance_counts)
-        lines.extend(f"  {k.ljust(width)}  {v}"
-                     for k, v in report.provenance_counts.items())
-    _emit("\n".join(lines) + "\n", args.output)
+    _emit(render_stats(report), args.output)
     return 1 if report.violations else 0
 
 
@@ -163,11 +147,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io(p)
     p.add_argument("--strict", action="store_true",
                    help="halt at the first runtime exception")
-    p.set_defaults(func=cmd_run)
+    p.set_defaults(func=cmd_run, native=False)
 
     p = sub.add_parser("native", help="execute without any protection calls")
     _add_io(p)
-    p.set_defaults(func=cmd_native)
+    p.set_defaults(func=cmd_run, native=True, strict=False)
 
     p = sub.add_parser("diff", help="compare native exposure against protected")
     _add_io(p)

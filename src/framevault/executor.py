@@ -4,10 +4,10 @@ protection runtime.
 Program-counter values are synthesized per statement from the executing
 function's image-map span, so the runtime sees the same unforgeable caller
 identity a hardware PC would give it. The executor also owns the ground
-truth for verdicts: at each window open it records, with its own reads,
-what must stay hidden and what must survive intact; the runtime's save
-buffer plays no part in that bookkeeping, so a runtime bug cannot mask
-itself.
+truth for verdicts: at each window open it takes the window's bytes from
+`oracle.window_bytes` and records, with its own reads, what must stay
+hidden and what must survive intact; the runtime's save buffer plays no
+part in that bookkeeping, so a runtime bug cannot mask itself.
 """
 
 from __future__ import annotations
@@ -17,12 +17,12 @@ from dataclasses import dataclass
 
 from .identity import IdentityTable, synthesize_image_map
 from .memory import FRAME_METADATA_BYTES, MemoryFault, ProcessMemory, StackFrame
-from .oracle import subtract_intervals
+from .oracle import window_bytes
 from .program import (AbsoluteTarget, AddrOfArg, AddressRef, Assign, Call, DerefTarget,
                       FrameTarget, FunctionDesc, HeapAlloc, HeapTarget, PointeeRef,
                       ProbeTarget, ProgramDesc, ReadProbe, Return, RuntimeCall,
                       VarRef, WriteProbe)
-from .runtime import SyscallStats, VaultException, VaultState, window_regions
+from .runtime import SyscallStats, VaultException, VaultState
 
 MAX_CALL_DEPTH = 128
 MAX_STATEMENTS = 1_000_000
@@ -102,10 +102,9 @@ def function_layout(fn: FunctionDesc) -> tuple[dict[str, int], int]:
     return offsets, off + FRAME_METADATA_BYTES
 
 
-def image_map_for(program: ProgramDesc, **kwargs) -> str:
+def image_map_for(program: ProgramDesc) -> str:
     """Synthesize an image map whose spans cover every statement index."""
-    return synthesize_image_map([(fn.name, max(len(fn.body), 1)) for fn in program.functions],
-                                **kwargs)
+    return synthesize_image_map([(fn.name, max(len(fn.body), 1)) for fn in program.functions])
 
 
 @dataclass
@@ -120,7 +119,7 @@ class _Window:
     wid: int
     protected: set[int]
     integrity: list[tuple[int, bytes]]
-    exceptions: list[tuple[int, int]]
+    carve_outs: list[tuple[int, int]]
 
 
 class _Halt(Exception):
@@ -389,14 +388,9 @@ class Executor:
         vault = self.vault
         assert vault is not None
         start = vault.protect_list[-1].register_index if vault.protect_list else 0
-        regions = window_regions(vault.register_list, start, len(vault.register_list) - 1)
-        frames = [(top, base - top) for top, base in regions.frames]
-        holes = list(regions.exceptions)
-        hidden = subtract_intervals(frames, holes)
-        hidden += [(base, length) for base, length, ro in regions.objects if not ro]
-        keep = subtract_intervals(
-            frames + [(base, length) for base, length, _ in regions.objects], holes)
-        integrity = [(addr, self.memory.read_bytes(addr, length)) for addr, length in keep]
+        hidden, kept, carve_outs = window_bytes(vault.register_list, start,
+                                                len(vault.register_list) - 1)
+        integrity = [(addr, self.memory.read_bytes(addr, length)) for addr, length in kept]
         protected: set[int] = set()
         for addr, length in hidden:
             protected.update(range(addr, addr + length))
@@ -406,7 +400,7 @@ class Executor:
         if len(vault.protect_list) > before:
             self._wid += 1
             self.windows.append(_Window(wid=self._wid, protected=protected,
-                                        integrity=integrity, exceptions=holes))
+                                        integrity=integrity, carve_outs=carve_outs))
 
     def _stop_window(self, pc: int) -> None:
         vault = self.vault
@@ -414,7 +408,7 @@ class Executor:
         pre_close: list[tuple[int, bytes]] = []
         if self.windows:
             pre_close = [(addr, self.memory.read_bytes(addr, length))
-                         for addr, length in self.windows[-1].exceptions]
+                         for addr, length in self.windows[-1].carve_outs]
         before = len(vault.protect_list)
         vault.stop_protect(self.memory, pc)
         if len(vault.protect_list) >= before:

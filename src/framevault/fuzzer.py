@@ -19,9 +19,9 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
-from .executor import ExecutionReport, Executor, function_layout, image_map_for
+from .executor import ExecutionReport, Executor, image_map_for
 from .identity import load_image_map
-from .instrument import Prototype, instrument
+from .instrument import instrument, parse_lists
 from .memory import HEAP_BASE
 from .oracle import OracleVault
 from .program import (AddrOfArg, AddressRef, Annotation, AnnotationKind, Arg, Assign,
@@ -327,9 +327,7 @@ def _inject_forged(program: ProgramDesc, lib_name: str, kind: str,
 
 def generate_scenario(seed: int, index: int, config: FuzzConfig) -> Scenario:
     raw, untrusted, sensitive = generate_raw(seed, index, config)
-    protos = frozenset(Prototype(u.split("(")[0], int(u.split("(")[1][:-1]))
-                       for u in untrusted)
-    program = instrument(raw, protos, frozenset(sensitive))
+    program = instrument(raw, *parse_lists("\n".join(untrusted), "\n".join(sensitive)))
     forged: tuple[str, ...] = ()
     if config.adversarial:
         rng = random.Random(scenario_seed(seed, index) ^ 0x5A5A_5A5A)
@@ -343,14 +341,6 @@ def generate_scenario(seed: int, index: int, config: FuzzConfig) -> Scenario:
 
 # ----------------------------------------------------------------------
 # checking
-
-def _execute(scenario: Scenario, vault_factory=None) -> Executor:
-    table = load_image_map(scenario.image_map)
-    kwargs = {"vault_factory": vault_factory} if vault_factory else {}
-    ex = Executor(scenario.program, table, **kwargs)
-    ex.run(scenario.entry)
-    return ex
-
 
 def check_scenario(scenario: Scenario) -> tuple[ExecutionReport, list[str]]:
     """Run the scenario and return every invariant it violates."""
@@ -387,7 +377,8 @@ def check_scenario(scenario: Scenario) -> tuple[ExecutionReport, list[str]]:
         if vault.save_buffer.bytes_released != vault.save_buffer.bytes_produced:
             problems.append("save buffer released != produced")
 
-    oracle = _execute(scenario, vault_factory=OracleVault)
+    oracle = Executor(scenario.program, table, vault_factory=OracleVault)
+    oracle.run(scenario.entry)
     if oracle.memory.content_signature() != ex.memory.content_signature():
         problems.append("final memory differs from snapshot oracle")
     oracle_kinds = [v.kind for v in oracle.vault.exception_log]  # type: ignore[union-attr]
@@ -431,8 +422,7 @@ def minimize(scenario: Scenario, budget: int = 200) -> Scenario:
         # (dropping an allocation can invalidate later probe targets).
         return had_faults or not all(p.startswith("fault:") for p in problems)
 
-    protos = frozenset(Prototype(u.split("(")[0], int(u.split("(")[1][:-1]))
-                       for u in scenario.untrusted)
+    lists = parse_lists("\n".join(scenario.untrusted), "\n".join(scenario.sensitive))
     best = scenario
     spent = 0
     improved = True
@@ -445,7 +435,7 @@ def minimize(scenario: Scenario, budget: int = 200) -> Scenario:
                 spent += 1
                 raw = _drop_statement(best.raw, fi, si)
                 try:
-                    program = instrument(raw, protos, frozenset(best.sensitive))
+                    program = instrument(raw, *lists)
                     candidate = replace(best, raw=raw, program=program,
                                         image_map=image_map_for(raw))
                     _, problems = check_scenario(candidate)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .memory import TEXT_BASE, TEXT_LIMIT
 
@@ -38,16 +38,6 @@ class IdentityTable:
         self._los = [s.lo for s in ordered]
         self._ordered = ordered
 
-    def __len__(self) -> int:
-        return len(self._spans)
-
-    def __iter__(self) -> Iterator[FunctionSpan]:
-        return iter(self._spans)
-
-    @property
-    def spans(self) -> tuple[FunctionSpan, ...]:
-        return self._spans
-
     def resolve(self, pc: int) -> int | None:
         """FunctionId whose span contains pc, or None."""
         i = bisect.bisect_right(self._los, pc) - 1
@@ -55,9 +45,6 @@ class IdentityTable:
             return None
         span = self._ordered[i]
         return span.fid if pc < span.hi else None
-
-    def span(self, fid: int) -> FunctionSpan:
-        return self._spans[fid]
 
     def name_of(self, fid: int) -> str:
         return self._spans[fid].name
@@ -101,15 +88,18 @@ def load_image_map(text: str) -> IdentityTable:
     return IdentityTable(spans)
 
 
-def synthesize_image_map(extents: Sequence[tuple[str, int]], *,
-                         base: int = TEXT_BASE + 0x1000,
-                         align: int = 0x100) -> str:
+SPAN_BASE = TEXT_BASE + 0x1000
+SPAN_ALIGN = 0x100
+
+
+def synthesize_image_map(extents: Sequence[tuple[str, int]]) -> str:
     """Render an image map giving each (name, min_span_len) a span of at
-    least min_span_len bytes, packed from `base` upward."""
+    least min_span_len bytes rounded up to SPAN_ALIGN, packed from
+    SPAN_BASE upward."""
     lines = []
-    lo = base
+    lo = SPAN_BASE
     for name, min_len in extents:
-        length = max(((max(min_len, 1) + align - 1) // align) * align, align)
+        length = ((max(min_len, 1) + SPAN_ALIGN - 1) // SPAN_ALIGN) * SPAN_ALIGN
         hi = lo + length
         if hi > TEXT_LIMIT:
             raise ImageMapError("synthesized spans exceed the text region")

@@ -9,6 +9,7 @@ without preallocating whole regions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
 TEXT_BASE = 0x0040_0000
 TEXT_LIMIT = 0x0100_0000
@@ -75,13 +76,6 @@ class HeapObject:
     size: int
 
 
-@dataclass(frozen=True)
-class Snapshot:
-    """Byte image of chosen regions, restorable in capture order."""
-
-    regions: tuple[tuple[int, bytes], ...]
-
-
 class ProcessMemory:
     """Byte-addressable store with stack/heap/text region discipline."""
 
@@ -93,18 +87,6 @@ class ProcessMemory:
 
     # ------------------------------------------------------------------
     # raw byte access
-
-    def _read(self, addr: int, length: int) -> bytes:
-        out = bytearray(length)
-        done = 0
-        while done < length:
-            page, off = divmod(addr + done, _PAGE)
-            step = min(length - done, _PAGE - off)
-            buf = self._pages.get(page)
-            if buf is not None:
-                out[done:done + step] = buf[off:off + step]
-            done += step
-        return bytes(out)
 
     def _write(self, addr: int, data: bytes) -> None:
         done = 0
@@ -125,7 +107,7 @@ class ProcessMemory:
             raise ValueError("negative read length")
         if not (in_stack(addr, length) or in_heap(addr, length) or in_text(addr, length)):
             raise MemoryFault(f"read outside mapped regions: {addr:#x}+{length}")
-        return self._read(addr, length)
+        return bytes_from_dump(self._pages, addr, length)
 
     def write_bytes(self, addr: int, data: bytes) -> None:
         """Write to stack or heap. The text region is read-only."""
@@ -188,16 +170,7 @@ class ProcessMemory:
         return obj
 
     # ------------------------------------------------------------------
-    # snapshots
-
-    def snapshot(self, regions: list[tuple[int, int]]) -> Snapshot:
-        """Capture (addr, length) regions in order."""
-        return Snapshot(tuple((addr, self.read_bytes(addr, length)) for addr, length in regions))
-
-    def restore(self, snap: Snapshot) -> None:
-        """Write captured regions back in capture order; later writes win."""
-        for addr, data in snap.regions:
-            self.write_bytes(addr, data)
+    # page dumps
 
     def dump_pages(self) -> dict[int, bytes]:
         """Copy of the whole backing store, keyed by page index."""
@@ -210,8 +183,8 @@ class ProcessMemory:
         return {page: bytes(buf) for page, buf in self._pages.items() if bytes(buf) != zero}
 
 
-def bytes_from_dump(dump: dict[int, bytes], addr: int, length: int) -> bytes:
-    """Read a region out of a dump_pages() image."""
+def bytes_from_dump(dump: Mapping[int, bytes | bytearray], addr: int, length: int) -> bytes:
+    """Read a region out of a dump_pages() image or the live page store."""
     out = bytearray(length)
     done = 0
     while done < length:

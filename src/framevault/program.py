@@ -45,8 +45,8 @@ from __future__ import annotations
 import enum
 import json
 import re
-from dataclasses import dataclass, field
-from typing import Any, Iterator
+from dataclasses import dataclass
+from typing import Any
 
 
 class ProgramFormatError(ValueError):
@@ -270,9 +270,6 @@ class ProgramDesc:
             if fn.name == name:
                 return fn
         return None
-
-    def __iter__(self) -> Iterator[FunctionDesc]:
-        return iter(self.functions)
 
 
 def is_instrumented(program: ProgramDesc) -> bool:

@@ -77,6 +77,14 @@ def render_report(report: ExecutionReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def render_stats(report: ExecutionReport) -> str:
+    """The per-syscall count table of a protected run."""
+    lines = [REPORT_VERSION, "mode: stats", f"entry: {report.entry}"]
+    lines.extend(stats_table(report.stats))
+    lines.extend(_provenance_lines(report.provenance_counts))
+    return "\n".join(lines) + "\n"
+
+
 def render_diff(native: ExecutionReport, protected: ExecutionReport) -> str:
     """Side-by-side exposure comparison: what untrusted reads collected
     without protection versus with it."""

@@ -11,7 +11,7 @@ becomes a no-op; process memory is never mutated by a failed call.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .identity import IdentityTable
 from .memory import ProcessMemory, in_heap, in_stack
@@ -86,8 +86,6 @@ class ProtectEntry:
 
 @dataclass
 class SaveRecord:
-    source: int
-    length: int
     data: bytes | None
     consumed: bool = False
 
@@ -101,8 +99,8 @@ class SaveBuffer:
         self.bytes_produced = 0
         self.bytes_released = 0
 
-    def append(self, source: int, data: bytes) -> int:
-        self.records.append(SaveRecord(source=source, length=len(data), data=data))
+    def append(self, data: bytes) -> int:
+        self.records.append(SaveRecord(data=data))
         self.bytes_produced += len(data)
         return len(self.records) - 1
 
@@ -152,33 +150,6 @@ class SyscallStats:
             "bytes_copied": self.bytes_copied,
             "bytes_cleared": self.bytes_cleared,
         }
-
-
-@dataclass(frozen=True)
-class WindowRegions:
-    """Regions a protection window acts on, derived from one RegisterList
-    slice: frames = (top, base) of all=True stack entries, objects =
-    (base, length, read_only) of memory entries, exceptions = (base,
-    length) of carve-outs."""
-
-    frames: tuple[tuple[int, int], ...]
-    objects: tuple[tuple[int, int, bool], ...]
-    exceptions: tuple[tuple[int, int], ...]
-
-
-def window_regions(entries: list[RegisterEntry], start: int, end: int) -> WindowRegions:
-    frames = []
-    objects = []
-    exceptions = []
-    for entry in entries[start:end + 1]:
-        if isinstance(entry, StackEntry):
-            if entry.all:
-                frames.append((entry.frame_top, entry.frame_base))
-        elif isinstance(entry, MemoryEntry):
-            objects.append((entry.base, entry.length, entry.read_only))
-        else:
-            exceptions.append((entry.base, entry.length))
-    return WindowRegions(tuple(frames), tuple(objects), tuple(exceptions))
 
 
 class VaultState:
@@ -331,11 +302,11 @@ class VaultState:
             if isinstance(entry, StackEntry):
                 if entry.all:
                     data = memory.read_bytes(entry.frame_top, entry.frame_size)
-                    entry.save_record = self.save_buffer.append(entry.frame_top, data)
+                    entry.save_record = self.save_buffer.append(data)
                     self.stats.bytes_copied += entry.frame_size
             else:
                 data = memory.read_bytes(entry.base, entry.length)
-                entry.save_record = self.save_buffer.append(entry.base, data)
+                entry.save_record = self.save_buffer.append(data)
                 self.stats.bytes_copied += entry.length
 
         # Clear pass. Registration order puts each frame before its

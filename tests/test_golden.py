@@ -1,14 +1,11 @@
 """Golden outputs: the pwdgenerator demo's reports and the fuzz verdicts
-must stay byte-identical across refactors.
-
-Set FRAMEVAULT_UPDATE_GOLDEN=1 to rewrite the files under tests/golden/
-after an intended, version-bumped change to the report format.
+must stay byte-identical across refactors. A change that alters them on
+purpose bumps REPORT_VERSION and rewrites the files under tests/golden/.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 import pathlib
 
 import pytest
@@ -24,10 +21,7 @@ DEMO_MAP = str(DEMO_DIR / "image.map")
 
 
 def _check_golden(name: str, text: str) -> None:
-    path = GOLDEN_DIR / name
-    if os.environ.get("FRAMEVAULT_UPDATE_GOLDEN"):
-        path.write_text(text)
-    assert text == path.read_text()
+    assert text == (GOLDEN_DIR / name).read_text()
 
 
 @pytest.fixture

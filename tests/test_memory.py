@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from framevault.memory import (FRAME_METADATA_BYTES, HEAP_BASE, HeapExhausted,
                                MemoryFault, ProcessMemory, STACK_BASE, STACK_LIMIT,
-                               StackOverflow, StackUnderflow, Snapshot, TEXT_BASE,
+                               StackOverflow, StackUnderflow, TEXT_BASE,
                                bytes_from_dump, in_heap, in_stack, in_text)
 
 
@@ -100,23 +100,6 @@ class TestHeap:
 
 
 class TestSnapshots:
-    def test_round_trip(self):
-        m = ProcessMemory()
-        frame = m.push_frame(0, 64)
-        m.write_bytes(frame.top, bytes(range(64)))
-        snap = m.snapshot([(frame.top, 64)])
-        m.clear_region(frame.top, 64)
-        assert m.read_bytes(frame.top, 64) == bytes(64)
-        m.restore(snap)
-        assert m.read_bytes(frame.top, 64) == bytes(range(64))
-
-    def test_restore_applies_in_capture_order(self):
-        m = ProcessMemory()
-        frame = m.push_frame(0, 16)
-        snap = Snapshot(((frame.top, b"\x01" * 8), (frame.top + 4, b"\x02" * 4)))
-        m.restore(snap)
-        assert m.read_bytes(frame.top, 8) == b"\x01" * 4 + b"\x02" * 4
-
     def test_dump_and_signature(self):
         m = ProcessMemory()
         frame = m.push_frame(0, 32)

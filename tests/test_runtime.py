@@ -11,8 +11,9 @@ import pytest
 
 from framevault.identity import load_image_map
 from framevault.memory import ProcessMemory, STACK_BASE
-from framevault.oracle import OracleVault
-from framevault.runtime import ExceptionKind, SaveBuffer, VaultState
+from framevault.oracle import OracleVault, window_bytes
+from framevault.runtime import (ExceptionKind, MemoryEntry, MemoryExceptionEntry, SaveBuffer,
+                                StackEntry, VaultState)
 
 MAP = """\
 victim    0x401000 0x401100
@@ -265,15 +266,15 @@ class TestUnregister:
 class TestSaveBuffer:
     def test_records_are_read_exactly_once(self):
         buf = SaveBuffer()
-        rid = buf.append(0x1000, b"\x01\x02\x03")
+        rid = buf.append(b"\x01\x02\x03")
         assert buf.consume(rid) == b"\x01\x02\x03"
         with pytest.raises(RuntimeError):
             buf.consume(rid)
 
     def test_byte_accounting(self):
         buf = SaveBuffer()
-        a = buf.append(0x1000, b"\x01" * 10)
-        b = buf.append(0x2000, b"\x02" * 6)
+        a = buf.append(b"\x01" * 10)
+        b = buf.append(b"\x02" * 6)
         assert buf.bytes_produced == 16 and buf.bytes_released == 0
         assert not buf.all_consumed()
         buf.consume(a)
@@ -290,6 +291,35 @@ class TestDiagnostics:
         vault.unregister_stack(memory, VPC)  # empties the list mid-window
         vault.start_protect(memory, VPC)
         assert any("out of registration order" in d for d in vault.diagnostics)
+
+
+class TestWindowBytes:
+    # A whole-frame registration [0x1000, 0x1100) with a 4-byte carve-out
+    # at 0x1008, a writable and a read-only object, and an all=False frame.
+    ENTRIES = [
+        StackEntry(owner=0, frame_base=0x1100, frame_top=0x1000, all=True),
+        MemoryEntry(owner=0, base=0x5000, length=32, read_only=False),
+        MemoryEntry(owner=0, base=0x6000, length=16, read_only=True),
+        MemoryExceptionEntry(owner=0, base=0x1008, length=4, read_only=False),
+        StackEntry(owner=1, frame_base=0x1000, frame_top=0xF00, all=False),
+    ]
+
+    def test_carve_outs_are_cut_out_of_hidden_and_kept(self):
+        hidden, kept, carve_outs = window_bytes(self.ENTRIES, 0, 4)
+        assert carve_outs == [(0x1008, 4)]
+        assert hidden[:2] == kept[:2] == [(0x1000, 8), (0x100C, 0xF4)]
+
+    def test_read_only_objects_are_kept_but_not_hidden(self):
+        hidden, kept, _ = window_bytes(self.ENTRIES, 0, 4)
+        assert hidden[2:] == [(0x5000, 32)]
+        assert kept[2:] == [(0x5000, 32), (0x6000, 16)]
+
+    def test_partial_frames_contribute_nothing(self):
+        assert window_bytes(self.ENTRIES, 4, 4) == ([], [], [])
+        hidden, kept, carve_outs = window_bytes(self.ENTRIES, 1, 4)
+        assert hidden == [(0x5000, 32)]
+        assert kept == [(0x5000, 32), (0x6000, 16)]
+        assert carve_outs == [(0x1008, 4)]
 
 
 class TestOracleEquivalence:

@@ -23,19 +23,25 @@ from framevault.memory import HEAP_BASE, FRAME_METADATA_BYTES
 from framevault.oracle import OracleVault
 from framevault.program import (
     AbsoluteTarget,
+    Annotation,
+    AnnotationKind,
     Assign,
     Call,
     FrameTarget,
     FunctionDesc,
+    HeapAlloc,
+    HeapTarget,
     ProgramDesc,
     ReadProbe,
     Return,
     RuntimeCall,
     AddressRef,
+    Sensitivity,
+    ValueArg,
     VarDesc,
     VarTarget,
 )
-from framevault.runtime import ExceptionKind, VaultException
+from framevault.runtime import ExceptionKind, VaultException, VaultState
 
 from support import pwdgen_instrumented, pwdgen_table, PASSWD
 
@@ -208,6 +214,37 @@ class TestRepeatedWindows:
         assert s.total == 22
 
 
+class _NoClear:
+    """Process memory whose clear_region does nothing."""
+
+    def __init__(self, memory):
+        self._memory = memory
+
+    def clear_region(self, addr, length):
+        pass
+
+    def __getattr__(self, name):
+        return getattr(self._memory, name)
+
+
+class SavesWithoutClearing(VaultState):
+    """A broken runtime: windows save and restore but never clear, so every
+    hidden byte stays readable and each untrusted read of one is a Leak."""
+
+    def _open_window(self, memory, start, end):
+        super()._open_window(_NoClear(memory), start, end)
+
+
+def leaky_run(functions, untrusted_doc, sensitive_doc=""):
+    """Instrument and run under SavesWithoutClearing; return the report
+    and its Leak violations."""
+    program = instrument(ProgramDesc(functions=functions),
+                         *parse_lists(untrusted_doc, sensitive_doc))
+    table = load_image_map(image_map_for(program))
+    report = run(program, table, "main", vault_factory=SavesWithoutClearing)
+    return report, [v for v in report.violations if isinstance(v, Leak)]
+
+
 class TestLeakDetection:
     def test_unprotected_secret_is_reported_per_window(self):
         # victim is sensitive but the caller of the lib is a plain trusted
@@ -228,6 +265,76 @@ class TestLeakDetection:
         report = run(program, table, "main")
         assert secret_bytes_observed(report) == 4
         assert not any(isinstance(v, Leak) for v in report.violations)
+
+    def test_whole_frame_secret_minus_the_carve_out(self):
+        secret = bytes(i % 251 for i in range(256 * 1024))  # 1045 zeros
+        frame = len(secret) + 8 + FRAME_METADATA_BYTES
+        report, leaks = leaky_run((
+            FunctionDesc(name="victim",
+                         locals=(VarDesc("secret", len(secret)),
+                                 VarDesc("age", 8, annotation=Annotation(
+                                     AnnotationKind.NOT_SENSITIVE))),
+                         body=(Assign("secret", secret), Assign("age", b"\x07" * 8),
+                               Call("lib"), Return())),
+            FunctionDesc(name="lib", body=(ReadProbe(FrameTarget("victim", 0), frame),
+                                           Return())),
+            FunctionDesc(name="main", body=(Call("victim"), Return())),
+        ), "lib(0)\n", "victim\n")
+        [read] = [o for o in report.observations if o.kind == "read"]
+        assert read.nonzero == 261_099 + 8
+        assert [(l.window, l.length, l.secret_bytes) for l in leaks] == [(1, frame, 261_099)]
+
+    def test_finegrained_sensitive_buffer(self):
+        report, leaks = leaky_run((
+            FunctionDesc(name="victim", sensitivity=Sensitivity.FINEGRAINED,
+                         locals=(VarDesc("key", 64, annotation=Annotation(
+                                     AnnotationKind.SENSITIVE)),
+                                 VarDesc("note", 32)),
+                         body=(Assign("key", bytes(range(64))), Assign("note", b"\xff" * 32),
+                               Call("lib"), Return())),
+            FunctionDesc(name="lib", body=(ReadProbe(FrameTarget("victim", 0), 96),
+                                           Return())),
+            FunctionDesc(name="main", body=(Call("victim"), Return())),
+        ), "lib(0)\n")
+        [read] = [o for o in report.observations if o.kind == "read"]
+        assert read.nonzero == 63 + 32
+        assert [l.secret_bytes for l in leaks] == [63]
+
+    def test_bytes_hidden_by_two_nested_windows_count_once(self):
+        # victim's window hides the heap block it points to; helper gets
+        # the same pointer through lib0 and its window hides the block too.
+        pointer = VarDesc("id", 8, pointer=True, pointee_size=64,
+                          annotation=Annotation(AnnotationKind.SENSITIVE_POINTER, 64))
+        report, leaks = leaky_run((
+            FunctionDesc(name="victim", locals=(pointer,),
+                         body=(HeapAlloc("id", 64, init=bytes(range(64))),
+                               Call("lib0", (ValueArg("id"),)), Return())),
+            FunctionDesc(name="lib0", params=(VarDesc("p0", 8),),
+                         body=(Call("helper", (ValueArg("p0"),)), Return())),
+            FunctionDesc(name="helper", params=(pointer,),
+                         body=(Call("lib1"), Return())),
+            FunctionDesc(name="lib1", body=(ReadProbe(HeapTarget(0), 64), Return())),
+            FunctionDesc(name="main", body=(Call("victim"), Return())),
+        ), "lib0(1)\nlib1(0)\n", "victim\nhelper\n")
+        assert report.stats.start_protect == 2
+        assert [(l.window, l.function, l.secret_bytes) for l in leaks] == [(2, "lib1", 63)]
+
+    def test_read_straddling_a_hidden_interval_counts_only_its_nonzero_bytes(self):
+        report, leaks = leaky_run((
+            FunctionDesc(name="victim", sensitivity=Sensitivity.FINEGRAINED,
+                         locals=(VarDesc("pre", 8),
+                                 VarDesc("key", 16, annotation=Annotation(
+                                     AnnotationKind.SENSITIVE)),
+                                 VarDesc("post", 8)),
+                         body=(Assign("pre", b"\x01" * 8), Assign("key", b"\x00\x5a" * 8),
+                               Assign("post", b"\x02" * 8), Call("lib"), Return())),
+            FunctionDesc(name="lib", body=(ReadProbe(VarTarget("victim", "pre", 4), 24),
+                                           Return())),
+            FunctionDesc(name="main", body=(Call("victim"), Return())),
+        ), "lib(0)\n")
+        [read] = [o for o in report.observations if o.kind == "read"]
+        assert read.nonzero == 4 + 8 + 4
+        assert [l.secret_bytes for l in leaks] == [8]
 
 
 class TestOracleEquivalence:

@@ -8,6 +8,11 @@ truth for verdicts: at each window open it takes the window's bytes from
 `oracle.window_bytes` and records, with its own reads, what must stay
 hidden and what must survive intact; the runtime's save buffer plays no
 part in that bookkeeping, so a runtime bug cannot mask itself.
+
+Verdict bookkeeping works on byte intervals, never on single addresses:
+a window keeps its hidden bytes as (lo, hi) ranges, and an untrusted read
+counts its secret bytes by clipping the ranges of every open window to
+the read, merging them, and counting non-zero bytes in each merged slice.
 """
 
 from __future__ import annotations
@@ -91,6 +96,24 @@ def secret_bytes_observed(report: ExecutionReport) -> int:
     return sum(o.nonzero for o in report.observations if o.kind == "read")
 
 
+def _nonzero(data: bytes) -> int:
+    return len(data) - data.count(0)
+
+
+def hidden_nonzero(data: bytes, addr: int, ranges: list[tuple[int, int]]) -> int:
+    """Non-zero bytes of `data`, read from `addr`, that lie in any of the
+    (lo, hi) ranges. Overlapping ranges count each byte once."""
+    end = addr + len(data)
+    count = 0
+    done = addr  # bytes below this address are already counted
+    for lo, hi in sorted(ranges):
+        lo, hi = max(lo, done), min(hi, end)
+        if lo < hi:
+            count += _nonzero(data[lo - addr:hi - addr])
+            done = hi
+    return count
+
+
 def function_layout(fn: FunctionDesc) -> tuple[dict[str, int], int]:
     """Variable offsets from the frame top (params then locals, declaration
     order) and total frame size including the metadata pad."""
@@ -117,7 +140,7 @@ class _FrameCtx:
 @dataclass
 class _Window:
     wid: int
-    protected: set[int]
+    hidden: list[tuple[int, int]]  # (lo, hi) byte ranges the window must hide
     integrity: list[tuple[int, bytes]]
     carve_outs: list[tuple[int, int]]
 
@@ -310,13 +333,11 @@ class Executor:
             except MemoryFault as exc:
                 self._fault(f"{ctx.func.name}: probe {exc}")
                 return
-            nonzero = sum(1 for b in data if b)
             self.observations.append(Observation(
                 kind="read", function=ctx.func.name, window=wid, address=addr,
-                length=stmt.length, nonzero=nonzero, preview=data[:16].hex()))
+                length=stmt.length, nonzero=_nonzero(data), preview=data[:16].hex()))
             if self.windows:
-                secret = sum(1 for i, b in enumerate(data)
-                             if b and any((addr + i) in w.protected for w in self.windows))
+                secret = hidden_nonzero(data, addr, [r for w in self.windows for r in w.hidden])
                 if secret:
                     self.violations.append(Leak(
                         window=wid if wid is not None else -1, function=ctx.func.name,
@@ -328,10 +349,10 @@ class Executor:
             except MemoryFault as exc:
                 self._fault(f"{ctx.func.name}: probe {exc}")
                 return
-            nonzero = sum(1 for b in stmt.value if b)
             self.observations.append(Observation(
                 kind="write", function=ctx.func.name, window=wid, address=addr,
-                length=len(stmt.value), nonzero=nonzero, preview=stmt.value[:16].hex()))
+                length=len(stmt.value), nonzero=_nonzero(stmt.value),
+                preview=stmt.value[:16].hex()))
 
     # ------------------------------------------------------------------
     # runtime calls
@@ -391,16 +412,14 @@ class Executor:
         hidden, kept, carve_outs = window_bytes(vault.register_list, start,
                                                 len(vault.register_list) - 1)
         integrity = [(addr, self.memory.read_bytes(addr, length)) for addr, length in kept]
-        protected: set[int] = set()
-        for addr, length in hidden:
-            protected.update(range(addr, addr + length))
 
         before = len(vault.protect_list)
         vault.start_protect(self.memory, pc)
         if len(vault.protect_list) > before:
             self._wid += 1
-            self.windows.append(_Window(wid=self._wid, protected=protected,
-                                        integrity=integrity, carve_outs=carve_outs))
+            self.windows.append(_Window(
+                wid=self._wid, hidden=[(addr, addr + length) for addr, length in hidden],
+                integrity=integrity, carve_outs=carve_outs))
 
     def _stop_window(self, pc: int) -> None:
         vault = self.vault

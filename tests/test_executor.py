@@ -6,12 +6,14 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
+from hypothesis import given, strategies as st
 
 from framevault.executor import (
     Executor,
     IntegrityBreach,
     Leak,
     function_layout,
+    hidden_nonzero,
     image_map_for,
     run,
     run_native,
@@ -335,6 +337,21 @@ class TestLeakDetection:
         [read] = [o for o in report.observations if o.kind == "read"]
         assert read.nonzero == 4 + 8 + 4
         assert [l.secret_bytes for l in leaks] == [8]
+
+
+    @given(windows=st.lists(st.lists(st.tuples(st.integers(0, 300), st.integers(0, 80)),
+                                     max_size=5), min_size=1, max_size=4),
+           addr=st.integers(0, 300),
+           data=st.lists(st.integers(0, 3), max_size=120).map(bytes))
+    def test_interval_count_matches_a_per_byte_reference(self, windows, addr, data):
+        # Reference: one address set per open window, and a byte counts when
+        # it is non-zero and any window's set holds its address.
+        sets = [{a for base, length in hidden for a in range(base, base + length)}
+                for hidden in windows]
+        expected = sum(1 for i, b in enumerate(data)
+                       if b and any(addr + i in s for s in sets))
+        ranges = [(base, base + length) for hidden in windows for base, length in hidden]
+        assert hidden_nonzero(data, addr, ranges) == expected
 
 
 class TestOracleEquivalence:

@@ -22,7 +22,7 @@ A program is a JSON document:
            | {"op": "heap_alloc", "var": str, "size": int, "init": <hex>?}
            | {"op": "call", "callee": str,
               "args": [{"var": str} | {"addr_of": str}, ...]}
-           | {"op": "read_probe", "target": <target>, "len": int}
+           | {"op": "read_probe", "target": <target>, "len": int}   # len <= MAX_PROBE_BYTES
            | {"op": "write_probe", "target": <target>, "value": <hex>}
            | {"op": "return"}
            | {"op": "runtime_call", "call": str, ...}   # inserted calls
@@ -47,6 +47,12 @@ import json
 import re
 from dataclasses import dataclass
 from typing import Any
+
+from .memory import STACK_CAPACITY
+
+# Longest read_probe a description may ask for: the whole stack. The heap
+# region is far larger, and one probe over it would allocate its length.
+MAX_PROBE_BYTES = STACK_CAPACITY
 
 
 class ProgramFormatError(ValueError):
@@ -434,6 +440,8 @@ def _stmt_from_dict(raw: Any, where: str) -> Statement:
     if op == "read_probe":
         _require(isinstance(raw.get("len"), int) and raw["len"] >= 0,
                  where, "read_probe needs non-negative 'len'")
+        _require(raw["len"] <= MAX_PROBE_BYTES, where,
+                 f"read_probe 'len' {raw['len']} exceeds the cap of {MAX_PROBE_BYTES} bytes")
         return ReadProbe(target=_target_from_dict(raw.get("target"), where), length=raw["len"])
     if op == "write_probe":
         return WriteProbe(target=_target_from_dict(raw.get("target"), where),

@@ -10,8 +10,11 @@ import sys
 import pytest
 
 from framevault.cli import main
+from framevault.executor import image_map_for
 from framevault.fuzzer import FuzzConfig, generate_scenario, scenario_to_json
-from framevault.program import emit, parse
+from framevault.memory import HEAP_BASE
+from framevault.program import (MAX_PROBE_BYTES, AbsoluteTarget, Call, FunctionDesc,
+                                ProgramDesc, ReadProbe, Return, emit, parse)
 
 from support import DEMO_DIR, PWDGEN_MAP, pwdgen_instrumented
 from test_fuzz import faulting_scenario
@@ -105,6 +108,29 @@ class TestRun:
         assert code == 1
         out = capsys.readouterr().out
         assert "halted: yes" in out
+
+
+class TestProbeCap:
+    @staticmethod
+    def heap_probe(length):
+        return ProgramDesc(functions=(
+            FunctionDesc(name="lib", body=(ReadProbe(AbsoluteTarget(HEAP_BASE), length),
+                                           Return())),
+            FunctionDesc(name="main", body=(Call("lib"), Return()))), instrumented=True)
+
+    def test_probe_over_the_cap_exits_2(self, tmp_path, capsys):
+        program = self.heap_probe(MAX_PROBE_BYTES + 1)
+        program_file = tmp_path / "big.json"
+        map_file = tmp_path / "big.map"
+        program_file.write_text(emit(program))
+        map_file.write_text(image_map_for(program))
+        code = main(["run", "--program", str(program_file), "--image-map", str(map_file)])
+        assert code == 2
+        assert f"cap of {MAX_PROBE_BYTES} bytes" in capsys.readouterr().err
+
+    def test_probe_of_exactly_the_cap_parses(self):
+        program = self.heap_probe(MAX_PROBE_BYTES)
+        assert parse(emit(program)) == program
 
 
 class TestDiff:

@@ -18,6 +18,7 @@ the read, merging them, and counting non-zero bytes in each merged slice.
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .identity import IdentityTable, synthesize_image_map
@@ -100,13 +101,13 @@ def _nonzero(data: bytes) -> int:
     return len(data) - data.count(0)
 
 
-def hidden_nonzero(data: bytes, addr: int, ranges: list[tuple[int, int]]) -> int:
+def hidden_nonzero(data: bytes, addr: int, ranges: Iterable[tuple[int, int]]) -> int:
     """Non-zero bytes of `data`, read from `addr`, that lie in any of the
     (lo, hi) ranges. Overlapping ranges count each byte once."""
     end = addr + len(data)
     count = 0
     done = addr  # bytes below this address are already counted
-    for lo, hi in sorted(ranges):
+    for lo, hi in sorted((lo, hi) for lo, hi in ranges if lo < end and addr < hi):
         lo, hi = max(lo, done), min(hi, end)
         if lo < hi:
             count += _nonzero(data[lo - addr:hi - addr])
@@ -333,11 +334,12 @@ class Executor:
             except MemoryFault as exc:
                 self._fault(f"{ctx.func.name}: probe {exc}")
                 return
+            nonzero = _nonzero(data)
             self.observations.append(Observation(
                 kind="read", function=ctx.func.name, window=wid, address=addr,
-                length=stmt.length, nonzero=_nonzero(data), preview=data[:16].hex()))
-            if self.windows:
-                secret = hidden_nonzero(data, addr, [r for w in self.windows for r in w.hidden])
+                length=stmt.length, nonzero=nonzero, preview=data[:16].hex()))
+            if nonzero and self.windows:
+                secret = hidden_nonzero(data, addr, (r for w in self.windows for r in w.hidden))
                 if secret:
                     self.violations.append(Leak(
                         window=wid if wid is not None else -1, function=ctx.func.name,

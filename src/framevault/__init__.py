@@ -22,7 +22,7 @@ from .memory import (FRAME_METADATA_BYTES, HEAP_BASE, MemoryFault, ProcessMemory
                      STACK_BASE, TEXT_BASE)
 from .oracle import OracleVault
 from .program import (FunctionDesc, ProgramDesc, ProgramFormatError, Sensitivity,
-                      Trust, VarDesc, emit, parse)
+                      VarDesc, emit, parse)
 from .reporting import render_campaign, render_diff, render_report, stats_table
 from .runtime import (ExceptionKind, ProtectEntry, SaveBuffer, StackEntry,
                       SyscallStats, VaultException, VaultState)
@@ -35,7 +35,7 @@ __all__ = [
     "IntegrityBreach", "Leak", "ListParseError", "MemoryFault", "Observation",
     "OracleVault", "ProcessMemory", "ProgramDesc", "ProgramFormatError",
     "ProtectEntry", "Prototype", "SaveBuffer", "Scenario", "Sensitivity",
-    "StackEntry", "SyscallStats", "Trust", "VarDesc", "VaultException", "VaultState",
+    "StackEntry", "SyscallStats", "VarDesc", "VaultException", "VaultState",
     "AnnotationError", "check_scenario", "emit", "fuzz", "generate_scenario",
     "image_map_for", "instrument", "load_image_map", "minimize", "parse",
     "parse_lists", "provenance_listing", "render_campaign", "render_diff",

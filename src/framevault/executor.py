@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import hashlib
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .identity import IdentityTable, synthesize_image_map
 from .memory import FRAME_METADATA_BYTES, MemoryFault, ProcessMemory, StackFrame
@@ -194,7 +194,7 @@ class Executor:
             violations=self.violations,
             faults=self.faults,
             observations=self.observations,
-            stats=self.vault.stats_snapshot() if self.vault else SyscallStats(),
+            stats=replace(self.vault.stats) if self.vault else SyscallStats(),
             provenance_counts=dict(sorted(self.provenance_counts.items())),
             diagnostics=list(self.vault.diagnostics) if self.vault else [],
             final_digest=self._digest(),
@@ -303,7 +303,9 @@ class Executor:
                 self._fault(f"{ctx.func.name}: heap object {target.index} does not exist")
                 return None
             return objects[target.index].base + target.offset
-        victim = self._find_frame(target.function)
+        # Last-known placement works for both live frames and popped ones,
+        # which lets scripts probe for stale data after a return.
+        victim = self._frame_history.get(target.function)
         if victim is None:
             self._fault(f"{ctx.func.name}: no frame known for {target.function!r}")
             return None
@@ -314,20 +316,11 @@ class Executor:
             return None
         return victim.frame.top + victim.offsets[target.var] + target.offset
 
-    def _find_frame(self, name: str) -> _FrameCtx | None:
-        # Last-known placement works for both live frames and popped ones,
-        # which lets scripts probe for stale data after a return.
-        return self._frame_history.get(name)
-
-    def _active_window(self) -> _Window | None:
-        return self.windows[-1] if self.windows else None
-
     def _probe(self, ctx: _FrameCtx, stmt: ReadProbe | WriteProbe) -> None:
         addr = self._resolve_target(ctx, stmt.target)
         if addr is None:
             return
-        window = self._active_window()
-        wid = window.wid if window else None
+        wid = self.windows[-1].wid if self.windows else None
         if isinstance(stmt, ReadProbe):
             try:
                 data = self.memory.read_bytes(addr, stmt.length)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 from .program import (AddrOfArg, Annotation, AnnotationKind, Assign, Call, FunctionDesc,
                       HeapAlloc, PointeeRef, ProgramDesc, ReadProbe, Return, RuntimeCall,
-                      RUNTIME_CALLS, Sensitivity, Statement, Trust, VarDesc, VarRef,
+                      RUNTIME_CALLS, Sensitivity, Statement, VarDesc, VarRef,
                       WriteProbe, is_instrumented)
 
 # Provenance labels for inserted calls, one per insertion rule.
@@ -116,12 +116,12 @@ def _pointee_size(var: VarDesc) -> int:
         f"use a size suffix or declare pointee_size")
 
 
-def _validate(program: ProgramDesc, trust: dict[str, Trust],
+def _validate(program: ProgramDesc, untrusted_names: set[str],
               sens: dict[str, Sensitivity],
               untrusted: frozenset[Prototype]) -> None:
     for fn in program.functions:
         where = f"function {fn.name!r}"
-        fn_untrusted = trust[fn.name] is Trust.UNTRUSTED
+        fn_untrusted = fn.name in untrusted_names
         fn_sensitive = sens[fn.name] is not Sensitivity.NONE
         if fn_untrusted and fn_sensitive:
             raise AnnotationError(f"{where} is on both the untrusted and sensitive lists")
@@ -308,12 +308,10 @@ def instrument(program: ProgramDesc, untrusted: frozenset[Prototype],
     if is_instrumented(program):
         raise AnnotationError("program already carries runtime calls")
 
-    trust: dict[str, Trust] = {}
+    untrusted_names = {fn.name for fn in program.functions
+                       if matches_untrusted(untrusted, fn.name, fn.arity)}
     sens: dict[str, Sensitivity] = {}
     for fn in program.functions:
-        trust[fn.name] = (Trust.UNTRUSTED
-                          if matches_untrusted(untrusted, fn.name, fn.arity)
-                          else Trust.TRUSTED)
         if fn.sensitivity is not Sensitivity.NONE:
             sens[fn.name] = fn.sensitivity
         elif fn.name in sensitive_names:
@@ -321,18 +319,18 @@ def instrument(program: ProgramDesc, untrusted: frozenset[Prototype],
         else:
             sens[fn.name] = Sensitivity.NONE
 
-    _validate(program, trust, sens, untrusted)
+    _validate(program, untrusted_names, sens, untrusted)
 
     def is_untrusted_call(stmt: Call) -> bool:
         callee = program.function(stmt.callee)
         if callee is not None:
-            return trust[callee.name] is Trust.UNTRUSTED
+            return callee.name in untrusted_names
         return matches_untrusted(untrusted, stmt.callee, len(stmt.args))
 
     out: list[FunctionDesc] = []
     for fn in program.functions:
-        if trust[fn.name] is Trust.UNTRUSTED:
-            out.append(replace(fn, trust=Trust.UNTRUSTED))
+        if fn.name in untrusted_names:
+            out.append(fn)
         elif sens[fn.name] is not Sensitivity.NONE:
             body = _instrument_sensitive(fn, sens[fn.name], is_untrusted_call)
             out.append(replace(fn, body=body, sensitivity=sens[fn.name]))

@@ -8,7 +8,6 @@ A program is a JSON document:
         {
           "name": "pwdgenerator",
           "sensitivity": "sensitive",   # or "sensitive_finegrained"; optional
-          "trust": "untrusted",         # optional; normally derived from lists
           "params": [ <var>, ... ],
           "locals": [ <var>, ... ],
           "body":   [ <stmt>, ... ]
@@ -63,11 +62,6 @@ class Sensitivity(str, enum.Enum):
     NONE = "none"
     ALL = "sensitive"
     FINEGRAINED = "sensitive_finegrained"
-
-
-class Trust(str, enum.Enum):
-    TRUSTED = "trusted"
-    UNTRUSTED = "untrusted"
 
 
 class AnnotationKind(str, enum.Enum):
@@ -250,7 +244,6 @@ class FunctionDesc:
     locals: tuple[VarDesc, ...] = ()
     body: tuple[Statement, ...] = ()
     sensitivity: Sensitivity = Sensitivity.NONE
-    trust: Trust = Trust.TRUSTED
 
     @property
     def arity(self) -> int:
@@ -307,27 +300,20 @@ def _require(cond: bool, where: str, message: str) -> None:
 
 
 def _target_to_dict(target: ProbeTarget) -> dict[str, Any]:
+    out: dict[str, Any]
     if isinstance(target, VarTarget):
-        out: dict[str, Any] = {"kind": "var", "function": target.function, "var": target.var}
-        if target.offset:
-            out["offset"] = target.offset
-        return out
-    if isinstance(target, FrameTarget):
+        out = {"kind": "var", "function": target.function, "var": target.var}
+    elif isinstance(target, FrameTarget):
         out = {"kind": "frame", "function": target.function}
-        if target.offset:
-            out["offset"] = target.offset
-        return out
-    if isinstance(target, DerefTarget):
+    elif isinstance(target, DerefTarget):
         out = {"kind": "deref", "param": target.param}
-        if target.offset:
-            out["offset"] = target.offset
-        return out
-    if isinstance(target, HeapTarget):
+    elif isinstance(target, HeapTarget):
         out = {"kind": "heap", "index": target.index}
-        if target.offset:
-            out["offset"] = target.offset
-        return out
-    return {"kind": "addr", "addr": f"{target.addr:#x}"}
+    else:
+        return {"kind": "addr", "addr": f"{target.addr:#x}"}
+    if target.offset:
+        out["offset"] = target.offset
+    return out
 
 
 def _target_from_dict(raw: Any, where: str) -> ProbeTarget:
@@ -491,8 +477,6 @@ def function_to_dict(fn: FunctionDesc) -> dict[str, Any]:
     out: dict[str, Any] = {"name": fn.name}
     if fn.sensitivity is not Sensitivity.NONE:
         out["sensitivity"] = fn.sensitivity.value
-    if fn.trust is not Trust.TRUSTED:
-        out["trust"] = fn.trust.value
     out["params"] = [_var_to_dict(v) for v in fn.params]
     out["locals"] = [_var_to_dict(v) for v in fn.locals]
     out["body"] = [_stmt_to_dict(s) for s in fn.body]
@@ -512,13 +496,6 @@ def function_from_dict(raw: Any, where: str) -> FunctionDesc:
         except ValueError:
             raise ProgramFormatError(f"{where}: unknown sensitivity {sens_text!r}") from None
         _require(sensitivity is not Sensitivity.NONE, where, "sensitivity 'none' is implied; omit it")
-    trust_text = raw.get("trust")
-    trust = Trust.TRUSTED
-    if trust_text is not None:
-        try:
-            trust = Trust(trust_text)
-        except ValueError:
-            raise ProgramFormatError(f"{where}: unknown trust {trust_text!r}") from None
     params = tuple(_var_from_dict(v, f"{where}.params[{i}]")
                    for i, v in enumerate(raw.get("params", [])))
     locals_ = tuple(_var_from_dict(v, f"{where}.locals[{i}]")
@@ -531,7 +508,7 @@ def function_from_dict(raw: Any, where: str) -> FunctionDesc:
             raise ProgramFormatError(f"{where}: duplicate variable {v.name!r}")
         seen.add(v.name)
     return FunctionDesc(name=name, params=params, locals=locals_, body=body,
-                        sensitivity=sensitivity, trust=trust)
+                        sensitivity=sensitivity)
 
 
 def program_to_dict(program: ProgramDesc) -> dict[str, Any]:

@@ -11,7 +11,7 @@ becomes a no-op; process memory is never mutated by a failed call.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .identity import IdentityTable
 from .memory import ProcessMemory, in_heap, in_stack
@@ -183,15 +183,8 @@ class VaultState:
                 return i
         return None
 
-    def _last_stack_entry(self) -> StackEntry | None:
-        i = self._last_stack_index()
-        return self.register_list[i] if i is not None else None  # type: ignore[return-value]
-
     def _watermark(self) -> int:
         return self.protect_list[-1].register_index if self.protect_list else 0
-
-    def stats_snapshot(self) -> SyscallStats:
-        return replace(self.stats)
 
     # ------------------------------------------------------------------
     # registration calls
@@ -213,11 +206,13 @@ class VaultState:
         fid = self._resolve(syscall, caller_pc)
         if fid is None:
             return
-        last = self._last_stack_entry()
-        if last is None:
+        idx = self._last_stack_index()
+        if idx is None:
             self._flag(ExceptionKind.IDENTITY_MISMATCH, syscall, caller_pc,
                        "no frame registration to attach to")
             return
+        last = self.register_list[idx]
+        assert isinstance(last, StackEntry)
         if last.owner != fid:
             self._flag(ExceptionKind.IDENTITY_MISMATCH, syscall, caller_pc,
                        f"caller {self.identity.name_of(fid)} does not own the "
@@ -356,50 +351,36 @@ class VaultState:
         self._close_window(memory, self._watermark(), len(self.register_list) - 1)
 
     def _close_window(self, memory: ProcessMemory, start: int, end: int) -> None:
-        # Restore pass. Frame images are assembled in a scratch buffer and
-        # flushed when the next frame begins (and once more at the end),
-        # so object restores and carve-out refreshes can patch the image
-        # before it lands in memory.
-        frame_image: bytearray | None = None
-        frame_top = frame_base = 0
+        """Write every saved image back in registration order, leaving each
+        carve-out as the callee left it.
 
-        def flush() -> None:
-            if frame_image is not None:
-                memory.write_bytes(frame_top, bytes(frame_image))
-
-        def on_frame(base: int, length: int) -> bool:
-            return (frame_image is not None and frame_top <= base
-                    and base + length <= frame_base)
-
-        for entry in self.register_list[start:end + 1]:
+        Carve-outs are read before anything is written, and written back
+        at their place in the order. Overlapping images hold the same
+        bytes, because _open_window saves every record before it clears
+        anything, so only the position of the carve-outs matters.
+        """
+        entries = self.register_list[start:end + 1]
+        callee_bytes = {i: memory.read_bytes(e.base, e.length) for i, e in enumerate(entries)
+                        if isinstance(e, MemoryExceptionEntry)}
+        seen_frame = False
+        for i, entry in enumerate(entries):
             if isinstance(entry, StackEntry):
-                flush()
-                frame_top, frame_base = entry.frame_top, entry.frame_base
-                if entry.all:
-                    if entry.save_record is None:
-                        self.diagnostics.append("frame registered all=True has no saved image")
-                        frame_image = bytearray(memory.read_bytes(frame_top, entry.frame_size))
-                    else:
-                        frame_image = bytearray(self.save_buffer.consume(entry.save_record))
-                        entry.save_record = None
-                else:
-                    frame_image = bytearray(memory.read_bytes(frame_top, entry.frame_size))
+                seen_frame = True
+                if not entry.all:
+                    continue
+                if entry.save_record is None:
+                    self.diagnostics.append("frame registered all=True has no saved image")
+                    continue
+                addr = entry.frame_top
             elif isinstance(entry, MemoryEntry):
                 if entry.save_record is None:
                     self.diagnostics.append("memory object has no saved image")
                     continue
-                data = self.save_buffer.consume(entry.save_record)
-                entry.save_record = None
-                if on_frame(entry.base, entry.length):
-                    off = entry.base - frame_top
-                    frame_image[off:off + entry.length] = data
-                else:
-                    memory.write_bytes(entry.base, data)
+                addr = entry.base
             else:
-                # Carve-out: keep whatever the callee left there.
-                if on_frame(entry.base, entry.length):
-                    off = entry.base - frame_top
-                    frame_image[off:off + entry.length] = memory.read_bytes(entry.base, entry.length)
-                elif frame_image is None:
+                if not seen_frame:
                     self.diagnostics.append("carve-out with no enclosing frame in window")
-        flush()
+                memory.write_bytes(entry.base, callee_bytes[i])
+                continue
+            memory.write_bytes(addr, self.save_buffer.consume(entry.save_record))
+            entry.save_record = None

@@ -292,6 +292,39 @@ class TestDiagnostics:
         vault.start_protect(memory, VPC)
         assert any("out of registration order" in d for d in vault.diagnostics)
 
+    def test_frame_registered_inside_the_window_has_no_saved_image(self):
+        memory, vault = make_state()
+        frame = memory.push_frame(0, 32)
+        memory.write_bytes(frame.top, FRAME_PATTERN[:32])
+        vault.register_stack(VPC, all=True, frame_base=frame.base, frame_top=frame.top)
+        vault.start_protect(memory, VPC)
+        # Unregister (which scrubs the frame) and register it again, so the
+        # RegisterList is back at the window's watermark and the close is
+        # accepted, but the new registration was never saved.
+        vault.unregister_stack(memory, VPC)
+        vault.register_stack(VPC, all=True, frame_base=frame.base, frame_top=frame.top)
+        memory.write_bytes(frame.top, b"\x33" * 4)
+        vault.stop_protect(memory, VPC)
+        assert vault.exception_log == []
+        assert vault.diagnostics == ["frame registered all=True has no saved image"]
+        assert memory.read_bytes(frame.top, 32) == b"\x33" * 4 + bytes(28)
+        assert not vault.save_buffer.all_consumed()
+
+    def test_carve_out_opened_alone_has_no_enclosing_frame(self):
+        memory, vault = make_state()
+        frame = memory.push_frame(0, 32)
+        memory.write_bytes(frame.top, FRAME_PATTERN[:32])
+        vault.register_stack(VPC, all=True, frame_base=frame.base, frame_top=frame.top)
+        vault.start_protect(memory, VPC)
+        # The inner window covers the carve-out and nothing else.
+        vault.register_memory_exception(VPC, frame.top + 8, 4, False)
+        vault.start_protect(memory, VPC)
+        memory.write_bytes(frame.top + 8, CARVE_NEW)
+        vault.stop_protect(memory, VPC)
+        assert vault.exception_log == []
+        assert vault.diagnostics == ["carve-out with no enclosing frame in window"]
+        assert memory.read_bytes(frame.top, 32) == bytes(8) + CARVE_NEW + bytes(20)
+
 
 class TestWindowBytes:
     # A whole-frame registration [0x1000, 0x1100) with a 4-byte carve-out
@@ -338,3 +371,21 @@ class TestOracleEquivalence:
             logs.append([e.kind for e in vault.exception_log])
         assert images[0] == images[1]
         assert logs[0] == logs[1] == []
+
+    def test_callee_write_to_a_carve_out_survives_a_doubly_registered_frame(self):
+        images = []
+        for vault_cls in (VaultState, OracleVault):
+            memory, vault = make_state(vault_cls)
+            frame = memory.push_frame(0, 64)
+            memory.write_bytes(frame.top, b"\x11" * 64)
+            vault.register_stack(VPC, all=True, frame_base=frame.base, frame_top=frame.top)
+            vault.register_stack(VPC, all=True, frame_base=frame.base, frame_top=frame.top)
+            vault.register_memory_exception(VPC, frame.top + 8, 8, False)
+            vault.start_protect(memory, VPC)
+            memory.write_bytes(frame.top + 8, b"\x22" * 8)
+            vault.stop_protect(memory, VPC)
+            assert vault.exception_log == []
+            assert memory.read_bytes(frame.top + 8, 8) == b"\x22" * 8
+            assert memory.read_bytes(frame.top, 64) == b"\x11" * 8 + b"\x22" * 8 + b"\x11" * 48
+            images.append(memory.content_signature())
+        assert images[0] == images[1]

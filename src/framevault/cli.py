@@ -118,13 +118,12 @@ def cmd_fuzz(args) -> int:
 
 # ----------------------------------------------------------------------
 
-def _add_io(sub, *, entry: bool = True) -> None:
+def _add_io(sub, *, formats: tuple[str, ...] = ("text", "json")) -> None:
     sub.add_argument("--program", required=True, help="program description (JSON)")
     sub.add_argument("--image-map", required=True,
                      help="function span table (name lo hi per line)")
-    if entry:
-        sub.add_argument("--entry", default="main", help="entry function name")
-    sub.add_argument("--format", choices=("text", "json"), default="text")
+    sub.add_argument("--entry", default="main", help="entry function name")
+    sub.add_argument("--format", choices=formats, default="text")
     sub.add_argument("-o", "--output", help="write the report to this path")
 
 
@@ -157,8 +156,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io(p)
     p.set_defaults(func=cmd_diff)
 
+    # `run --format json` already carries the stats and provenance keys.
     p = sub.add_parser("stats", help="print the per-syscall count table")
-    _add_io(p)
+    _add_io(p, formats=("text",))
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("fuzz", help="randomized invariant checking")

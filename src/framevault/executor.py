@@ -359,7 +359,8 @@ class Executor:
             if var is None or ref.var not in ctx.offsets:
                 self._fault(f"{ctx.func.name}: {stmt.call} names unknown variable {ref.var!r}")
                 return None
-            return ctx.frame.top + ctx.offsets[ref.var], stmt.length or var.size
+            return (ctx.frame.top + ctx.offsets[ref.var],
+                    var.size if stmt.length is None else stmt.length)
         if isinstance(ref, PointeeRef):
             if ref.var not in ctx.offsets or stmt.length is None:
                 self._fault(f"{ctx.func.name}: {stmt.call} has unresolvable pointee region")

@@ -65,14 +65,14 @@ class MemoryEntry:
 
 @dataclass
 class MemoryExceptionEntry:
-    """Carve-out inside a fully protected frame: the region is copied back
-    right after the frame is cleared so the callee can use it."""
+    """Carve-out inside a fully protected frame: the region is saved when
+    the window opens and copied back once the frames are cleared, so the
+    callee can use it; closing the window keeps the callee's writes."""
 
     owner: int
     base: int
     length: int
     read_only: bool
-    save_record: int | None = None
 
 
 RegisterEntry = StackEntry | MemoryEntry | MemoryExceptionEntry
@@ -186,6 +186,10 @@ class VaultState:
     def _watermark(self) -> int:
         return self.protect_list[-1].register_index if self.protect_list else 0
 
+    def _clear(self, memory: ProcessMemory, addr: int, length: int) -> None:
+        memory.clear_region(addr, length)
+        self.stats.bytes_cleared += length
+
     # ------------------------------------------------------------------
     # registration calls
 
@@ -267,8 +271,7 @@ class VaultState:
                        f"latest frame registration ({self.identity.name_of(last.owner)})")
             return
         del self.register_list[idx:]
-        memory.clear_region(last.frame_top, last.frame_size)
-        self.stats.bytes_cleared += last.frame_size
+        self._clear(memory, last.frame_top, last.frame_size)
 
     # ------------------------------------------------------------------
     # protection windows
@@ -287,38 +290,35 @@ class VaultState:
             self.diagnostics.append("protection windows opened out of registration order")
 
     def _open_window(self, memory: ProcessMemory, start: int, end: int) -> None:
-        """Save everything in [start, end], then clear what must be hidden
-        and copy carve-outs back into the cleared frames.
-
-        Carve-outs are saved too: the frame clear wipes them, and their
-        saved image is what gets copied back.
+        """Save everything in [start, end], then hide it in fixed phases:
+        zero the all=True frames, copy the carve-outs back from their saved
+        images, and zero the writable objects last, so a carve-out never
+        shows a byte that an object hides. Registration order plays no part.
         """
-        for entry in self.register_list[start:end + 1]:
+        entries = self.register_list[start:end + 1]
+        carve_outs: list[tuple[int, int]] = []  # (base, save record)
+        for entry in entries:
             if isinstance(entry, StackEntry):
-                if entry.all:
-                    data = memory.read_bytes(entry.frame_top, entry.frame_size)
-                    entry.save_record = self.save_buffer.append(data)
-                    self.stats.bytes_copied += entry.frame_size
+                if not entry.all:
+                    continue
+                addr, length = entry.frame_top, entry.frame_size
             else:
-                data = memory.read_bytes(entry.base, entry.length)
-                entry.save_record = self.save_buffer.append(data)
-                self.stats.bytes_copied += entry.length
+                addr, length = entry.base, entry.length
+            record = self.save_buffer.append(memory.read_bytes(addr, length))
+            self.stats.bytes_copied += length
+            if isinstance(entry, MemoryExceptionEntry):
+                carve_outs.append((addr, record))
+            else:
+                entry.save_record = record
 
-        # Clear pass. Registration order puts each frame before its
-        # objects, so carve-out copy-back lands after its frame's clear.
-        for entry in self.register_list[start:end + 1]:
-            if isinstance(entry, StackEntry):
-                if entry.all:
-                    memory.clear_region(entry.frame_top, entry.frame_size)
-                    self.stats.bytes_cleared += entry.frame_size
-            elif isinstance(entry, MemoryEntry):
-                if not entry.read_only:
-                    memory.clear_region(entry.base, entry.length)
-                    self.stats.bytes_cleared += entry.length
-            else:
-                if entry.save_record is not None:
-                    memory.write_bytes(entry.base, self.save_buffer.consume(entry.save_record))
-                    entry.save_record = None
+        for entry in entries:
+            if isinstance(entry, StackEntry) and entry.all:
+                self._clear(memory, entry.frame_top, entry.frame_size)
+        for addr, record in carve_outs:
+            memory.write_bytes(addr, self.save_buffer.consume(record))
+        for entry in entries:
+            if isinstance(entry, MemoryEntry) and not entry.read_only:
+                self._clear(memory, entry.base, entry.length)
 
     def stop_protect(self, memory: ProcessMemory, caller_pc: int) -> None:
         """Close the innermost protection window and restore saved data.
@@ -351,36 +351,31 @@ class VaultState:
         self._close_window(memory, self._watermark(), len(self.register_list) - 1)
 
     def _close_window(self, memory: ProcessMemory, start: int, end: int) -> None:
-        """Write every saved image back in registration order, leaving each
-        carve-out as the callee left it.
+        """Write every saved image in [start, end] back, then the carve-outs
+        as the callee left them.
 
-        Carve-outs are read before anything is written, and written back
-        at their place in the order. Overlapping images hold the same
-        bytes, because _open_window saves every record before it clears
-        anything, so only the position of the carve-outs matters.
+        _open_window takes every image before it clears anything, so
+        overlapping images hold the same bytes and their order does not
+        matter; the carve-outs, read first, are written last.
         """
         entries = self.register_list[start:end + 1]
-        callee_bytes = {i: memory.read_bytes(e.base, e.length) for i, e in enumerate(entries)
-                        if isinstance(e, MemoryExceptionEntry)}
-        seen_frame = False
+        carve_outs = [(e.base, memory.read_bytes(e.base, e.length)) for e in entries
+                      if isinstance(e, MemoryExceptionEntry)]
+        first_frame = next((i for i, e in enumerate(entries) if isinstance(e, StackEntry)),
+                           len(entries))
         for i, entry in enumerate(entries):
-            if isinstance(entry, StackEntry):
-                seen_frame = True
-                if not entry.all:
-                    continue
-                if entry.save_record is None:
-                    self.diagnostics.append("frame registered all=True has no saved image")
-                    continue
-                addr = entry.frame_top
-            elif isinstance(entry, MemoryEntry):
-                if entry.save_record is None:
-                    self.diagnostics.append("memory object has no saved image")
-                    continue
-                addr = entry.base
-            else:
-                if not seen_frame:
+            if isinstance(entry, MemoryExceptionEntry):
+                if i < first_frame:
                     self.diagnostics.append("carve-out with no enclosing frame in window")
-                memory.write_bytes(entry.base, callee_bytes[i])
+            elif isinstance(entry, StackEntry) and not entry.all:
                 continue
-            memory.write_bytes(addr, self.save_buffer.consume(entry.save_record))
-            entry.save_record = None
+            elif entry.save_record is None:
+                self.diagnostics.append("frame registered all=True has no saved image"
+                                        if isinstance(entry, StackEntry)
+                                        else "memory object has no saved image")
+            else:
+                addr = entry.frame_top if isinstance(entry, StackEntry) else entry.base
+                memory.write_bytes(addr, self.save_buffer.consume(entry.save_record))
+                entry.save_record = None
+        for addr, data in carve_outs:
+            memory.write_bytes(addr, data)

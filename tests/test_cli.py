@@ -156,6 +156,19 @@ class TestDiff:
         assert header is not None and header[-1] == "Total"
         assert values == ["1", "1", "1", "1", "1", "1", "6"]
 
+    def test_stats_has_no_json_format_but_run_json_carries_the_stats(
+            self, capsys, instrumented_file):
+        args = ["--program", str(instrumented_file), "--image-map", DEMO_MAP,
+                "--format", "json"]
+        with pytest.raises(SystemExit) as exc:
+            main(["stats", *args])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert main(["run", *args]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["stats"]["total"] == 6
+        assert sum(doc["provenance"].values()) == 6
+
 
 class TestFuzzCommand:
     def test_campaign_file_is_byte_stable(self, tmp_path):

@@ -41,6 +41,7 @@ from framevault.program import (
     Sensitivity,
     ValueArg,
     VarDesc,
+    VarRef,
     VarTarget,
 )
 from framevault.runtime import ExceptionKind, VaultException, VaultState
@@ -144,6 +145,30 @@ class TestSpoofing:
         assert exception_kinds(report) == [ExceptionKind.IDENTITY_MISMATCH]
         # The window stayed up, so the probe that follows still reads zeros.
         assert secret_bytes_observed(report) == 0
+
+
+class TestRegionLength:
+    def test_zero_length_carve_out_of_a_variable_covers_nothing(self):
+        # "len": 0 names an empty region, not the whole variable.
+        program = ProgramDesc(functions=(
+            FunctionDesc(name="victim", locals=(VarDesc("key", 16),), body=(
+                RuntimeCall(call="register_stack", all=True),
+                Assign("key", bytes(range(0xA0, 0xB0))),
+                RuntimeCall(call="register_memory_exception", target=VarRef("key"),
+                            length=0, read_only=False),
+                RuntimeCall(call="start_protect"),
+                Call("lib"),
+                RuntimeCall(call="stop_protect"),
+                RuntimeCall(call="unregister_stack"),
+                Return())),
+            FunctionDesc(name="lib", body=(ReadProbe(VarTarget("victim", "key"), 16),
+                                           Return())),
+            FunctionDesc(name="main", body=(Call("victim"), Return())),
+        ), instrumented=True)
+        report = run(program, load_image_map(image_map_for(program)), "main")
+        assert report.clean and report.faults == []
+        [read] = [o for o in report.observations if o.kind == "read"]
+        assert (read.length, read.nonzero) == (16, 0)
 
 
 class TestFaultIsolation:

@@ -17,7 +17,8 @@ from framevault.program import (MAX_PROBE_BYTES, AbsoluteTarget, Call, FunctionD
                                 ProgramDesc, ReadProbe, Return, emit, parse)
 
 from support import DEMO_DIR, PWDGEN_MAP, pwdgen_instrumented
-from test_fuzz import faulting_scenario
+from test_fuzz import (LEAKY_CONFIG, LEAKY_FINDINGS, LEAKY_SEED, faulting_scenario,
+                       runtime_saves_without_clearing)
 
 DEMO_PROGRAM = str(DEMO_DIR / "program.json")
 DEMO_MAP = str(DEMO_DIR / "image.map")
@@ -209,6 +210,19 @@ class TestFuzzCommand:
         code = main(["fuzz", "--replay", str(path)])
         assert code == 1
         assert "problems:" in capsys.readouterr().out
+
+    def test_campaign_with_findings_saves_replayable_counterexamples(
+            self, tmp_path, capsys, runtime_saves_without_clearing):
+        save_dir = tmp_path / "findings"
+        code = main(["fuzz", "--seed", str(LEAKY_SEED), "--count", str(LEAKY_CONFIG.scenarios),
+                     "--save-dir", str(save_dir), "-o", str(tmp_path / "x.txt")])
+        assert code == 1
+        saved = sorted(p.name for p in save_dir.iterdir())
+        assert saved == sorted(f"scenario-{LEAKY_SEED}-{i}.json" for i in LEAKY_FINDINGS)
+        capsys.readouterr()
+        code = main(["fuzz", "--replay", str(save_dir / saved[0])])
+        assert code == 1
+        assert "problems: 0" not in capsys.readouterr().out
 
 
 class TestUsage:

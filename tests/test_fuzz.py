@@ -3,6 +3,8 @@ shrinker."""
 
 from __future__ import annotations
 
+import pytest
+
 from framevault.executor import image_map_for
 from framevault.fuzzer import (
     FORGERY_KINDS,
@@ -27,6 +29,25 @@ from framevault.program import (
     Return,
     VarDesc,
 )
+from framevault.runtime import VaultState
+
+from test_executor import _NoClear
+
+# fuzz(5, FuzzConfig(scenarios=20)) under a runtime that saves without
+# clearing: every scenario whose library reads a hidden byte is a finding.
+LEAKY_SEED = 5
+LEAKY_CONFIG = FuzzConfig(scenarios=20)
+LEAKY_FINDINGS = [0, 2, 3, 5, 6, 7, 10, 13, 15, 16, 19]
+
+
+@pytest.fixture
+def runtime_saves_without_clearing(monkeypatch):
+    """Break VaultState so its windows save but never clear. OracleVault
+    overrides _open_window, so the oracle run stays correct."""
+    open_window = VaultState._open_window
+    monkeypatch.setattr(VaultState, "_open_window",
+                        lambda self, memory, start, end:
+                        open_window(self, _NoClear(memory), start, end))
 
 
 class TestDeterminism:
@@ -84,6 +105,20 @@ class TestCampaigns:
             scenario = generate_scenario(19, i, config)
             for fn in scenario.raw.functions:
                 assert sum(v.size for v in fn.params + fn.locals) <= 4096
+
+
+class TestFindings:
+    def test_campaign_keeps_each_failing_scenario(self, runtime_saves_without_clearing):
+        result = fuzz(LEAKY_SEED, LEAKY_CONFIG)
+        assert [f.index for f in result.findings] == LEAKY_FINDINGS
+        assert len(result.reports) == LEAKY_CONFIG.scenarios
+        for finding in result.findings:
+            scenario = generate_scenario(LEAKY_SEED, finding.index, LEAKY_CONFIG)
+            _, problems = check_scenario(scenario)
+            assert finding.seed == LEAKY_SEED
+            assert finding.problems == problems
+            assert finding.scenario.program == scenario.program
+            assert finding.minimized is not None
 
 
 class TestSerialization:

@@ -98,8 +98,7 @@ def cmd_fuzz(args) -> int:
 
     config = FuzzConfig(scenarios=args.count, max_chain=args.depth,
                         probes=not args.no_probes, adversarial=args.adversarial)
-    result = fuzz(args.seed, config, jobs=args.jobs,
-                  minimize_findings=not args.no_minimize)
+    result = fuzz(args.seed, config, minimize_findings=not args.no_minimize)
     doc = to_json(campaign_to_dict(result)) if args.format == "json" \
         else render_campaign(result)
     _emit(doc, args.output)
@@ -165,7 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=100, help="number of scenarios")
     p.add_argument("--depth", type=int, default=3, help="max nesting depth")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers")
     p.add_argument("--adversarial", action="store_true",
                    help="inject one forged runtime call per scenario")
     p.add_argument("--no-probes", action="store_true")

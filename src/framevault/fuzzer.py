@@ -8,7 +8,8 @@ adversarial mode one forged runtime call is spliced into a library body
 and the expected detection is asserted instead.
 
 Generation is deterministic: scenario i of seed s is always the same
-program, independent of the campaign size or worker count.
+program, independent of the campaign size. A campaign checks its
+scenarios one after another in a single process.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 import json
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 from .executor import ExecutionReport, Executor, image_map_for
@@ -52,7 +52,6 @@ class FuzzConfig:
     scenarios: int = 100
     max_chain: int = 3       # secret-holder nesting depth
     max_locals: int = 4
-    max_frame_bytes: int = 4096
     probes: bool = True
     adversarial: bool = False
 
@@ -387,13 +386,6 @@ def check_scenario(scenario: Scenario) -> tuple[ExecutionReport, list[str]]:
     return report, problems
 
 
-def run_one(seed: int, index: int, config: FuzzConfig) \
-        -> tuple[int, ExecutionReport, list[str]]:
-    scenario = generate_scenario(seed, index, config)
-    report, problems = check_scenario(scenario)
-    return index, report, problems
-
-
 # ----------------------------------------------------------------------
 # shrinking
 
@@ -453,36 +445,23 @@ def minimize(scenario: Scenario, budget: int = 200) -> Scenario:
 # ----------------------------------------------------------------------
 # campaign
 
-def _run_one_packed(args: tuple[int, int, FuzzConfig]):
-    return run_one(*args)
-
-
-def fuzz(seed: int, config: FuzzConfig, jobs: int = 1,
+def fuzz(seed: int, config: FuzzConfig,
          minimize_findings: bool = True) -> CampaignResult:
-    """Run the campaign. Deterministic for a given (seed, config);
-    parallelism never changes results, only wall time."""
+    """Run the campaign in index order. Deterministic for a given
+    (seed, config)."""
     started = time.monotonic()
-    reports: list[ExecutionReport | None] = [None] * config.scenarios
+    reports: list[ExecutionReport] = []
     findings: list[Finding] = []
-    work = [(seed, i, config) for i in range(config.scenarios)]
-    if jobs > 1 and config.scenarios > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_one_packed, work, chunksize=8))
-    else:
-        results = [run_one(*w) for w in work]
-    for index, report, problems in sorted(results, key=lambda r: r[0]):
-        reports[index] = report
+    for index in range(config.scenarios):
+        scenario = generate_scenario(seed, index, config)
+        report, problems = check_scenario(scenario)
+        reports.append(report)
         if problems:
-            scenario = generate_scenario(seed, index, config)
+            minimized = minimize(scenario) if minimize_findings else None
             findings.append(Finding(index=index, seed=seed, problems=problems,
-                                    scenario=scenario))
-    if minimize_findings:
-        for finding in findings:
-            finding.minimized = minimize(finding.scenario)
-    return CampaignResult(seed=seed, config=config,
-                          reports=[r for r in reports if r is not None],
-                          findings=findings,
-                          elapsed=time.monotonic() - started)
+                                    scenario=scenario, minimized=minimized))
+    return CampaignResult(seed=seed, config=config, reports=reports,
+                          findings=findings, elapsed=time.monotonic() - started)
 
 
 # ----------------------------------------------------------------------

@@ -47,8 +47,7 @@ from support import DEMO_DIR
 
 CAMPAIGN_SEED = 0
 CAMPAIGN_SIZE = 1000
-CAMPAIGN_CONFIG = FuzzConfig(scenarios=CAMPAIGN_SIZE, max_chain=3,
-                             max_frame_bytes=4096)
+CAMPAIGN_CONFIG = FuzzConfig(scenarios=CAMPAIGN_SIZE, max_chain=3)
 
 
 @pytest.fixture(scope="module")

@@ -65,13 +65,6 @@ class TestDeterminism:
         b = fuzz(2, config)
         assert [r.final_digest for r in a.reports] != [r.final_digest for r in b.reports]
 
-    def test_parallel_matches_serial(self):
-        config = FuzzConfig(scenarios=16)
-        serial = fuzz(3, config, jobs=1)
-        parallel = fuzz(3, config, jobs=4)
-        assert ([r.final_digest for r in serial.reports]
-                == [r.final_digest for r in parallel.reports])
-
 
 class TestCampaigns:
     def test_clean_batch_produces_no_findings(self):
@@ -100,7 +93,7 @@ class TestCampaigns:
         assert all(r.observations == [] for r in result.reports)
 
     def test_frame_budget_is_respected(self):
-        config = FuzzConfig(scenarios=30, max_frame_bytes=4096)
+        config = FuzzConfig(scenarios=30)
         for i in range(30):
             scenario = generate_scenario(19, i, config)
             for fn in scenario.raw.functions:

@@ -14,7 +14,7 @@ import pathlib
 import sys
 
 from .executor import run, run_native
-from .fuzzer import (FuzzConfig, check_scenario, fuzz, scenario_from_json,
+from .fuzzer import (MAX_CHAIN, FuzzConfig, check_scenario, fuzz, scenario_from_json,
                      scenario_to_json)
 from .identity import ImageMapError, load_image_map
 from .instrument import (AnnotationError, ListParseError, instrument, parse_lists,
@@ -163,7 +163,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fuzz", help="randomized invariant checking")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=100, help="number of scenarios")
-    p.add_argument("--depth", type=int, default=3, help="max nesting depth")
+    p.add_argument("--depth", type=int, default=3,
+                   help=f"max nesting depth, 1..{MAX_CHAIN}")
     p.add_argument("--adversarial", action="store_true",
                    help="inject one forged runtime call per scenario")
     p.add_argument("--no-probes", action="store_true")

@@ -26,10 +26,15 @@ from .memory import HEAP_BASE
 from .oracle import OracleVault
 from .program import (AddrOfArg, AddressRef, Annotation, AnnotationKind, Arg, Assign,
                       Call, DerefTarget, FrameTarget, FunctionDesc, HeapAlloc,
-                      HeapTarget, ProgramDesc, ReadProbe, Return, RuntimeCall,
-                      Sensitivity, Statement, ValueArg, VarDesc, VarTarget, WriteProbe,
-                      program_from_dict, program_to_dict)
+                      HeapTarget, ProgramDesc, ProgramFormatError, ReadProbe, Return,
+                      RuntimeCall, Sensitivity, Statement, ValueArg, VarDesc,
+                      VarTarget, WriteProbe, program_from_dict, program_to_dict)
 from .runtime import ExceptionKind, VaultException
+
+# Largest max_chain a campaign accepts. The call tree grows exponentially
+# with the chain: a worker that calls its lib twice, through a lib that
+# calls the next worker, runs the rest of the chain twice.
+MAX_CHAIN = 16
 
 FORGERY_KINDS = ("spoof_register_memory", "spoof_stop_protect",
                  "spoof_unregister_stack", "forge_register_stack")
@@ -54,6 +59,11 @@ class FuzzConfig:
     max_locals: int = 4
     probes: bool = True
     adversarial: bool = False
+
+    def __post_init__(self) -> None:
+        if not 1 <= self.max_chain <= MAX_CHAIN:
+            raise ValueError(f"chain depth {self.max_chain} is outside "
+                             f"1..{MAX_CHAIN} (MAX_CHAIN)")
 
 
 @dataclass
@@ -482,8 +492,28 @@ def scenario_to_json(scenario: Scenario) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+# Every key a counterexample file must carry, with its JSON type; list
+# items are strings.
+_SCENARIO_KEYS = {"index": int, "seed": int, "entry": str, "untrusted": list,
+                  "sensitive": list, "forged": list, "image_map": str,
+                  "raw": dict, "program": dict}
+
+
 def scenario_from_json(text: str) -> Scenario:
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ProgramFormatError("scenario: document must be an object")
+    for key, kind in _SCENARIO_KEYS.items():
+        if key not in doc:
+            raise ProgramFormatError(f"scenario: missing key {key!r}")
+        value = doc[key]
+        if not isinstance(value, kind) or (
+                kind is list and not all(isinstance(item, str) for item in value)):
+            what = "a list of strings" if kind is list else f"of type {kind.__name__}"
+            raise ProgramFormatError(f"scenario: key {key!r} must be {what}")
+    unknown = set(doc["forged"]) - set(FORGERY_KINDS)
+    if unknown:
+        raise ProgramFormatError(f"scenario: unknown forgery kinds {sorted(unknown)}")
     return Scenario(index=doc["index"], seed=doc["seed"],
                     raw=program_from_dict(doc["raw"]),
                     program=program_from_dict(doc["program"]),

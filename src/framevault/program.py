@@ -17,7 +17,7 @@ A program is a JSON document:
 
     <var>  = {"name": str, "size": int, "pointer": bool?,
               "pointee_size": int?, "annotation": str?}
-    <stmt> = {"op": "assign", "var": str, "value": <hex>}
+    <stmt> = {"op": "assign", "var": str, "value": <hex>}  # a declared var, value <= its size
            | {"op": "heap_alloc", "var": str, "size": int, "init": <hex>?}
            | {"op": "call", "callee": str,
               "args": [{"var": str} | {"addr_of": str}, ...]}
@@ -502,11 +502,21 @@ def function_from_dict(raw: Any, where: str) -> FunctionDesc:
                     for i, v in enumerate(raw.get("locals", [])))
     body = tuple(_stmt_from_dict(s, f"{where}.body[{i}]")
                  for i, s in enumerate(raw.get("body", [])))
-    seen: set[str] = set()
+    declared: dict[str, VarDesc] = {}
     for v in params + locals_:
-        if v.name in seen:
+        if v.name in declared:
             raise ProgramFormatError(f"{where}: duplicate variable {v.name!r}")
-        seen.add(v.name)
+        declared[v.name] = v
+    for i, stmt in enumerate(body):
+        if not isinstance(stmt, Assign):
+            continue
+        var = declared.get(stmt.var)
+        if var is None:
+            raise ProgramFormatError(f"{where}.body[{i}]: assign to undeclared variable "
+                                     f"{stmt.var!r} of function {name!r}")
+        _require(len(stmt.value) <= var.size, f"{where}.body[{i}]",
+                 f"assign of {len(stmt.value)} bytes to {stmt.var!r} of function "
+                 f"{name!r}, which holds {var.size} bytes")
     return FunctionDesc(name=name, params=params, locals=locals_, body=body,
                         sensitivity=sensitivity)
 

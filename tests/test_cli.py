@@ -11,7 +11,7 @@ import pytest
 
 from framevault.cli import main
 from framevault.executor import image_map_for
-from framevault.fuzzer import FuzzConfig, generate_scenario, scenario_to_json
+from framevault.fuzzer import MAX_CHAIN, FuzzConfig, generate_scenario, scenario_to_json
 from framevault.memory import HEAP_BASE
 from framevault.program import (MAX_PROBE_BYTES, AbsoluteTarget, Call, FunctionDesc,
                                 ProgramDesc, ReadProbe, Return, emit, parse)
@@ -134,6 +134,31 @@ class TestProbeCap:
         assert parse(emit(program)) == program
 
 
+class TestAssignFit:
+    """An assign must name a declared variable and fit in it; main's 4-byte
+    local v sits right below its neighbour k."""
+
+    @pytest.mark.parametrize("var, size, message", [
+        ("v", 24, "assign of 24 bytes to 'v' of function 'main', which holds 4 bytes"),
+        ("w", 4, "assign to undeclared variable 'w' of function 'main'"),
+        ("v", 8, "assign of 8 bytes to 'v' of function 'main', which holds 4 bytes"),
+    ])
+    def test_assign_that_does_not_fit_exits_2(self, tmp_path, capsys, var, size, message):
+        doc = {"instrumented": True, "functions": [{
+            "name": "main",
+            "locals": [{"name": "v", "size": 4}, {"name": "k", "size": 4}],
+            "body": [{"op": "assign", "var": "k", "value": "aabbccdd"},
+                     {"op": "assign", "var": var, "value": "11" * size},
+                     {"op": "return"}]}]}
+        program_file = tmp_path / "assign.json"
+        map_file = tmp_path / "assign.map"
+        program_file.write_text(json.dumps(doc))
+        map_file.write_text("main 0x400000 0x400100\n")
+        code = main(["run", "--program", str(program_file), "--image-map", str(map_file)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+
 class TestDiff:
     def test_demo_diff_shows_the_delta(self, capsys, instrumented_file):
         code = main(["diff", "--program", str(instrumented_file),
@@ -223,6 +248,24 @@ class TestFuzzCommand:
         code = main(["fuzz", "--replay", str(save_dir / saved[0])])
         assert code == 1
         assert "problems: 0" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"index": 0}, "missing key 'seed'"),
+        ([1, 2], "document must be an object"),
+    ])
+    def test_malformed_replay_file_exits_2(self, tmp_path, capsys, doc, message):
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(doc))
+        code = main(["fuzz", "--replay", str(path)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("depth", [0, MAX_CHAIN + 1])
+    def test_depth_outside_the_cap_exits_2(self, tmp_path, capsys, depth):
+        code = main(["fuzz", "--depth", str(depth), "-o", str(tmp_path / "x.txt")])
+        assert code == 2
+        assert f"1..{MAX_CHAIN}" in capsys.readouterr().err
+        assert not (tmp_path / "x.txt").exists()
 
 
 class TestUsage:

@@ -8,6 +8,7 @@ import pytest
 from framevault.executor import image_map_for
 from framevault.fuzzer import (
     FORGERY_KINDS,
+    MAX_CHAIN,
     CampaignResult,
     FuzzConfig,
     Scenario,
@@ -112,6 +113,14 @@ class TestFindings:
             assert finding.problems == problems
             assert finding.scenario.program == scenario.program
             assert finding.minimized is not None
+
+
+class TestChainCap:
+    def test_chain_depth_over_the_cap_is_rejected(self):
+        assert MAX_CHAIN == 16
+        with pytest.raises(ValueError, match=f"1..{MAX_CHAIN}"):
+            FuzzConfig(max_chain=17)
+        assert FuzzConfig(max_chain=MAX_CHAIN).max_chain == MAX_CHAIN
 
 
 class TestSerialization:

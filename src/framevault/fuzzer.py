@@ -9,7 +9,9 @@ and the expected detection is asserted instead.
 
 Generation is deterministic: scenario i of seed s is always the same
 program, independent of the campaign size. A campaign checks its
-scenarios one after another in a single process.
+scenarios one after another in a single process. `max_chain` is capped
+at MAX_CHAIN, and a saved counterexample file that is not a scenario
+document raises ProgramFormatError.
 """
 
 from __future__ import annotations

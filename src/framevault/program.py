@@ -502,21 +502,21 @@ def function_from_dict(raw: Any, where: str) -> FunctionDesc:
                     for i, v in enumerate(raw.get("locals", [])))
     body = tuple(_stmt_from_dict(s, f"{where}.body[{i}]")
                  for i, s in enumerate(raw.get("body", [])))
-    declared: dict[str, VarDesc] = {}
+    sizes: dict[str, int] = {}
     for v in params + locals_:
-        if v.name in declared:
+        if v.name in sizes:
             raise ProgramFormatError(f"{where}: duplicate variable {v.name!r}")
-        declared[v.name] = v
+        sizes[v.name] = v.size
     for i, stmt in enumerate(body):
         if not isinstance(stmt, Assign):
             continue
-        var = declared.get(stmt.var)
-        if var is None:
+        size = sizes.get(stmt.var)
+        if size is None:
             raise ProgramFormatError(f"{where}.body[{i}]: assign to undeclared variable "
                                      f"{stmt.var!r} of function {name!r}")
-        _require(len(stmt.value) <= var.size, f"{where}.body[{i}]",
+        _require(len(stmt.value) <= size, f"{where}.body[{i}]",
                  f"assign of {len(stmt.value)} bytes to {stmt.var!r} of function "
-                 f"{name!r}, which holds {var.size} bytes")
+                 f"{name!r}, which holds {size} bytes")
     return FunctionDesc(name=name, params=params, locals=locals_, body=body,
                         sensitivity=sensitivity)
 

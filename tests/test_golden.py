@@ -1,4 +1,5 @@
-"""Golden outputs: the pwdgenerator demo's reports and the fuzz verdicts
+"""Golden outputs: the pwdgenerator demo's instrumentation and reports,
+the instrumenter's output on generated programs and the fuzz verdicts
 must stay byte-identical across refactors. A change that alters them on
 purpose bumps REPORT_VERSION and rewrites the files under tests/golden/.
 """
@@ -12,6 +13,7 @@ import pytest
 
 from framevault.cli import main
 from framevault.fuzzer import FuzzConfig, check_scenario, generate_scenario
+from framevault.program import emit
 from framevault.reporting import render_report
 
 from support import DEMO_DIR
@@ -32,6 +34,23 @@ def demo_program(tmp_path):
                  "--sensitive-list", str(DEMO_DIR / "sensitive.list"),
                  "-o", str(out)]) == 0
     return str(out)
+
+
+# capsys comes first so that it is active while demo_program prints the listing.
+def test_demo_instrumentation_is_byte_identical(capsys, demo_program):
+    _check_golden("pwdgen-instrument.listing", capsys.readouterr().out)
+    _check_golden("pwdgen-instrument.json", pathlib.Path(demo_program).read_text())
+
+
+def test_generated_programs_instrument_byte_identically():
+    # Both sensitivity modes, addr-of downgrades, workers that call their
+    # lib twice through one Call object, and injected forgeries.
+    h = hashlib.sha256()
+    for seed in (0, 1):
+        for config in (FuzzConfig(), FuzzConfig(max_chain=6), FuzzConfig(adversarial=True)):
+            for index in range(200):
+                h.update(emit(generate_scenario(seed, index, config).program).encode())
+    _check_golden("instrument-generated.sha256", h.hexdigest() + "\n")
 
 
 @pytest.mark.parametrize("command,fmt", [

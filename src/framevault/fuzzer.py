@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 
 from .executor import ExecutionReport, Executor, image_map_for
 from .identity import load_image_map
-from .instrument import instrument, parse_lists
+from .instrument import instrument, parse_lists, slot_exposed
 from .memory import HEAP_BASE
 from .oracle import OracleVault
 from .program import (AddrOfArg, AddressRef, Annotation, AnnotationKind, Arg, Assign,
@@ -145,19 +145,6 @@ class _WorkerPlan:
     lib_calls: int = 1
 
 
-def _value_passable(var: VarDesc, mode: Sensitivity) -> bool:
-    """Whether the slot is still readable at call time inside a window.
-    Argument copying happens after start_protect cleared the frame, so a
-    hidden slot would hand the callee zeros (and a null pointer if the
-    var is a pointer). Realistic programs pass only visible data."""
-    kind = var.annotation.kind if var.annotation else None
-    if var.pointer:
-        return kind is AnnotationKind.WRITE_SENSITIVE_POINTER
-    if kind in (AnnotationKind.NOT_SENSITIVE, AnnotationKind.WRITE_SENSITIVE):
-        return True
-    return kind is None and mode is Sensitivity.FINEGRAINED
-
-
 def _plan_workers(rng: random.Random, config: FuzzConfig, depth: int) -> list[_WorkerPlan]:
     plans = []
     for i in range(depth):
@@ -180,7 +167,9 @@ def _plan_workers(rng: random.Random, config: FuzzConfig, depth: int) -> list[_W
         for v in candidates[:2]:
             if not v.pointer and rng.random() < 0.5:
                 plan.args_out.append(AddrOfArg(v.name))
-            elif _value_passable(v, plan.mode):
+            elif slot_exposed(v, plan.mode):
+                # Arguments are copied after start_protect has cleared the
+                # frame, so realistic programs pass only visible data.
                 plan.args_out.append(ValueArg(v.name))
         if i + 1 < depth:
             plan.chain = rng.choice(("direct", "via_lib"))
@@ -224,7 +213,7 @@ def _lib_probes(rng: random.Random, plans: list[_WorkerPlan], upto: int,
             # writing into a cleared region and reading the garbage back
             # would trip the leak check without revealing anything.
             writable = [v for v in fn_vars
-                        if not v.pointer and _value_passable(v, victim.mode)]
+                        if not v.pointer and slot_exposed(v, victim.mode)]
             if writable:
                 var = rng.choice(writable)
                 stmts.append(WriteProbe(VarTarget(victim.name, var.name, 0),

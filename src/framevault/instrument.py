@@ -5,6 +5,23 @@ list (call sites to bracket), the sensitive-function list plus inline
 sensitivity markers (frames to register), and per-variable annotations
 (objects and carve-outs). Every inserted call records the rule that
 produced it in its provenance field.
+
+Every function that is not untrusted goes through one insertion pass; a
+trusted function is the case with no prologue, slot registrations or
+epilogue. In a sensitive function:
+
+- ``register_stack`` comes first, then the fine-grained slot
+  registrations, then the pointees of pointer parameters;
+- the pointee of a pointer local is registered right after the
+  statement that defines it;
+- whole-frame carve-outs come just before the first untrusted call, or
+  after the parameter pointees when there is none;
+- ``unregister_stack`` precedes every ``return`` and ends a body that
+  does not end in one.
+
+Every untrusted call is bracketed by ``start_protect`` and
+``stop_protect``. `slot_exposed` is the one rule for which frame slots an
+untrusted callee can read; the fuzzer's generator asks it too.
 """
 
 from __future__ import annotations
@@ -86,23 +103,17 @@ def matches_untrusted(untrusted: frozenset[Prototype], name: str, arity: int) ->
 # ----------------------------------------------------------------------
 # validation
 
-def _slot_kind(annotation: Annotation | None) -> AnnotationKind | None:
-    """Treatment of the variable's own frame slot. Pointer annotations
-    fall back to their scalar counterpart for the slot itself."""
-    if annotation is None:
-        return None
-    if annotation.kind is AnnotationKind.SENSITIVE_POINTER:
-        return AnnotationKind.SENSITIVE
-    if annotation.kind is AnnotationKind.WRITE_SENSITIVE_POINTER:
-        return AnnotationKind.WRITE_SENSITIVE
-    return annotation.kind
-
-
-def _exposed(kind: AnnotationKind | None, protect_all: bool) -> bool:
-    """Can an untrusted callee read this slot during a window?"""
-    if protect_all:
-        return kind in (AnnotationKind.NOT_SENSITIVE, AnnotationKind.WRITE_SENSITIVE)
-    return kind is not AnnotationKind.SENSITIVE
+def slot_exposed(var: VarDesc, sensitivity: Sensitivity) -> bool:
+    """Can an untrusted callee read the variable's own frame slot during a
+    window, before any address-of carve-out? A whole frame hides every slot
+    but the ``not_sensitive`` and write-sensitive ones; fine-grained mode
+    hides only the ``sensitive`` ones. A pointer annotation treats the
+    pointer slot like its scalar counterpart."""
+    kind = var.annotation.kind if var.annotation is not None else None
+    if sensitivity is Sensitivity.ALL:
+        return kind in (AnnotationKind.NOT_SENSITIVE, AnnotationKind.WRITE_SENSITIVE,
+                        AnnotationKind.WRITE_SENSITIVE_POINTER)
+    return kind not in (AnnotationKind.SENSITIVE, AnnotationKind.SENSITIVE_POINTER)
 
 
 def _pointee_size(var: VarDesc) -> int:
@@ -174,14 +185,35 @@ def _validate(program: ProgramDesc, untrusted_names: set[str],
 # ----------------------------------------------------------------------
 # insertion
 
-def _reg_memory(var: VarDesc, read_only: bool, provenance: str) -> RuntimeCall:
-    return RuntimeCall(call="register_memory", target=VarRef(var.name),
-                       length=var.size, read_only=read_only, provenance=provenance)
-
-
-def _reg_exception(var: VarDesc, read_only: bool, provenance: str) -> RuntimeCall:
-    return RuntimeCall(call="register_memory_exception", target=VarRef(var.name),
-                       length=var.size, read_only=read_only, provenance=provenance)
+def _slot_registration(var: VarDesc, sensitivity: Sensitivity,
+                       escapes: bool) -> RuntimeCall | None:
+    """The call that gives the variable's own slot its treatment, or None
+    when the frame registration already gives it. A slot whose address
+    escapes to an untrusted callee must stay readable, so one that would
+    be hidden is carved out (whole frame) or left unregistered
+    (fine-grained)."""
+    kind = var.annotation.kind if var.annotation is not None else None
+    read_only = kind in (AnnotationKind.WRITE_SENSITIVE,
+                         AnnotationKind.WRITE_SENSITIVE_POINTER)
+    hidden = not slot_exposed(var, sensitivity)
+    if sensitivity is Sensitivity.ALL:
+        if hidden and not escapes:
+            return None
+        call = "register_memory_exception"
+        provenance = (PROV_ADDR_OF_ARGUMENT if hidden else
+                      PROV_WRITE_SENSITIVE_VAR if read_only else PROV_NOT_SENSITIVE_VAR)
+    else:
+        if not (read_only or (hidden and not escapes)):
+            return None
+        assert var.annotation is not None
+        call = "register_memory"
+        if var.annotation.is_pointer:
+            provenance = PROV_WRITE_SENSITIVE_POINTER_VAR if read_only \
+                else PROV_SENSITIVE_POINTER_VAR
+        else:
+            provenance = PROV_WRITE_SENSITIVE_VAR if read_only else PROV_SENSITIVE_VAR
+    return RuntimeCall(call=call, target=VarRef(var.name), length=var.size,
+                       read_only=read_only, provenance=provenance)
 
 
 def _reg_pointee(var: VarDesc) -> RuntimeCall:
@@ -192,112 +224,62 @@ def _reg_pointee(var: VarDesc) -> RuntimeCall:
                        provenance=PROV_WRITE_SENSITIVE_POINTEE if write else PROV_SENSITIVE_POINTEE)
 
 
-def _instrument_sensitive(fn: FunctionDesc, sensitivity: Sensitivity,
-                          is_untrusted_call) -> tuple[Statement, ...]:
-    protect_all = sensitivity is Sensitivity.ALL
-    frame_prov = PROV_SENSITIVE_FUNCTION if protect_all else PROV_FINEGRAINED_FUNCTION
+def _instrument_body(fn: FunctionDesc, sensitivity: Sensitivity,
+                     is_untrusted_call) -> tuple[Statement, ...]:
+    """Insert the runtime calls into a function that is not untrusted. A
+    trusted function (sensitivity NONE) has an empty prologue, no slot
+    registrations and an empty epilogue, so only its windows remain."""
+    # Keyed by body index: a worker that calls its lib twice reuses one
+    # Call object, so identity cannot tell the first call from the second.
+    untrusted_calls = {i: stmt for i, stmt in enumerate(fn.body)
+                       if isinstance(stmt, Call) and is_untrusted_call(stmt)}
+    first_call = next(iter(untrusted_calls), None)
+    escaping = {arg.var for stmt in untrusted_calls.values()
+                for arg in stmt.args if isinstance(arg, AddrOfArg)}
+    slots = [reg for v in fn.variables()
+             if (reg := _slot_registration(v, sensitivity, v.name in escaping)) is not None]
+    # Fine-grained registrations follow register_stack; whole-frame
+    # carve-outs wait for the first untrusted call.
+    registrations, carve_outs = ([], slots) if sensitivity is Sensitivity.ALL else (slots, [])
 
-    addr_of_vars = {arg.var
-                    for stmt in fn.body if isinstance(stmt, Call) and is_untrusted_call(stmt)
-                    for arg in stmt.args if isinstance(arg, AddrOfArg)}
+    prologue: list[Statement] = []
+    epilogue: list[Statement] = []
+    if sensitivity is not Sensitivity.NONE:
+        frame_prov = PROV_SENSITIVE_FUNCTION if sensitivity is Sensitivity.ALL \
+            else PROV_FINEGRAINED_FUNCTION
+        prologue = [RuntimeCall(call="register_stack", all=sensitivity is Sensitivity.ALL,
+                                provenance=frame_prov)]
+        epilogue = [RuntimeCall(call="unregister_stack", provenance=frame_prov)]
 
-    # Effective slot treatment: a variable whose address escapes to an
-    # untrusted callee must stay accessible, so anything that would hide
-    # it is downgraded to a carve-out.
-    effective: dict[str, AnnotationKind | None] = {}
-    downgraded: set[str] = set()
-    for v in fn.variables():
-        kind = _slot_kind(v.annotation)
-        if v.name in addr_of_vars and not _exposed(kind, protect_all):
-            kind = AnnotationKind.NOT_SENSITIVE
-            downgraded.add(v.name)
-        effective[v.name] = kind
-
-    def slot_registrations() -> list[Statement]:
-        if protect_all:
-            return []
-        out: list[Statement] = []
-        for v in fn.variables():
-            kind = effective[v.name]
-            pointer_ann = v.annotation is not None and v.annotation.is_pointer
-            if kind is AnnotationKind.SENSITIVE:
-                prov = PROV_SENSITIVE_POINTER_VAR if pointer_ann else PROV_SENSITIVE_VAR
-                out.append(_reg_memory(v, read_only=False, provenance=prov))
-            elif kind is AnnotationKind.WRITE_SENSITIVE:
-                prov = PROV_WRITE_SENSITIVE_POINTER_VAR if pointer_ann else PROV_WRITE_SENSITIVE_VAR
-                out.append(_reg_memory(v, read_only=True, provenance=prov))
-        return out
-
-    def carve_outs() -> list[Statement]:
-        if not protect_all:
-            return []
-        out: list[Statement] = []
-        for v in fn.variables():
-            kind = effective[v.name]
-            if kind is AnnotationKind.NOT_SENSITIVE:
-                prov = PROV_ADDR_OF_ARGUMENT if v.name in downgraded else PROV_NOT_SENSITIVE_VAR
-                out.append(_reg_exception(v, read_only=False, provenance=prov))
-            elif kind is AnnotationKind.WRITE_SENSITIVE:
-                out.append(_reg_exception(v, read_only=True, provenance=PROV_WRITE_SENSITIVE_VAR))
-        return out
-
-    pending_pointees = {v.name: v for v in fn.locals
-                        if v.annotation is not None and v.annotation.is_pointer}
-
-    body: list[Statement] = [RuntimeCall(call="register_stack", all=protect_all,
-                                         provenance=frame_prov)]
-    body += slot_registrations()
     # Pointer parameters arrive with their value, so their pointees are
     # registered right away; pointer locals wait for a defining statement.
-    body += [_reg_pointee(v) for v in fn.params
-             if v.annotation is not None and v.annotation.is_pointer]
-
-    exceptions_pending = True
-
-    def emit_carve_outs_once() -> list[Statement]:
-        nonlocal exceptions_pending
-        if not exceptions_pending:
-            return []
-        exceptions_pending = False
-        return carve_outs()
-
-    has_untrusted_call = any(isinstance(s, Call) and is_untrusted_call(s) for s in fn.body)
-    if not has_untrusted_call:
-        body += emit_carve_outs_once()
-
-    epilogue = RuntimeCall(call="unregister_stack", provenance=frame_prov)
-    for stmt in fn.body:
+    pending_pointees = {v.name: v for v in fn.locals
+                        if v.annotation is not None and v.annotation.is_pointer}
+    body = prologue + registrations + [_reg_pointee(v) for v in fn.params
+                                       if v.annotation is not None and v.annotation.is_pointer]
+    if first_call is None:
+        body += carve_outs
+    for i, stmt in enumerate(fn.body):
         if isinstance(stmt, Return):
-            body.append(epilogue)
+            body += epilogue
             body.append(stmt)
-        elif isinstance(stmt, Call) and is_untrusted_call(stmt):
-            body += emit_carve_outs_once()
-            body.append(RuntimeCall(call="start_protect", provenance=PROV_UNTRUSTED_CALL))
-            body.append(stmt)
-            body.append(RuntimeCall(call="stop_protect", provenance=PROV_UNTRUSTED_CALL))
+        elif i in untrusted_calls:
+            if i == first_call:
+                body += carve_outs
+            body += [RuntimeCall(call="start_protect", provenance=PROV_UNTRUSTED_CALL),
+                     stmt,
+                     RuntimeCall(call="stop_protect", provenance=PROV_UNTRUSTED_CALL)]
         else:
             body.append(stmt)
             if isinstance(stmt, (Assign, HeapAlloc)) and stmt.var in pending_pointees:
                 body.append(_reg_pointee(pending_pointees.pop(stmt.var)))
     if not (fn.body and isinstance(fn.body[-1], Return)):
-        body.append(epilogue)
+        body += epilogue
 
     if pending_pointees:
         names = ", ".join(sorted(pending_pointees))
         raise AnnotationError(
             f"function {fn.name!r}: pointer variables never assigned: {names}")
-    return tuple(body)
-
-
-def _instrument_trusted(fn: FunctionDesc, is_untrusted_call) -> tuple[Statement, ...]:
-    body: list[Statement] = []
-    for stmt in fn.body:
-        if isinstance(stmt, Call) and is_untrusted_call(stmt):
-            body.append(RuntimeCall(call="start_protect", provenance=PROV_UNTRUSTED_CALL))
-            body.append(stmt)
-            body.append(RuntimeCall(call="stop_protect", provenance=PROV_UNTRUSTED_CALL))
-        else:
-            body.append(stmt)
     return tuple(body)
 
 
@@ -331,11 +313,9 @@ def instrument(program: ProgramDesc, untrusted: frozenset[Prototype],
     for fn in program.functions:
         if fn.name in untrusted_names:
             out.append(fn)
-        elif sens[fn.name] is not Sensitivity.NONE:
-            body = _instrument_sensitive(fn, sens[fn.name], is_untrusted_call)
-            out.append(replace(fn, body=body, sensitivity=sens[fn.name]))
         else:
-            out.append(replace(fn, body=_instrument_trusted(fn, is_untrusted_call)))
+            body = _instrument_body(fn, sens[fn.name], is_untrusted_call)
+            out.append(replace(fn, body=body, sensitivity=sens[fn.name]))
     return ProgramDesc(functions=tuple(out), instrumented=True)
 
 

@@ -21,6 +21,7 @@ from framevault.instrument import (
     instrument,
     parse_lists,
     provenance_listing,
+    slot_exposed,
 )
 from framevault.program import (
     AddrOfArg,
@@ -42,7 +43,9 @@ from framevault.program import (
     emit,
     parse,
 )
+from framevault.executor import image_map_for, run
 from framevault.fuzzer import FuzzConfig, generate_scenario
+from framevault.identity import load_image_map
 
 from support import pwdgen_instrumented
 
@@ -317,6 +320,26 @@ class TestAddrOfDowngrade:
         assert names == ["register_stack", "Assign", "register_memory_exception",
                          "start_protect", "Call", "stop_protect",
                          "unregister_stack", "Return"]
+
+
+@pytest.mark.parametrize("mode", [Sensitivity.ALL, Sensitivity.FINEGRAINED])
+@pytest.mark.parametrize("annotation", [
+    None, "sensitive", "not_sensitive", "write_sensitive",
+    "sensitive_pointer_16", "write_sensitive_pointer_16"])
+def test_slot_exposed_matches_what_a_lib_reads_in_the_window(mode, annotation):
+    pointer = annotation is not None and "pointer" in annotation
+    v = var("v", 8, annotation, pointer=pointer, pointee=16 if pointer else None)
+    define = HeapAlloc("v", 16, init=b"\x22" * 16) if pointer else Assign("v", b"\x11" * 8)
+    program = ProgramDesc(functions=(
+        FunctionDesc(name="work", locals=(v,), body=(define, Call("lib"), Return()),
+                     sensitivity=mode),
+        FunctionDesc(name="lib", body=(ReadProbe(VarTarget("work", "v", 0), 8), Return())),
+        FunctionDesc(name="main", body=(Call("work"), Return())),
+    ))
+    instrumented = instrument(program, *parse_lists("lib(0)\n", ""))
+    report = run(instrumented, load_image_map(image_map_for(program)), "main")
+    (read,) = [o for o in report.observations if o.kind == "read"]
+    assert slot_exposed(v, mode) == (read.nonzero > 0)
 
 
 class TestRejections:

@@ -162,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fuzz", help="randomized invariant checking")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=100, help="number of scenarios")
+    p.add_argument("--count", type=int, default=100, help="number of scenarios, at least 1")
     p.add_argument("--depth", type=int, default=3,
                    help=f"max nesting depth, 1..{MAX_CHAIN}")
     p.add_argument("--adversarial", action="store_true",

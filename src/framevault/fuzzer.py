@@ -9,9 +9,10 @@ and the expected detection is asserted instead.
 
 Generation is deterministic: scenario i of seed s is always the same
 program, independent of the campaign size. A campaign checks its
-scenarios one after another in a single process. `max_chain` is capped
-at MAX_CHAIN, and a saved counterexample file that is not a scenario
-document raises ProgramFormatError.
+scenarios one after another in a single process. `FuzzConfig` rejects a
+`max_chain` outside 1..MAX_CHAIN and a scenario count below 1, and a
+saved counterexample file that is not a scenario document raises
+ProgramFormatError.
 """
 
 from __future__ import annotations
@@ -38,6 +39,12 @@ from .runtime import ExceptionKind, VaultException
 # calls the next worker, runs the rest of the chain twice.
 MAX_CHAIN = 16
 
+# Most locals a generated worker declares.
+MAX_LOCALS = 4
+
+# Most single-statement drops minimize() tries on one finding.
+MINIMIZE_BUDGET = 200
+
 FORGERY_KINDS = ("spoof_register_memory", "spoof_stop_protect",
                  "spoof_unregister_stack", "forge_register_stack")
 
@@ -58,11 +65,12 @@ _EXPECTED_DETECTION = {
 class FuzzConfig:
     scenarios: int = 100
     max_chain: int = 3       # secret-holder nesting depth
-    max_locals: int = 4
     probes: bool = True
     adversarial: bool = False
 
     def __post_init__(self) -> None:
+        if self.scenarios < 1:
+            raise ValueError(f"scenario count {self.scenarios} is below 1")
         if not 1 <= self.max_chain <= MAX_CHAIN:
             raise ValueError(f"chain depth {self.max_chain} is outside "
                              f"1..{MAX_CHAIN} (MAX_CHAIN)")
@@ -114,9 +122,9 @@ def _secret(rng: random.Random, size: int) -> bytes:
     return bytes(rng.randrange(1, 256) for _ in range(size))
 
 
-def _make_locals(rng: random.Random, config: FuzzConfig) -> list[VarDesc]:
+def _make_locals(rng: random.Random) -> list[VarDesc]:
     out: list[VarDesc] = []
-    for j in range(rng.randint(1, config.max_locals)):
+    for j in range(rng.randint(1, MAX_LOCALS)):
         if rng.random() < 0.25:
             pointee = rng.choice((16, 32, 64))
             kind = rng.choice((AnnotationKind.SENSITIVE_POINTER,
@@ -152,7 +160,7 @@ def _plan_workers(rng: random.Random, config: FuzzConfig, depth: int) -> list[_W
             name=f"worker{i}",
             lib=f"lib{i}",
             mode=rng.choice((Sensitivity.ALL, Sensitivity.FINEGRAINED)),
-            locals=_make_locals(rng, config),
+            locals=_make_locals(rng),
             # One bracketed call in adversarial mode keeps the forged
             # statement executing exactly once.
             lib_calls=1 if config.adversarial else rng.choice((1, 1, 2)),
@@ -398,7 +406,7 @@ def _drop_statement(raw: ProgramDesc, fn_index: int, stmt_index: int) -> Program
     return ProgramDesc(functions=functions)
 
 
-def minimize(scenario: Scenario, budget: int = 200) -> Scenario:
+def minimize(scenario: Scenario) -> Scenario:
     """Greedy shrink: repeatedly drop single statements from the raw
     program while the scenario still fails any invariant."""
     if scenario.forged:
@@ -419,11 +427,11 @@ def minimize(scenario: Scenario, budget: int = 200) -> Scenario:
     best = scenario
     spent = 0
     improved = True
-    while improved and spent < budget:
+    while improved and spent < MINIMIZE_BUDGET:
         improved = False
         for fi, fn in enumerate(best.raw.functions):
             for si in range(len(fn.body)):
-                if spent >= budget:
+                if spent >= MINIMIZE_BUDGET:
                     break
                 spent += 1
                 raw = _drop_statement(best.raw, fi, si)

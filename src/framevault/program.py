@@ -18,7 +18,7 @@ A program is a JSON document:
     <var>  = {"name": str, "size": int, "pointer": bool?,
               "pointee_size": int?, "annotation": str?}
     <stmt> = {"op": "assign", "var": str, "value": <hex>}  # a declared var, value <= its size
-           | {"op": "heap_alloc", "var": str, "size": int, "init": <hex>?}
+           | {"op": "heap_alloc", "var": str, "size": int, "init": <hex>?}  # size <= MAX_OBJECT_BYTES
            | {"op": "call", "callee": str,
               "args": [{"var": str} | {"addr_of": str}, ...]}
            | {"op": "read_probe", "target": <target>, "len": int}   # len <= MAX_PROBE_BYTES
@@ -37,6 +37,10 @@ Probe targets address memory the way an adversarial library would:
 Variable annotations: ``sensitive``, ``not_sensitive``, ``write_sensitive``,
 ``sensitive_pointer[_N]``, ``write_sensitive_pointer[_N]`` where the ``_N``
 suffix gives the pointee size in bytes (otherwise ``pointee_size`` must).
+
+Every declared byte size (``size``, ``pointee_size``, the ``_N`` suffix, a
+``heap_alloc`` size and a ``runtime_call`` ``len``) is at most
+MAX_OBJECT_BYTES, the 1 MiB stack.
 """
 
 from __future__ import annotations
@@ -52,6 +56,12 @@ from .memory import STACK_CAPACITY
 # Longest read_probe a description may ask for: the whole stack. The heap
 # region is far larger, and one probe over it would allocate its length.
 MAX_PROBE_BYTES = STACK_CAPACITY
+
+# Largest byte size a description may declare for a variable, a pointee, a
+# heap allocation or a runtime call's region: the whole stack. Saving and
+# clearing such an object allocates its size again, so without a cap one
+# description could make the simulator allocate hundreds of MiB.
+MAX_OBJECT_BYTES = STACK_CAPACITY
 
 
 class ProgramFormatError(ValueError):
@@ -103,6 +113,7 @@ def parse_annotation(text: str) -> Annotation:
     size = int(m.group(2)) if m.group(2) else None
     if size is not None and kind not in _POINTER_KINDS:
         raise ProgramFormatError(f"size suffix only applies to pointer annotations: {text!r}")
+    _check_cap(size, f"annotation {text!r}", "size suffix")
     return Annotation(kind=kind, size=size)
 
 
@@ -299,6 +310,12 @@ def _require(cond: bool, where: str, message: str) -> None:
         raise ProgramFormatError(f"{where}: {message}")
 
 
+def _check_cap(size: int | None, where: str, what: str) -> None:
+    if size is not None and size > MAX_OBJECT_BYTES:
+        raise ProgramFormatError(f"{where}: {what} {size} exceeds the cap of "
+                                 f"{MAX_OBJECT_BYTES} bytes (MAX_OBJECT_BYTES)")
+
+
 def _target_to_dict(target: ProbeTarget) -> dict[str, Any]:
     out: dict[str, Any]
     if isinstance(target, VarTarget):
@@ -409,6 +426,7 @@ def _stmt_from_dict(raw: Any, where: str) -> Statement:
         _require(isinstance(raw.get("var"), str), where, "heap_alloc needs 'var'")
         _require(isinstance(raw.get("size"), int) and raw["size"] > 0,
                  where, "heap_alloc needs positive 'size'")
+        _check_cap(raw["size"], where, "heap_alloc 'size'")
         init = _unhex(raw["init"], where) if "init" in raw else None
         return HeapAlloc(var=raw["var"], size=raw["size"], init=init)
     if op == "call":
@@ -441,6 +459,7 @@ def _stmt_from_dict(raw: Any, where: str) -> Statement:
                   if "target" in raw else None)
         length = raw.get("len")
         _require(length is None or isinstance(length, int), where, "'len' must be an integer")
+        _check_cap(length, where, "runtime_call 'len'")
         return RuntimeCall(call=call, all=raw.get("all"), target=target, length=length,
                            read_only=raw.get("read_only"), provenance=raw.get("provenance"))
     raise ProgramFormatError(f"{where}: unknown statement op {op!r}")
@@ -462,6 +481,7 @@ def _var_from_dict(raw: Any, where: str) -> VarDesc:
     _require(isinstance(raw.get("name"), str), where, "variable needs 'name'")
     _require(isinstance(raw.get("size"), int) and raw["size"] > 0,
              where, "variable needs positive 'size'")
+    _check_cap(raw["size"], where, "variable 'size'")
     annotation = None
     if "annotation" in raw:
         _require(isinstance(raw["annotation"], str), where, "annotation must be a string")
@@ -469,6 +489,7 @@ def _var_from_dict(raw: Any, where: str) -> VarDesc:
     pointee = raw.get("pointee_size")
     _require(pointee is None or (isinstance(pointee, int) and pointee > 0),
              where, "pointee_size must be a positive integer")
+    _check_cap(pointee, where, "'pointee_size'")
     return VarDesc(name=raw["name"], size=raw["size"], pointer=bool(raw.get("pointer", False)),
                    pointee_size=pointee, annotation=annotation)
 

@@ -4,6 +4,7 @@ files shipping in demos/pwdgenerator."""
 from __future__ import annotations
 
 import json
+import re
 import subprocess
 import sys
 
@@ -13,8 +14,9 @@ from framevault.cli import main
 from framevault.executor import image_map_for
 from framevault.fuzzer import MAX_CHAIN, FuzzConfig, generate_scenario, scenario_to_json
 from framevault.memory import HEAP_BASE
-from framevault.program import (MAX_PROBE_BYTES, AbsoluteTarget, Call, FunctionDesc,
-                                ProgramDesc, ReadProbe, Return, emit, parse)
+from framevault.program import (MAX_OBJECT_BYTES, MAX_PROBE_BYTES, AbsoluteTarget, Call,
+                                FunctionDesc, ProgramDesc, ProgramFormatError, ReadProbe,
+                                Return, emit, parse)
 
 from support import DEMO_DIR, PWDGEN_MAP, pwdgen_instrumented
 from test_fuzz import (LEAKY_CONFIG, LEAKY_FINDINGS, LEAKY_SEED, faulting_scenario,
@@ -132,6 +134,50 @@ class TestProbeCap:
     def test_probe_of_exactly_the_cap_parses(self):
         program = self.heap_probe(MAX_PROBE_BYTES)
         assert parse(emit(program)) == program
+
+
+def sized_program(where, size):
+    """A one-function description whose only large number is `size`, at
+    the place the cap check names by `where`."""
+    pointer = {"name": "p", "size": 8, "pointer": True, "pointee_size": 8}
+    fn = {"name": "main", "locals": [pointer], "body": []}
+    if where == "variable 'size'":
+        fn["locals"] = [{"name": "v", "size": size}]
+    elif where == "'pointee_size'":
+        pointer["pointee_size"] = size
+    elif where == "size suffix":
+        pointer["annotation"] = f"sensitive_pointer_{size}"
+    elif where == "heap_alloc 'size'":
+        fn["body"] = [{"op": "heap_alloc", "var": "p", "size": size}]
+    else:
+        fn["body"] = [{"op": "runtime_call", "call": "register_memory",
+                       "target": {"var": "p"}, "len": size}]
+    return json.dumps({"functions": [fn]})
+
+
+SIZED_PLACES = ["variable 'size'", "'pointee_size'", "size suffix",
+                "heap_alloc 'size'", "runtime_call 'len'"]
+
+
+class TestObjectCap:
+    """Declared byte sizes are capped when parsing; nothing here runs."""
+
+    @pytest.mark.parametrize("where", SIZED_PLACES)
+    def test_size_of_exactly_the_cap_parses(self, where):
+        parse(sized_program(where, MAX_OBJECT_BYTES))
+
+    @pytest.mark.parametrize("where", SIZED_PLACES)
+    def test_size_over_the_cap_is_refused_by_name(self, where):
+        message = (f"{where} {MAX_OBJECT_BYTES + 1} exceeds the cap of "
+                   f"{MAX_OBJECT_BYTES} bytes (MAX_OBJECT_BYTES)")
+        with pytest.raises(ProgramFormatError, match=re.escape(message)):
+            parse(sized_program(where, MAX_OBJECT_BYTES + 1))
+
+    def test_size_over_the_cap_exits_2(self, tmp_path, capsys):
+        program_file = tmp_path / "big.json"
+        program_file.write_text(sized_program("heap_alloc 'size'", MAX_OBJECT_BYTES + 1))
+        assert main(["instrument", "--program", str(program_file)]) == 2
+        assert "(MAX_OBJECT_BYTES)" in capsys.readouterr().err
 
 
 class TestAssignFit:
@@ -265,6 +311,13 @@ class TestFuzzCommand:
         code = main(["fuzz", "--depth", str(depth), "-o", str(tmp_path / "x.txt")])
         assert code == 2
         assert f"1..{MAX_CHAIN}" in capsys.readouterr().err
+        assert not (tmp_path / "x.txt").exists()
+
+    @pytest.mark.parametrize("count", [-5, 0])
+    def test_count_below_one_exits_2(self, tmp_path, capsys, count):
+        code = main(["fuzz", "--count", str(count), "-o", str(tmp_path / "x.txt")])
+        assert code == 2
+        assert f"scenario count {count} is below 1" in capsys.readouterr().err
         assert not (tmp_path / "x.txt").exists()
 
 

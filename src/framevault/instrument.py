@@ -29,7 +29,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 
-from .program import (AddrOfArg, Annotation, AnnotationKind, Assign, Call, FunctionDesc,
+from .program import (AddrOfArg, AnnotationKind, Assign, Call, FunctionDesc,
                       HeapAlloc, PointeeRef, ProgramDesc, ReadProbe, Return, RuntimeCall,
                       RUNTIME_CALLS, Sensitivity, Statement, VarDesc, VarRef,
                       WriteProbe, is_instrumented)
@@ -103,19 +103,6 @@ def matches_untrusted(untrusted: frozenset[Prototype], name: str, arity: int) ->
 # ----------------------------------------------------------------------
 # validation
 
-def slot_exposed(var: VarDesc, sensitivity: Sensitivity) -> bool:
-    """Can an untrusted callee read the variable's own frame slot during a
-    window, before any address-of carve-out? A whole frame hides every slot
-    but the ``not_sensitive`` and write-sensitive ones; fine-grained mode
-    hides only the ``sensitive`` ones. A pointer annotation treats the
-    pointer slot like its scalar counterpart."""
-    kind = var.annotation.kind if var.annotation is not None else None
-    if sensitivity is Sensitivity.ALL:
-        return kind in (AnnotationKind.NOT_SENSITIVE, AnnotationKind.WRITE_SENSITIVE,
-                        AnnotationKind.WRITE_SENSITIVE_POINTER)
-    return kind not in (AnnotationKind.SENSITIVE, AnnotationKind.SENSITIVE_POINTER)
-
-
 def _pointee_size(var: VarDesc) -> int:
     assert var.annotation is not None
     if var.annotation.size is not None:
@@ -184,6 +171,19 @@ def _validate(program: ProgramDesc, untrusted_names: set[str],
 
 # ----------------------------------------------------------------------
 # insertion
+
+def slot_exposed(var: VarDesc, sensitivity: Sensitivity) -> bool:
+    """Can an untrusted callee read the variable's own frame slot during a
+    window, before any address-of carve-out? A whole frame hides every slot
+    but the ``not_sensitive`` and write-sensitive ones; fine-grained mode
+    hides only the ``sensitive`` ones. A pointer annotation treats the
+    pointer slot like its scalar counterpart."""
+    kind = var.annotation.kind if var.annotation is not None else None
+    if sensitivity is Sensitivity.ALL:
+        return kind in (AnnotationKind.NOT_SENSITIVE, AnnotationKind.WRITE_SENSITIVE,
+                        AnnotationKind.WRITE_SENSITIVE_POINTER)
+    return kind not in (AnnotationKind.SENSITIVE, AnnotationKind.SENSITIVE_POINTER)
+
 
 def _slot_registration(var: VarDesc, sensitivity: Sensitivity,
                        escapes: bool) -> RuntimeCall | None:

@@ -2,8 +2,10 @@
 
 The address space has three fixed, disjoint regions: a read-only text
 region, an upward-growing heap, and a downward-growing stack. Storage is
-sparse: pages materialize on first write, so untouched bytes read as zero
-without preallocating whole regions.
+two contiguous segments, one `bytearray` each: the stack's covers
+`[STACK_BASE - len, STACK_BASE)` and the heap's `[HEAP_BASE, HEAP_BASE +
+len)`. A write beyond a segment grows it in 4 KiB steps up to the region's
+capacity; bytes beyond both segments were never written and read as zero.
 """
 
 from __future__ import annotations
@@ -13,10 +15,13 @@ from typing import Mapping
 
 TEXT_BASE = 0x0040_0000
 TEXT_LIMIT = 0x0100_0000
-HEAP_BASE = 0x1000_0000
-HEAP_CAPACITY = 256 * 1024 * 1024
-HEAP_LIMIT = HEAP_BASE + HEAP_CAPACITY
 STACK_CAPACITY = 1 * 1024 * 1024
+HEAP_BASE = 0x1000_0000
+# Sixteen objects of the largest size a description may declare
+# (program.MAX_OBJECT_BYTES): the heap segment holds every byte below its
+# highest write, so this also bounds what one description can make it hold.
+HEAP_CAPACITY = 16 * STACK_CAPACITY
+HEAP_LIMIT = HEAP_BASE + HEAP_CAPACITY
 STACK_BASE = 0x7FFF_0000_0000
 STACK_LIMIT = STACK_BASE - STACK_CAPACITY
 
@@ -24,8 +29,10 @@ STACK_LIMIT = STACK_BASE - STACK_CAPACITY
 # frame. Included in the frame size, never reachable through variables.
 FRAME_METADATA_BYTES = 16
 
-_PAGE_BITS = 12
-_PAGE = 1 << _PAGE_BITS
+# Segment growth step and content_signature granule. Region bounds and
+# capacities are multiples of it, so chunk addresses do not depend on how
+# far a segment has grown.
+_CHUNK = 4096
 
 
 class MemoryFault(Exception):
@@ -80,26 +87,31 @@ class ProcessMemory:
     """Byte-addressable store with stack/heap/text region discipline."""
 
     def __init__(self) -> None:
-        self._pages: dict[int, bytearray] = {}
+        self._stack = bytearray()
+        self._heap = bytearray()
         self._frames: list[StackFrame] = []
-        self._heap: list[HeapObject] = []
+        self._objects: list[HeapObject] = []
         self._heap_next = HEAP_BASE
 
     # ------------------------------------------------------------------
     # raw byte access
 
-    def _write(self, addr: int, data: bytes) -> None:
-        done = 0
-        length = len(data)
-        while done < length:
-            page, off = divmod(addr + done, _PAGE)
-            step = min(length - done, _PAGE - off)
-            buf = self._pages.get(page)
-            if buf is None:
-                buf = bytearray(_PAGE)
-                self._pages[page] = buf
-            buf[off:off + step] = data[done:done + step]
-            done += step
+    def _segments(self) -> dict[int, bytearray]:
+        """The live segments, keyed by the address of their first byte."""
+        return {STACK_BASE - len(self._stack): self._stack, HEAP_BASE: self._heap}
+
+    def _covering(self, addr: int, length: int) -> tuple[bytearray, int]:
+        """The segment holding stack or heap bytes [addr, addr+length),
+        grown to cover them, and addr's offset in it."""
+        if addr >= STACK_LIMIT:
+            short = STACK_BASE - addr - len(self._stack)
+            if short > 0:
+                self._stack[:0] = bytes(-(-short // _CHUNK) * _CHUNK)
+            return self._stack, addr - STACK_BASE + len(self._stack)
+        short = addr + length - HEAP_BASE - len(self._heap)
+        if short > 0:
+            self._heap += bytes(-(-short // _CHUNK) * _CHUNK)
+        return self._heap, addr - HEAP_BASE
 
     def read_bytes(self, addr: int, length: int) -> bytes:
         """Read from stack, heap, or text. Unwritten bytes are zero."""
@@ -107,7 +119,7 @@ class ProcessMemory:
             raise ValueError("negative read length")
         if not (in_stack(addr, length) or in_heap(addr, length) or in_text(addr, length)):
             raise MemoryFault(f"read outside mapped regions: {addr:#x}+{length}")
-        return bytes_from_dump(self._pages, addr, length)
+        return bytes_from_dump(self._segments(), addr, length)
 
     def write_bytes(self, addr: int, data: bytes) -> None:
         """Write to stack or heap. The text region is read-only."""
@@ -117,10 +129,13 @@ class ProcessMemory:
             if in_text(addr, len(data)):
                 raise MemoryFault(f"write to read-only text region: {addr:#x}")
             raise MemoryFault(f"write outside writable regions: {addr:#x}+{len(data)}")
-        self._write(addr, data)
+        segment, off = self._covering(addr, len(data))
+        segment[off:off + len(data)] = data
 
     def clear_region(self, addr: int, length: int) -> None:
         """Overwrite a stack or heap region with zeros."""
+        if length < 0:
+            raise ValueError("negative clear length")
         if length:
             self.write_bytes(addr, bytes(length))
 
@@ -139,7 +154,8 @@ class ProcessMemory:
         top = base - size
         if top < STACK_LIMIT:
             raise StackOverflow(f"frame of {size} bytes exceeds stack capacity")
-        self._write(top, bytes(size))
+        segment, off = self._covering(top, size)
+        segment[off:off + size] = bytes(size)
         frame = StackFrame(owner=owner, base=base, top=top)
         self._frames.append(frame)
         return frame
@@ -155,7 +171,7 @@ class ProcessMemory:
 
     @property
     def heap_objects(self) -> tuple[HeapObject, ...]:
-        return tuple(self._heap)
+        return tuple(self._objects)
 
     def heap_alloc(self, size: int) -> HeapObject:
         """Bump-allocate a fresh 16-byte-aligned heap object."""
@@ -166,32 +182,44 @@ class ProcessMemory:
             raise HeapExhausted(f"allocation of {size} bytes exceeds heap capacity")
         self._heap_next = base + ((size + 15) // 16) * 16
         obj = HeapObject(base=base, size=size)
-        self._heap.append(obj)
+        self._objects.append(obj)
         return obj
 
     # ------------------------------------------------------------------
-    # page dumps
+    # segment dumps
 
     def dump_pages(self) -> dict[int, bytes]:
-        """Copy of the whole backing store, keyed by page index."""
-        return {page: bytes(buf) for page, buf in self._pages.items()}
+        """Copy of both segments, keyed by the address of their first byte."""
+        return {base: bytes(segment) for base, segment in self._segments().items()}
 
     def content_signature(self) -> dict[int, bytes]:
-        """Backing store with all-zero pages dropped; equal signatures
-        mean byte-identical memory contents."""
-        zero = bytes(_PAGE)
-        return {page: bytes(buf) for page, buf in self._pages.items() if bytes(buf) != zero}
+        """The non-zero 4 KiB chunks of both segments, keyed by address.
+        Equal signatures mean byte-identical memory contents, and all-zero
+        memory equals an empty store. Chunks keep the signature as small as
+        the written bytes are, however far a scrubbed segment has grown."""
+        zero = bytes(_CHUNK)
+        signature = {}
+        for base, segment in self._segments().items():
+            for off in range(0, len(segment), _CHUNK):
+                chunk = segment[off:off + _CHUNK]
+                if chunk != zero:
+                    signature[base + off] = bytes(chunk)
+        return signature
 
 
 def bytes_from_dump(dump: Mapping[int, bytes | bytearray], addr: int, length: int) -> bytes:
-    """Read a region out of a dump_pages() image or the live page store."""
-    out = bytearray(length)
-    done = 0
-    while done < length:
-        page, off = divmod(addr + done, _PAGE)
-        step = min(length - done, _PAGE - off)
-        buf = dump.get(page)
-        if buf is not None:
-            out[done:done + step] = buf[off:off + step]
-        done += step
-    return bytes(out)
+    """Read a region out of a dump_pages() image or the live segments.
+    Bytes outside every segment read as zero."""
+    out = None
+    for base, segment in dump.items():
+        lo, hi = max(addr, base), min(addr + length, base + len(segment))
+        if lo >= hi:
+            continue
+        # A temporary view copies the bytes once. No view outlives the
+        # call, because a bytearray with an exported view cannot grow.
+        if hi - lo == length:
+            return bytes(memoryview(segment)[lo - base:hi - base])
+        if out is None:
+            out = bytearray(length)
+        out[lo - addr:hi - addr] = memoryview(segment)[lo - base:hi - base]
+    return bytes(length) if out is None else bytes(out)

@@ -12,9 +12,11 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from framevault.memory import (HEAP_BASE, HEAP_LIMIT, STACK_BASE, STACK_LIMIT, TEXT_BASE,
-                               TEXT_LIMIT, HeapExhausted, MemoryFault, ProcessMemory,
-                               StackOverflow, StackUnderflow, bytes_from_dump)
+from framevault.memory import (HEAP_BASE, HEAP_CAPACITY, HEAP_LIMIT, STACK_BASE,
+                               STACK_CAPACITY, STACK_LIMIT, TEXT_BASE, TEXT_LIMIT,
+                               HeapExhausted, MemoryFault, ProcessMemory, StackOverflow,
+                               StackUnderflow, bytes_from_dump)
+from framevault.program import MAX_OBJECT_BYTES
 
 READABLE = ((STACK_LIMIT, STACK_BASE), (HEAP_BASE, HEAP_LIMIT), (TEXT_BASE, TEXT_LIMIT))
 WRITABLE = READABLE[:2]
@@ -206,3 +208,16 @@ def test_text_write_faults_and_negative_read_length_is_rejected():
         m.write_bytes(TEXT_BASE + 8, b"\x01")
     with pytest.raises(ValueError):
         m.read_bytes(HEAP_BASE, -1)
+
+
+def test_memory_holds_at_most_its_two_capacities():
+    m = ProcessMemory()
+    m.write_bytes(HEAP_LIMIT - 1, b"\x01")
+    m.write_bytes(STACK_LIMIT, b"\x02")
+    with pytest.raises(MemoryFault):
+        m.write_bytes(HEAP_LIMIT, b"\x01")
+    assert m.read_bytes(HEAP_LIMIT - 1, 1) == b"\x01"
+    assert m.read_bytes(STACK_LIMIT, 1) == b"\x02"
+    assert sum(len(v) for v in m.dump_pages().values()) <= STACK_CAPACITY + HEAP_CAPACITY
+    # The heap holds sixteen of the largest objects a description may declare.
+    assert HEAP_CAPACITY == 16 * MAX_OBJECT_BYTES

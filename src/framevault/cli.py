@@ -2,9 +2,9 @@
 
 Subcommands mirror the pipeline: instrument an annotated program, run it
 protected or native, diff the two, fuzz the runtime, or print syscall
-statistics. Exit codes: 0 clean, 1 protection violation or fuzz finding,
-2 usage or input errors. Output files are byte-identical for identical
-inputs and seed.
+statistics. Exit codes: 0 clean, 1 protection violation, run fault or
+fuzz finding, 2 usage or input errors. Output files are byte-identical
+for identical inputs and seed.
 """
 
 from __future__ import annotations
@@ -44,6 +44,12 @@ def _load_run_inputs(args):
     return program, table
 
 
+def _exit_code(report) -> int:
+    """1 for a run with a violation or a fault, as check_scenario counts
+    every fault as a problem; 0 for a clean run."""
+    return 1 if report.violations or report.faults else 0
+
+
 # ----------------------------------------------------------------------
 # subcommands
 
@@ -67,7 +73,7 @@ def cmd_run(args) -> int:
     doc = to_json(report_to_dict(report)) if args.format == "json" \
         else render_report(report)
     _emit(doc, args.output)
-    return 1 if report.violations else 0
+    return _exit_code(report)
 
 
 def cmd_diff(args) -> int:
@@ -77,14 +83,14 @@ def cmd_diff(args) -> int:
     doc = to_json(diff_to_dict(native, protected)) if args.format == "json" \
         else render_diff(native, protected)
     _emit(doc, args.output)
-    return 1 if protected.violations else 0
+    return _exit_code(protected)
 
 
 def cmd_stats(args) -> int:
     program, table = _load_run_inputs(args)
     report = run(program, table, args.entry)
     _emit(render_stats(report), args.output)
-    return 1 if report.violations else 0
+    return _exit_code(report)
 
 
 def cmd_fuzz(args) -> int:

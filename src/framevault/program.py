@@ -105,15 +105,18 @@ class Annotation:
         return self.kind.value if self.size is None else f"{self.kind.value}_{self.size}"
 
 
-def parse_annotation(text: str) -> Annotation:
+def parse_annotation(text: str, where: str | None = None) -> Annotation:
+    """Parse an annotation string. `where`, the annotation's place in a
+    description, starts every error message when given."""
+    at = f"{where}: " if where else ""
     m = _ANNOTATION_RE.match(text)
     if not m:
-        raise ProgramFormatError(f"unknown annotation {text!r}")
+        raise ProgramFormatError(f"{at}unknown annotation {text!r}")
     kind = AnnotationKind(m.group(1))
     size = int(m.group(2)) if m.group(2) else None
     if size is not None and kind not in _POINTER_KINDS:
-        raise ProgramFormatError(f"size suffix only applies to pointer annotations: {text!r}")
-    _check_cap(size, f"annotation {text!r}", "size suffix")
+        raise ProgramFormatError(f"{at}size suffix only applies to pointer annotations: {text!r}")
+    _check_cap(size, f"{at}annotation {text!r}", "size suffix")
     return Annotation(kind=kind, size=size)
 
 
@@ -458,7 +461,8 @@ def _stmt_from_dict(raw: Any, where: str) -> Statement:
         target = (_region_ref_from_dict(raw["target"], where)
                   if "target" in raw else None)
         length = raw.get("len")
-        _require(length is None or isinstance(length, int), where, "'len' must be an integer")
+        _require(length is None or (isinstance(length, int) and length >= 0),
+                 where, "'len' must be a non-negative integer")
         _check_cap(length, where, "runtime_call 'len'")
         return RuntimeCall(call=call, all=raw.get("all"), target=target, length=length,
                            read_only=raw.get("read_only"), provenance=raw.get("provenance"))
@@ -485,7 +489,7 @@ def _var_from_dict(raw: Any, where: str) -> VarDesc:
     annotation = None
     if "annotation" in raw:
         _require(isinstance(raw["annotation"], str), where, "annotation must be a string")
-        annotation = parse_annotation(raw["annotation"])
+        annotation = parse_annotation(raw["annotation"], where)
     pointee = raw.get("pointee_size")
     _require(pointee is None or (isinstance(pointee, int) and pointee > 0),
              where, "pointee_size must be a positive integer")

@@ -13,7 +13,7 @@ import pytest
 from framevault.cli import main
 from framevault.executor import image_map_for
 from framevault.fuzzer import MAX_CHAIN, FuzzConfig, generate_scenario, scenario_to_json
-from framevault.memory import HEAP_BASE
+from framevault.memory import HEAP_BASE, HEAP_LIMIT
 from framevault.program import (MAX_OBJECT_BYTES, MAX_PROBE_BYTES, AbsoluteTarget, Call,
                                 FunctionDesc, ProgramDesc, ProgramFormatError, ReadProbe,
                                 Return, emit, parse)
@@ -203,6 +203,79 @@ class TestAssignFit:
         code = main(["run", "--program", str(program_file), "--image-map", str(map_file)])
         assert code == 2
         assert message in capsys.readouterr().err
+
+
+def run_doc(tmp_path, doc, command="run", *extra):
+    """Run a one-function description through the CLI; return the exit code."""
+    program_file = tmp_path / "program.json"
+    map_file = tmp_path / "program.map"
+    program_file.write_text(json.dumps(doc))
+    map_file.write_text("main 0x400000 0x400100\n")
+    return main([command, "--program", str(program_file), "--image-map", str(map_file),
+                 *extra])
+
+
+def heap_write(addr):
+    """main writes one byte at an absolute address."""
+    return {"functions": [{"name": "main", "body": [
+        {"op": "write_probe", "target": {"kind": "addr", "addr": hex(addr)}, "value": "5a"},
+        {"op": "return"}]}]}
+
+
+class TestRuntimeCallLength:
+    def test_negative_len_exits_2_naming_the_statement(self, tmp_path, capsys):
+        doc = {"instrumented": True, "functions": [{
+            "name": "main", "locals": [{"name": "v", "size": 16}],
+            "body": [{"op": "runtime_call", "call": "register_memory_exception",
+                      "target": {"var": "v"}, "len": -5},
+                     {"op": "return"}]}]}
+        assert run_doc(tmp_path, doc) == 2
+        assert "functions[0].body[0]: 'len' must be a non-negative integer" \
+            in capsys.readouterr().err
+
+
+class TestAnnotationLocation:
+    @pytest.mark.parametrize("annotation, message", [
+        (f"sensitive_pointer_{64 * 1024 * 1024}", "size suffix 67108864 exceeds the cap"),
+        ("sensitive_sometimes", "unknown annotation 'sensitive_sometimes'"),
+        ("sensitive_8", "size suffix only applies to pointer annotations"),
+    ])
+    def test_annotation_error_starts_with_its_location(self, tmp_path, capsys,
+                                                       annotation, message):
+        doc = {"functions": [
+            {"name": "helper", "body": []},
+            {"name": "main", "locals": [
+                {"name": "k", "size": 8},
+                {"name": "p", "size": 8, "pointer": True, "annotation": annotation}],
+             "body": []}]}
+        with pytest.raises(ProgramFormatError) as exc:
+            parse(json.dumps(doc))
+        assert str(exc.value).startswith("functions[1].locals[1]: ")
+        assert message in str(exc.value)
+        assert run_doc(tmp_path, doc) == 2
+        assert capsys.readouterr().err.startswith(
+            "framevault: error: functions[1].locals[1]: ")
+
+
+class TestFaultExitCode:
+    """A run that records a fault exits 1, as check_scenario counts every
+    fault as a problem; the heap's last byte is writable, the next is not."""
+
+    @pytest.mark.parametrize("command, extra", [
+        ("run", ()), ("run", ("--format", "json")), ("native", ()), ("diff", ()),
+        ("stats", ())])
+    def test_a_run_with_a_fault_exits_1(self, tmp_path, capsys, command, extra):
+        assert run_doc(tmp_path, heap_write(HEAP_LIMIT), command, *extra) == 1
+        out = capsys.readouterr().out
+        if command in ("run", "native") and not extra:
+            assert "faults: 1" in out
+            assert "write outside writable regions" in out
+
+    @pytest.mark.parametrize("command", ["run", "native", "diff", "stats"])
+    def test_a_write_to_the_last_heap_byte_exits_0(self, tmp_path, capsys, command):
+        assert run_doc(tmp_path, heap_write(HEAP_LIMIT - 1), command) == 0
+        if command == "run":
+            assert "faults: 0" in capsys.readouterr().out
 
 
 class TestDiff:

@@ -33,6 +33,10 @@ FRAME_METADATA_BYTES = 16
 # capacities are multiples of it, so chunk addresses do not depend on how
 # far a segment has grown.
 _CHUNK = 4096
+# Zeros to clear and grow from, as long as the largest region. A view of
+# immutable bytes is safe to keep, and pages that are only read stay off
+# the resident set; a fresh bytes(n) per clear would fault in n new bytes.
+_ZEROS = memoryview(bytes(max(STACK_CAPACITY, HEAP_CAPACITY)))
 
 
 class MemoryFault(Exception):
@@ -106,20 +110,31 @@ class ProcessMemory:
         if addr >= STACK_LIMIT:
             short = STACK_BASE - addr - len(self._stack)
             if short > 0:
-                self._stack[:0] = bytes(-(-short // _CHUNK) * _CHUNK)
+                self._stack[:0] = _ZEROS[:-(-short // _CHUNK) * _CHUNK]
             return self._stack, addr - STACK_BASE + len(self._stack)
         short = addr + length - HEAP_BASE - len(self._heap)
         if short > 0:
-            self._heap += bytes(-(-short // _CHUNK) * _CHUNK)
+            self._heap += _ZEROS[:-(-short // _CHUNK) * _CHUNK]
         return self._heap, addr - HEAP_BASE
 
     def read_bytes(self, addr: int, length: int) -> bytes:
         """Read from stack, heap, or text. Unwritten bytes are zero."""
         if length < 0:
             raise ValueError("negative read length")
-        if not (in_stack(addr, length) or in_heap(addr, length) or in_text(addr, length)):
+        if in_stack(addr, length):
+            segment = self._stack
+            off = addr - STACK_BASE + len(segment)
+        elif in_heap(addr, length):
+            segment, off = self._heap, addr - HEAP_BASE
+        elif in_text(addr, length):
+            return bytes(length)
+        else:
             raise MemoryFault(f"read outside mapped regions: {addr:#x}+{length}")
-        return bytes_from_dump(self._segments(), addr, length)
+        if off < 0 or off + length > len(segment):
+            return bytes_from_dump({addr - off: segment}, addr, length)
+        # A temporary view copies the bytes once. No view outlives the
+        # call, because a bytearray with an exported view cannot grow.
+        return bytes(memoryview(segment)[off:off + length])
 
     def write_bytes(self, addr: int, data: bytes) -> None:
         """Write to stack or heap. The text region is read-only."""
@@ -136,8 +151,8 @@ class ProcessMemory:
         """Overwrite a stack or heap region with zeros."""
         if length < 0:
             raise ValueError("negative clear length")
-        if length:
-            self.write_bytes(addr, bytes(length))
+        # A clear longer than _ZEROS fits no region; write_bytes faults on it.
+        self.write_bytes(addr, _ZEROS[:length] if length <= len(_ZEROS) else bytes(length))
 
     # ------------------------------------------------------------------
     # stack frames
@@ -155,7 +170,7 @@ class ProcessMemory:
         if top < STACK_LIMIT:
             raise StackOverflow(f"frame of {size} bytes exceeds stack capacity")
         segment, off = self._covering(top, size)
-        segment[off:off + size] = bytes(size)
+        segment[off:off + size] = _ZEROS[:size]
         frame = StackFrame(owner=owner, base=base, top=top)
         self._frames.append(frame)
         return frame
@@ -200,26 +215,19 @@ class ProcessMemory:
         zero = bytes(_CHUNK)
         signature = {}
         for base, segment in self._segments().items():
-            for off in range(0, len(segment), _CHUNK):
-                chunk = segment[off:off + _CHUNK]
-                if chunk != zero:
-                    signature[base + off] = bytes(chunk)
+            data = bytes(segment)
+            for off in range(0, len(data), _CHUNK):
+                if data[off:off + _CHUNK] != zero:
+                    signature[base + off] = data[off:off + _CHUNK]
         return signature
 
 
 def bytes_from_dump(dump: Mapping[int, bytes | bytearray], addr: int, length: int) -> bytes:
-    """Read a region out of a dump_pages() image or the live segments.
+    """Read a region out of a dump_pages() image: {segment base: bytes}.
     Bytes outside every segment read as zero."""
-    out = None
+    out = bytearray(length)
     for base, segment in dump.items():
         lo, hi = max(addr, base), min(addr + length, base + len(segment))
-        if lo >= hi:
-            continue
-        # A temporary view copies the bytes once. No view outlives the
-        # call, because a bytearray with an exported view cannot grow.
-        if hi - lo == length:
-            return bytes(memoryview(segment)[lo - base:hi - base])
-        if out is None:
-            out = bytearray(length)
-        out[lo - addr:hi - addr] = memoryview(segment)[lo - base:hi - base]
-    return bytes(length) if out is None else bytes(out)
+        if lo < hi:
+            out[lo - addr:hi - addr] = memoryview(segment)[lo - base:hi - base]
+    return bytes(out)

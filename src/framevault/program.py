@@ -40,7 +40,8 @@ suffix gives the pointee size in bytes (otherwise ``pointee_size`` must).
 
 Every declared byte size (``size``, ``pointee_size``, the ``_N`` suffix, a
 ``heap_alloc`` size and a ``runtime_call`` ``len``) is at most
-MAX_OBJECT_BYTES, the 1 MiB stack.
+MAX_OBJECT_BYTES, the 1 MiB stack; a ``runtime_call`` ``len`` is also at
+least 0.
 """
 
 from __future__ import annotations

@@ -3,9 +3,9 @@
 Each scenario builds a chain of secret-holding functions that call
 untrusted libraries full of memory probes, instruments it, runs it, and
 checks every protection invariant, including byte-exact agreement with
-an independent snapshot/restore oracle. The adversarial batch injects
-one forged runtime call per scenario and expects the matching exception,
-and nothing else, every time.
+the page-dump oracle. The adversarial batch injects one forged runtime
+call per scenario and expects the matching exception, and nothing else,
+every time.
 
 Run with:  python3 demos/fuzz_campaign.py
 """

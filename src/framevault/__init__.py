@@ -5,9 +5,8 @@ every byte back.
 The pipeline: describe a program (`program`), insert protection calls
 from annotations (`instrument`), execute over simulated memory with
 synthesized program-counter identity (`executor`, `memory`, `identity`,
-`runtime`), and check the whole machine against an independent
-snapshot/restore implementation (`oracle`) and randomized adversaries
-(`fuzzer`).
+`runtime`), and check the whole machine against a page-dump reference
+runtime (`oracle`) and randomized adversaries (`fuzzer`).
 """
 
 from .executor import (ExecutionReport, Executor, IntegrityBreach, Leak, Observation,

@@ -13,15 +13,20 @@ Verdict bookkeeping works on byte intervals, never on single addresses:
 a window keeps its hidden bytes as (lo, hi) ranges, and an untrusted read
 counts its secret bytes by clipping the ranges of every open window to
 the read, merging them, and counting non-zero bytes in each merged slice.
+
+What is fixed for a run is worked out once, when `run` starts: one table
+maps each function name to its description, image-map span, variables'
+(offset, size) from the frame top, and frame size; activations read it.
 """
 
 from __future__ import annotations
 
 import hashlib
 from collections.abc import Iterable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
-from .identity import IdentityTable, synthesize_image_map
+from .identity import FunctionSpan, IdentityTable, synthesize_image_map
 from .memory import FRAME_METADATA_BYTES, MemoryFault, ProcessMemory, StackFrame
 from .oracle import window_bytes
 from .program import (AbsoluteTarget, AddrOfArg, AddressRef, Assign, Call, DerefTarget,
@@ -131,11 +136,18 @@ def image_map_for(program: ProgramDesc) -> str:
     return synthesize_image_map([(fn.name, max(len(fn.body), 1)) for fn in program.functions])
 
 
+class _Function(NamedTuple):
+    desc: FunctionDesc
+    span: FunctionSpan
+    vars: dict[str, tuple[int, int]]  # name -> (offset from the frame top, size)
+    frame_size: int
+
+
 @dataclass
 class _FrameCtx:
     func: FunctionDesc
     frame: StackFrame
-    offsets: dict[str, int]
+    vars: dict[str, tuple[int, int]]  # name -> (offset from the frame top, size)
 
 
 @dataclass
@@ -152,17 +164,16 @@ class _Halt(Exception):
 
 class Executor:
     """One scenario execution. Keeps memory and runtime state accessible
-    for post-run inspection."""
+    for post-run inspection. With vault_factory=None nothing is protected:
+    runtime calls are skipped and the report's mode is "native"."""
 
     def __init__(self, program: ProgramDesc, table: IdentityTable, *,
-                 native: bool = False, strict: bool = False,
-                 vault_factory=VaultState):
+                 strict: bool = False, vault_factory=VaultState):
         self.program = program
         self.table = table
-        self.native = native
         self.strict = strict
         self.memory = ProcessMemory()
-        self.vault: VaultState | None = None if native else vault_factory(table)
+        self.vault: VaultState | None = None if vault_factory is None else vault_factory(table)
         self.observations: list[Observation] = []
         self.violations: list[Violation] = []
         self.faults: list[str] = []
@@ -171,19 +182,31 @@ class Executor:
         self._wid = 0
         self._steps = 0
         self._frame_history: dict[str, _FrameCtx] = {}
+        self.functions: dict[str, _Function] = {}
+
+    @property
+    def native(self) -> bool:
+        return self.vault is None
 
     # ------------------------------------------------------------------
 
     def run(self, entry: str) -> ExecutionReport:
-        fn = self.program.function(entry)
-        if fn is None:
+        if all(fn.name != entry for fn in self.program.functions):
             raise ValueError(f"entry function {entry!r} not described")
-        missing = [f.name for f in self.program.functions if self.table.by_name(f.name) is None]
+        missing = []
+        for fn in self.program.functions:
+            span = self.table.by_name(fn.name)
+            if span is None:
+                missing.append(fn.name)
+            elif fn.name not in self.functions:  # the first description of a name wins
+                offsets, size = function_layout(fn)
+                self.functions[fn.name] = _Function(
+                    fn, span, {v.name: (offsets[v.name], v.size) for v in fn.variables()}, size)
         if missing:
             raise ValueError(f"image map does not cover: {', '.join(sorted(missing))}")
         halted = False
         try:
-            self._invoke(fn, arg_values=[], depth=0)
+            self._invoke(self.functions[entry], arg_values=[], depth=0)
         except _Halt:
             halted = True
         if self.vault is not None:
@@ -194,7 +217,7 @@ class Executor:
             violations=self.violations,
             faults=self.faults,
             observations=self.observations,
-            stats=replace(self.vault.stats) if self.vault else SyscallStats(),
+            stats=self.vault.stats if self.vault else SyscallStats(),
             provenance_counts=dict(sorted(self.provenance_counts.items())),
             diagnostics=list(self.vault.diagnostics) if self.vault else [],
             final_digest=self._digest(),
@@ -204,40 +227,32 @@ class Executor:
     # ------------------------------------------------------------------
     # interpretation
 
-    def _fault(self, message: str) -> None:
-        self.faults.append(message)
-
-    def _invoke(self, fn: FunctionDesc, arg_values: list[bytes], depth: int) -> None:
-        offsets, size = function_layout(fn)
-        span = self.table.by_name(fn.name)
-        assert span is not None
+    def _invoke(self, fn: _Function, arg_values: list[bytes], depth: int) -> None:
         try:
-            frame = self.memory.push_frame(span.fid, size)
+            frame = self.memory.push_frame(fn.span.fid, fn.frame_size)
         except MemoryFault as exc:
-            self._fault(f"cannot enter {fn.name}: {exc}")
+            self.faults.append(f"cannot enter {fn.desc.name}: {exc}")
             return
-        ctx = _FrameCtx(func=fn, frame=frame, offsets=offsets)
-        self._frame_history[fn.name] = ctx
-        for param, data in zip(fn.params, arg_values):
-            self.memory.write_bytes(frame.top + offsets[param.name], data[:param.size])
+        ctx = _FrameCtx(func=fn.desc, frame=frame, vars=fn.vars)
+        self._frame_history[fn.desc.name] = ctx
+        for param, data in zip(fn.desc.params, arg_values):
+            self.memory.write_bytes(frame.top + fn.vars[param.name][0], data[:param.size])
         try:
-            self._run_body(ctx, depth)
+            self._run_body(ctx, fn.span, depth)
         finally:
             self.memory.pop_frame()
 
-    def _run_body(self, ctx: _FrameCtx, depth: int) -> None:
-        span = self.table.by_name(ctx.func.name)
-        assert span is not None
+    def _run_body(self, ctx: _FrameCtx, span: FunctionSpan, depth: int) -> None:
         for idx, stmt in enumerate(ctx.func.body):
             self._steps += 1
             if self._steps > MAX_STATEMENTS:
-                self._fault("statement budget exceeded")
+                self.faults.append("statement budget exceeded")
                 raise _Halt()
             pc = span.lo + min(idx, span.hi - span.lo - 1)
             if isinstance(stmt, Return):
                 return
             if isinstance(stmt, Assign):
-                addr = ctx.frame.top + ctx.offsets[stmt.var]
+                addr = ctx.frame.top + ctx.vars[stmt.var][0]
                 self.memory.write_bytes(addr, stmt.value)
             elif isinstance(stmt, HeapAlloc):
                 self._heap_alloc(ctx, stmt)
@@ -245,44 +260,42 @@ class Executor:
                 self._call(ctx, stmt, depth)
             elif isinstance(stmt, (ReadProbe, WriteProbe)):
                 self._probe(ctx, stmt)
-            elif isinstance(stmt, RuntimeCall):
-                if not self.native:
-                    self._runtime_call(ctx, stmt, pc)
+            elif isinstance(stmt, RuntimeCall) and self.vault is not None:
+                self._runtime_call(self.vault, ctx, stmt, pc)
 
     def _heap_alloc(self, ctx: _FrameCtx, stmt: HeapAlloc) -> None:
-        var = ctx.func.var(stmt.var)
+        var = ctx.vars.get(stmt.var)
         if var is None:
-            self._fault(f"{ctx.func.name}: heap_alloc into unknown variable {stmt.var!r}")
+            self.faults.append(f"{ctx.func.name}: heap_alloc into unknown variable {stmt.var!r}")
             return
         try:
             obj = self.memory.heap_alloc(stmt.size)
         except MemoryFault as exc:
-            self._fault(f"{ctx.func.name}: {exc}")
+            self.faults.append(f"{ctx.func.name}: {exc}")
             return
-        self.memory.write_bytes(ctx.frame.top + ctx.offsets[stmt.var],
-                                obj.base.to_bytes(8, "little")[:var.size])
+        self.memory.write_bytes(ctx.frame.top + var[0], obj.base.to_bytes(8, "little")[:var[1]])
         if stmt.init:
             self.memory.write_bytes(obj.base, stmt.init[:stmt.size])
 
     def _call(self, ctx: _FrameCtx, stmt: Call, depth: int) -> None:
-        callee = self.program.function(stmt.callee)
+        callee = self.functions.get(stmt.callee)
         if callee is None:
-            self._fault(f"{ctx.func.name}: call to unknown function {stmt.callee!r}")
+            self.faults.append(f"{ctx.func.name}: call to unknown function {stmt.callee!r}")
             return
         if depth + 1 >= MAX_CALL_DEPTH:
-            self._fault(f"{ctx.func.name}: call depth limit at {stmt.callee}")
+            self.faults.append(f"{ctx.func.name}: call depth limit at {stmt.callee}")
             return
         arg_values: list[bytes] = []
         for arg in stmt.args:
-            var = ctx.func.var(arg.var)
+            var = ctx.vars.get(arg.var)
             if var is None:
-                self._fault(f"{ctx.func.name}: unknown argument variable {arg.var!r}")
+                self.faults.append(f"{ctx.func.name}: unknown argument variable {arg.var!r}")
                 return
-            addr = ctx.frame.top + ctx.offsets[arg.var]
+            addr, size = ctx.frame.top + var[0], var[1]
             if isinstance(arg, AddrOfArg):
                 arg_values.append(addr.to_bytes(8, "little"))
             else:
-                arg_values.append(self.memory.read_bytes(addr, var.size))
+                arg_values.append(self.memory.read_bytes(addr, size))
         self._invoke(callee, arg_values, depth + 1)
 
     # ------------------------------------------------------------------
@@ -292,62 +305,57 @@ class Executor:
         if isinstance(target, AbsoluteTarget):
             return target.addr
         if isinstance(target, DerefTarget):
-            if target.param not in ctx.offsets:
-                self._fault(f"{ctx.func.name}: deref of unknown variable {target.param!r}")
+            var = ctx.vars.get(target.param)
+            if var is None:
+                self.faults.append(f"{ctx.func.name}: deref of unknown variable {target.param!r}")
                 return None
-            raw = self.memory.read_bytes(ctx.frame.top + ctx.offsets[target.param], 8)
+            raw = self.memory.read_bytes(ctx.frame.top + var[0], 8)
             return int.from_bytes(raw, "little") + target.offset
         if isinstance(target, HeapTarget):
             objects = self.memory.heap_objects
             if not 0 <= target.index < len(objects):
-                self._fault(f"{ctx.func.name}: heap object {target.index} does not exist")
+                self.faults.append(f"{ctx.func.name}: heap object {target.index} does not exist")
                 return None
             return objects[target.index].base + target.offset
         # Last-known placement works for both live frames and popped ones,
         # which lets scripts probe for stale data after a return.
         victim = self._frame_history.get(target.function)
         if victim is None:
-            self._fault(f"{ctx.func.name}: no frame known for {target.function!r}")
+            self.faults.append(f"{ctx.func.name}: no frame known for {target.function!r}")
             return None
         if isinstance(target, FrameTarget):
             return victim.frame.top + target.offset
-        if target.var not in victim.offsets:
-            self._fault(f"{ctx.func.name}: {target.function} has no variable {target.var!r}")
+        var = victim.vars.get(target.var)
+        if var is None:
+            self.faults.append(f"{ctx.func.name}: {target.function} has no variable {target.var!r}")
             return None
-        return victim.frame.top + victim.offsets[target.var] + target.offset
+        return victim.frame.top + var[0] + target.offset
 
     def _probe(self, ctx: _FrameCtx, stmt: ReadProbe | WriteProbe) -> None:
         addr = self._resolve_target(ctx, stmt.target)
         if addr is None:
             return
-        wid = self.windows[-1].wid if self.windows else None
-        if isinstance(stmt, ReadProbe):
-            try:
-                data = self.memory.read_bytes(addr, stmt.length)
-            except MemoryFault as exc:
-                self._fault(f"{ctx.func.name}: probe {exc}")
-                return
-            nonzero = _nonzero(data)
-            self.observations.append(Observation(
-                kind="read", function=ctx.func.name, window=wid, address=addr,
-                length=stmt.length, nonzero=nonzero, preview=data[:16].hex()))
-            if nonzero and self.windows:
-                secret = hidden_nonzero(data, addr, (r for w in self.windows for r in w.hidden))
-                if secret:
-                    self.violations.append(Leak(
-                        window=wid if wid is not None else -1, function=ctx.func.name,
-                        address=addr, length=stmt.length, secret_bytes=secret,
-                        detail="untrusted read observed protected bytes"))
-        else:
-            try:
-                self.memory.write_bytes(addr, stmt.value)
-            except MemoryFault as exc:
-                self._fault(f"{ctx.func.name}: probe {exc}")
-                return
-            self.observations.append(Observation(
-                kind="write", function=ctx.func.name, window=wid, address=addr,
-                length=len(stmt.value), nonzero=_nonzero(stmt.value),
-                preview=stmt.value[:16].hex()))
+        try:
+            if isinstance(stmt, ReadProbe):
+                kind, data = "read", self.memory.read_bytes(addr, stmt.length)
+            else:
+                kind, data = "write", stmt.value
+                self.memory.write_bytes(addr, data)
+        except MemoryFault as exc:
+            self.faults.append(f"{ctx.func.name}: probe {exc}")
+            return
+        nonzero = _nonzero(data)
+        self.observations.append(Observation(
+            kind=kind, function=ctx.func.name,
+            window=self.windows[-1].wid if self.windows else None, address=addr,
+            length=len(data), nonzero=nonzero, preview=data[:16].hex()))
+        if kind == "read" and nonzero and self.windows:
+            secret = hidden_nonzero(data, addr, (r for w in self.windows for r in w.hidden))
+            if secret:
+                self.violations.append(Leak(
+                    window=self.windows[-1].wid, function=ctx.func.name, address=addr,
+                    length=len(data), secret_bytes=secret,
+                    detail="untrusted read observed protected bytes"))
 
     # ------------------------------------------------------------------
     # runtime calls
@@ -355,26 +363,26 @@ class Executor:
     def _region_of(self, ctx: _FrameCtx, stmt: RuntimeCall) -> tuple[int, int] | None:
         ref = stmt.target
         if isinstance(ref, VarRef):
-            var = ctx.func.var(ref.var)
-            if var is None or ref.var not in ctx.offsets:
-                self._fault(f"{ctx.func.name}: {stmt.call} names unknown variable {ref.var!r}")
+            var = ctx.vars.get(ref.var)
+            if var is None:
+                self.faults.append(f"{ctx.func.name}: {stmt.call} names unknown variable "
+                                   f"{ref.var!r}")
                 return None
-            return (ctx.frame.top + ctx.offsets[ref.var],
-                    var.size if stmt.length is None else stmt.length)
+            return ctx.frame.top + var[0], (var[1] if stmt.length is None else stmt.length)
         if isinstance(ref, PointeeRef):
-            if ref.var not in ctx.offsets or stmt.length is None:
-                self._fault(f"{ctx.func.name}: {stmt.call} has unresolvable pointee region")
+            var = ctx.vars.get(ref.var)
+            if var is None or stmt.length is None:
+                self.faults.append(f"{ctx.func.name}: {stmt.call} has unresolvable pointee region")
                 return None
-            raw = self.memory.read_bytes(ctx.frame.top + ctx.offsets[ref.var], 8)
+            raw = self.memory.read_bytes(ctx.frame.top + var[0], 8)
             return int.from_bytes(raw, "little"), stmt.length
         if isinstance(ref, AddressRef):
             return ref.addr, stmt.length or 0
-        self._fault(f"{ctx.func.name}: {stmt.call} without a region")
+        self.faults.append(f"{ctx.func.name}: {stmt.call} without a region")
         return None
 
-    def _runtime_call(self, ctx: _FrameCtx, stmt: RuntimeCall, pc: int) -> None:
-        vault = self.vault
-        assert vault is not None
+    def _runtime_call(self, vault: VaultState, ctx: _FrameCtx, stmt: RuntimeCall,
+                      pc: int) -> None:
         key = f"{stmt.call}/{stmt.provenance or 'forged'}"
         self.provenance_counts[key] = self.provenance_counts.get(key, 0) + 1
         before = len(vault.exception_log)
@@ -391,21 +399,18 @@ class Executor:
                     else:
                         vault.register_memory_exception(pc, base, length, bool(stmt.read_only))
                 except ValueError as exc:
-                    self._fault(f"{ctx.func.name}: {stmt.call}: {exc}")
+                    self.faults.append(f"{ctx.func.name}: {stmt.call}: {exc}")
         elif stmt.call == "start_protect":
-            self._start_window(pc)
+            self._start_window(vault, pc)
         elif stmt.call == "stop_protect":
-            self._stop_window(pc)
+            self._stop_window(vault, pc)
         elif stmt.call == "unregister_stack":
             vault.unregister_stack(self.memory, pc)
         if self.strict and len(vault.exception_log) > before:
             raise _Halt()
 
-    def _start_window(self, pc: int) -> None:
-        vault = self.vault
-        assert vault is not None
-        start = vault.protect_list[-1].register_index if vault.protect_list else 0
-        hidden, kept, carve_outs = window_bytes(vault.register_list, start,
+    def _start_window(self, vault: VaultState, pc: int) -> None:
+        hidden, kept, carve_outs = window_bytes(vault.register_list, vault.watermark(),
                                                 len(vault.register_list) - 1)
         integrity = [(addr, self.memory.read_bytes(addr, length)) for addr, length in kept]
 
@@ -417,13 +422,9 @@ class Executor:
                 wid=self._wid, hidden=[(addr, addr + length) for addr, length in hidden],
                 integrity=integrity, carve_outs=carve_outs))
 
-    def _stop_window(self, pc: int) -> None:
-        vault = self.vault
-        assert vault is not None
-        pre_close: list[tuple[int, bytes]] = []
-        if self.windows:
-            pre_close = [(addr, self.memory.read_bytes(addr, length))
-                         for addr, length in self.windows[-1].carve_outs]
+    def _stop_window(self, vault: VaultState, pc: int) -> None:
+        carve_outs = self.windows[-1].carve_outs if self.windows else []
+        pre_close = [(addr, self.memory.read_bytes(addr, length)) for addr, length in carve_outs]
         before = len(vault.protect_list)
         vault.stop_protect(self.memory, pc)
         if len(vault.protect_list) >= before:
@@ -441,10 +442,6 @@ class Executor:
 
     def _digest(self) -> str:
         h = hashlib.sha256()
-        for frame in self.memory.frames:
-            h.update(b"F")
-            h.update(frame.top.to_bytes(8, "little"))
-            h.update(self.memory.read_bytes(frame.top, frame.size))
         for obj in self.memory.heap_objects:
             h.update(b"H")
             h.update(obj.base.to_bytes(8, "little"))
@@ -460,4 +457,4 @@ def run(program: ProgramDesc, table: IdentityTable, entry: str, *,
 
 def run_native(program: ProgramDesc, table: IdentityTable, entry: str) -> ExecutionReport:
     """Execute with zero protection calls: the unprotected counterfactual."""
-    return Executor(program, table, native=True).run(entry)
+    return Executor(program, table, vault_factory=None).run(entry)

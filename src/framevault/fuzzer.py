@@ -3,7 +3,7 @@
 Each scenario is a small annotated program: a chain of secret-holding
 functions calling library functions that probe memory however they like.
 The scenario is instrumented, executed twice (real runtime and the
-snapshot oracle), and checked against every protection invariant. In
+page-dump oracle), and checked against every protection invariant. In
 adversarial mode one forged runtime call is spliced into a library body
 and the expected detection is asserted instead.
 

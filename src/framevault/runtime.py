@@ -11,6 +11,7 @@ becomes a no-op; process memory is never mutated by a failed call.
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass
 
 from .identity import IdentityTable
@@ -162,7 +163,14 @@ class VaultState:
         self.save_buffer = SaveBuffer()
         self.exception_log: list[VaultException] = []
         self.diagnostics: list[str] = []
-        self.stats = SyscallStats()
+        self._calls: Counter[str] = Counter()
+        self._bytes_cleared = 0
+
+    @property
+    def stats(self) -> SyscallStats:
+        """A snapshot of the call counts and the byte traffic so far."""
+        return SyscallStats(**self._calls, bytes_copied=self.save_buffer.bytes_produced,
+                            bytes_cleared=self._bytes_cleared)
 
     # ------------------------------------------------------------------
     # helpers
@@ -171,6 +179,7 @@ class VaultState:
         self.exception_log.append(VaultException(kind, syscall, caller_pc, detail))
 
     def _resolve(self, syscall: str, caller_pc: int) -> int | None:
+        self._calls[syscall] += 1  # each of the six calls passes here exactly once
         fid = self.identity.resolve(caller_pc)
         if fid is None:
             self._flag(ExceptionKind.UNKNOWN_CALLER, syscall, caller_pc,
@@ -183,12 +192,13 @@ class VaultState:
                 return i
         return None
 
-    def _watermark(self) -> int:
+    def watermark(self) -> int:
+        """RegisterList length when the innermost open window opened, else 0."""
         return self.protect_list[-1].register_index if self.protect_list else 0
 
     def _clear(self, memory: ProcessMemory, addr: int, length: int) -> None:
         memory.clear_region(addr, length)
-        self.stats.bytes_cleared += length
+        self._bytes_cleared += length
 
     # ------------------------------------------------------------------
     # registration calls
@@ -196,7 +206,6 @@ class VaultState:
     def register_stack(self, caller_pc: int, all: bool,
                        frame_base: int, frame_top: int) -> None:
         """Record the caller's own frame; all selects whole-frame protection."""
-        self.stats.register_stack += 1
         fid = self._resolve("register_stack", caller_pc)
         if fid is None:
             return
@@ -241,20 +250,17 @@ class VaultState:
                         read_only: bool) -> None:
         """Record a memory object (frame variable or heap block) for
         save/clear/restore handling around untrusted calls."""
-        self.stats.register_memory += 1
         self._register_object("register_memory", caller_pc, base, length, read_only)
 
     def register_memory_exception(self, caller_pc: int, base: int, length: int,
                                   read_only: bool) -> None:
         """Record a carve-out that stays usable inside a fully protected
         frame. The region must lie within the caller's registered frame."""
-        self.stats.register_memory_exception += 1
         self._register_object("register_memory_exception", caller_pc, base, length, read_only)
 
     def unregister_stack(self, memory: ProcessMemory, caller_pc: int) -> None:
         """Drop the latest frame registration and everything after it,
         then scrub the frame so no stale data survives the return."""
-        self.stats.unregister_stack += 1
         fid = self._resolve("unregister_stack", caller_pc)
         if fid is None:
             return
@@ -279,11 +285,10 @@ class VaultState:
     def start_protect(self, memory: ProcessMemory, caller_pc: int) -> None:
         """Open a protection window covering every registration made since
         the enclosing window opened (or since the beginning)."""
-        self.stats.start_protect += 1
         fid = self._resolve("start_protect", caller_pc)
         if fid is None:
             return
-        self._open_window(memory, self._watermark(), len(self.register_list) - 1)
+        self._open_window(memory, self.watermark(), len(self.register_list) - 1)
         self.protect_list.append(ProtectEntry(caller=fid, register_index=len(self.register_list)))
         if len(self.protect_list) >= 2 and (self.protect_list[-1].register_index
                                             < self.protect_list[-2].register_index):
@@ -305,7 +310,6 @@ class VaultState:
             else:
                 addr, length = entry.base, entry.length
             record = self.save_buffer.append(memory.read_bytes(addr, length))
-            self.stats.bytes_copied += length
             if isinstance(entry, MemoryExceptionEntry):
                 carve_outs.append((addr, record))
             else:
@@ -327,7 +331,6 @@ class VaultState:
         RegisterList must not have grown since; otherwise the window stays
         open and nothing is restored.
         """
-        self.stats.stop_protect += 1
         fid = self._resolve("stop_protect", caller_pc)
         if fid is None:
             return
@@ -348,7 +351,7 @@ class VaultState:
             return
 
         self.protect_list.pop()
-        self._close_window(memory, self._watermark(), len(self.register_list) - 1)
+        self._close_window(memory, self.watermark(), len(self.register_list) - 1)
 
     def _close_window(self, memory: ProcessMemory, start: int, end: int) -> None:
         """Write every saved image in [start, end] back, then the carve-outs

@@ -14,14 +14,22 @@ a window keeps its hidden bytes as (lo, hi) ranges, and an untrusted read
 counts its secret bytes by clipping the ranges of every open window to
 the read, merging them, and counting non-zero bytes in each merged slice.
 
-What is fixed for a run is worked out once, when `run` starts: one table
-maps each function name to its description, image-map span, variables'
-(offset, size) from the frame top, and frame size; activations read it.
+A program is compiled once per program and image map: the first run
+under an identity table compiles it, and the plan stays on the program
+object, so later runs under the same table (native, protected and oracle
+runs alike) share it; a run under another table compiles again and
+replaces it. For each function the plan holds the image-map span, the
+variables' (offset, size) from the frame top, the frame size, and the
+body up to its first `return` as module-level handlers with their
+operands. A runtime call's operand carries its pc, its provenance key and
+the action for its call, all picked at compile time. The statement budget
+is read as the run goes, not compiled in.
 """
 
 from __future__ import annotations
 
 import hashlib
+import sys
 from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -137,10 +145,74 @@ def image_map_for(program: ProgramDesc) -> str:
 
 
 class _Function(NamedTuple):
+    """One function of a compiled program. `handlers` and `operands` run
+    the body up to and including its first `return`, one pair per
+    statement: `handlers[i](executor, ctx, operands[i], depth)`."""
+
     desc: FunctionDesc
     span: FunctionSpan
     vars: dict[str, tuple[int, int]]  # name -> (offset from the frame top, size)
     frame_size: int
+    handlers: tuple
+    operands: tuple  # the statement; for a runtime call (action, statement, pc, key)
+
+
+class _Plan(NamedTuple):
+    """A program compiled against one identity table."""
+
+    table: IdentityTable
+    functions: dict[str, _Function]
+    uncovered: list[str]  # described functions the image map has no span for
+
+
+def _compile(program: ProgramDesc, table: IdentityTable) -> _Plan:
+    functions: dict[str, _Function] = {}
+    uncovered = []
+    # A plan lives as long as its program, so functions share equal
+    # variable maps and handler sequences, and a body that equals its
+    # operands is itself the operand tuple.
+    layouts: dict[tuple, dict[str, tuple[int, int]]] = {}
+    sequences: dict[tuple, tuple] = {}
+    for fn in program.functions:
+        span = table.by_name(fn.name)
+        if span is None:
+            uncovered.append(fn.name)
+            continue
+        if fn.name in functions:  # the first description of a name wins
+            continue
+        handlers, operands = [], []
+        for idx, stmt in enumerate(fn.body):
+            if isinstance(stmt, RuntimeCall):
+                pc = span.lo + min(idx, span.hi - span.lo - 1)
+                # Interned: a plan holds one string per distinct key.
+                key = sys.intern(f"{stmt.call}/{stmt.provenance or 'forged'}")
+                handlers.append(_runtime_call)
+                operands.append((_RUNTIME_ACTIONS.get(stmt.call, _nothing), stmt, pc, key))
+            else:
+                handlers.append(_HANDLERS.get(type(stmt), _nothing))
+                operands.append(stmt)
+            if isinstance(stmt, Return):
+                break
+        offsets, size = function_layout(fn)
+        layout = {v.name: (offsets[v.name], v.size) for v in fn.variables()}
+        handlers, operands = tuple(handlers), tuple(operands)
+        if operands == fn.body:  # no runtime call and nothing after a `return`
+            operands = fn.body
+        functions[fn.name] = _Function(
+            fn, span, layouts.setdefault(tuple(layout.items()), layout), size,
+            sequences.setdefault(handlers, handlers), operands)
+    return _Plan(table, functions, uncovered)
+
+
+def _plan(program: ProgramDesc, table: IdentityTable) -> _Plan:
+    """`program` compiled against `table`. The plan is kept in the
+    program's instance dict, one per program and keyed by the table, so
+    every run of the program under that table shares one compile; it is
+    not a dataclass field, so equality, hashing and `emit` ignore it."""
+    plan = vars(program).get("_plan")
+    if plan is None or plan.table is not table:
+        plan = vars(program)["_plan"] = _compile(program, table)
+    return plan
 
 
 @dataclass
@@ -191,19 +263,12 @@ class Executor:
     # ------------------------------------------------------------------
 
     def run(self, entry: str) -> ExecutionReport:
-        if all(fn.name != entry for fn in self.program.functions):
+        plan = _plan(self.program, self.table)
+        if entry not in plan.functions and entry not in plan.uncovered:
             raise ValueError(f"entry function {entry!r} not described")
-        missing = []
-        for fn in self.program.functions:
-            span = self.table.by_name(fn.name)
-            if span is None:
-                missing.append(fn.name)
-            elif fn.name not in self.functions:  # the first description of a name wins
-                offsets, size = function_layout(fn)
-                self.functions[fn.name] = _Function(
-                    fn, span, {v.name: (offsets[v.name], v.size) for v in fn.variables()}, size)
-        if missing:
-            raise ValueError(f"image map does not cover: {', '.join(sorted(missing))}")
+        if plan.uncovered:
+            raise ValueError(f"image map does not cover: {', '.join(sorted(plan.uncovered))}")
+        self.functions = plan.functions
         halted = False
         try:
             self._invoke(self.functions[entry], arg_values=[], depth=0)
@@ -238,65 +303,19 @@ class Executor:
         for param, data in zip(fn.desc.params, arg_values):
             self.memory.write_bytes(frame.top + fn.vars[param.name][0], data[:param.size])
         try:
-            self._run_body(ctx, fn.span, depth)
+            self._run_body(ctx, fn, depth)
         finally:
             self.memory.pop_frame()
 
-    def _run_body(self, ctx: _FrameCtx, span: FunctionSpan, depth: int) -> None:
-        for idx, stmt in enumerate(ctx.func.body):
+    def _run_body(self, ctx: _FrameCtx, fn: _Function, depth: int) -> None:
+        # Every statement run costs one step, `return` and the runtime calls
+        # a native run skips included.
+        for handler, operand in zip(fn.handlers, fn.operands):
             self._steps += 1
             if self._steps > MAX_STATEMENTS:
                 self.faults.append("statement budget exceeded")
                 raise _Halt()
-            pc = span.lo + min(idx, span.hi - span.lo - 1)
-            if isinstance(stmt, Return):
-                return
-            if isinstance(stmt, Assign):
-                addr = ctx.frame.top + ctx.vars[stmt.var][0]
-                self.memory.write_bytes(addr, stmt.value)
-            elif isinstance(stmt, HeapAlloc):
-                self._heap_alloc(ctx, stmt)
-            elif isinstance(stmt, Call):
-                self._call(ctx, stmt, depth)
-            elif isinstance(stmt, (ReadProbe, WriteProbe)):
-                self._probe(ctx, stmt)
-            elif isinstance(stmt, RuntimeCall) and self.vault is not None:
-                self._runtime_call(self.vault, ctx, stmt, pc)
-
-    def _heap_alloc(self, ctx: _FrameCtx, stmt: HeapAlloc) -> None:
-        var = ctx.vars.get(stmt.var)
-        if var is None:
-            self.faults.append(f"{ctx.func.name}: heap_alloc into unknown variable {stmt.var!r}")
-            return
-        try:
-            obj = self.memory.heap_alloc(stmt.size)
-        except MemoryFault as exc:
-            self.faults.append(f"{ctx.func.name}: {exc}")
-            return
-        self.memory.write_bytes(ctx.frame.top + var[0], obj.base.to_bytes(8, "little")[:var[1]])
-        if stmt.init:
-            self.memory.write_bytes(obj.base, stmt.init[:stmt.size])
-
-    def _call(self, ctx: _FrameCtx, stmt: Call, depth: int) -> None:
-        callee = self.functions.get(stmt.callee)
-        if callee is None:
-            self.faults.append(f"{ctx.func.name}: call to unknown function {stmt.callee!r}")
-            return
-        if depth + 1 >= MAX_CALL_DEPTH:
-            self.faults.append(f"{ctx.func.name}: call depth limit at {stmt.callee}")
-            return
-        arg_values: list[bytes] = []
-        for arg in stmt.args:
-            var = ctx.vars.get(arg.var)
-            if var is None:
-                self.faults.append(f"{ctx.func.name}: unknown argument variable {arg.var!r}")
-                return
-            addr, size = ctx.frame.top + var[0], var[1]
-            if isinstance(arg, AddrOfArg):
-                arg_values.append(addr.to_bytes(8, "little"))
-            else:
-                arg_values.append(self.memory.read_bytes(addr, size))
-        self._invoke(callee, arg_values, depth + 1)
+            handler(self, ctx, operand, depth)
 
     # ------------------------------------------------------------------
     # probes
@@ -331,32 +350,6 @@ class Executor:
             return None
         return victim.frame.top + var[0] + target.offset
 
-    def _probe(self, ctx: _FrameCtx, stmt: ReadProbe | WriteProbe) -> None:
-        addr = self._resolve_target(ctx, stmt.target)
-        if addr is None:
-            return
-        try:
-            if isinstance(stmt, ReadProbe):
-                kind, data = "read", self.memory.read_bytes(addr, stmt.length)
-            else:
-                kind, data = "write", stmt.value
-                self.memory.write_bytes(addr, data)
-        except MemoryFault as exc:
-            self.faults.append(f"{ctx.func.name}: probe {exc}")
-            return
-        nonzero = _nonzero(data)
-        self.observations.append(Observation(
-            kind=kind, function=ctx.func.name,
-            window=self.windows[-1].wid if self.windows else None, address=addr,
-            length=len(data), nonzero=nonzero, preview=data[:16].hex()))
-        if kind == "read" and nonzero and self.windows:
-            secret = hidden_nonzero(data, addr, (r for w in self.windows for r in w.hidden))
-            if secret:
-                self.violations.append(Leak(
-                    window=self.windows[-1].wid, function=ctx.func.name, address=addr,
-                    length=len(data), secret_bytes=secret,
-                    detail="untrusted read observed protected bytes"))
-
     # ------------------------------------------------------------------
     # runtime calls
 
@@ -381,63 +374,6 @@ class Executor:
         self.faults.append(f"{ctx.func.name}: {stmt.call} without a region")
         return None
 
-    def _runtime_call(self, vault: VaultState, ctx: _FrameCtx, stmt: RuntimeCall,
-                      pc: int) -> None:
-        key = f"{stmt.call}/{stmt.provenance or 'forged'}"
-        self.provenance_counts[key] = self.provenance_counts.get(key, 0) + 1
-        before = len(vault.exception_log)
-        if stmt.call == "register_stack":
-            vault.register_stack(pc, all=bool(stmt.all),
-                                 frame_base=ctx.frame.base, frame_top=ctx.frame.top)
-        elif stmt.call in ("register_memory", "register_memory_exception"):
-            region = self._region_of(ctx, stmt)
-            if region is not None:
-                base, length = region
-                try:
-                    if stmt.call == "register_memory":
-                        vault.register_memory(pc, base, length, bool(stmt.read_only))
-                    else:
-                        vault.register_memory_exception(pc, base, length, bool(stmt.read_only))
-                except ValueError as exc:
-                    self.faults.append(f"{ctx.func.name}: {stmt.call}: {exc}")
-        elif stmt.call == "start_protect":
-            self._start_window(vault, pc)
-        elif stmt.call == "stop_protect":
-            self._stop_window(vault, pc)
-        elif stmt.call == "unregister_stack":
-            vault.unregister_stack(self.memory, pc)
-        if self.strict and len(vault.exception_log) > before:
-            raise _Halt()
-
-    def _start_window(self, vault: VaultState, pc: int) -> None:
-        hidden, kept, carve_outs = window_bytes(vault.register_list, vault.watermark(),
-                                                len(vault.register_list) - 1)
-        integrity = [(addr, self.memory.read_bytes(addr, length)) for addr, length in kept]
-
-        before = len(vault.protect_list)
-        vault.start_protect(self.memory, pc)
-        if len(vault.protect_list) > before:
-            self._wid += 1
-            self.windows.append(_Window(
-                wid=self._wid, hidden=[(addr, addr + length) for addr, length in hidden],
-                integrity=integrity, carve_outs=carve_outs))
-
-    def _stop_window(self, vault: VaultState, pc: int) -> None:
-        carve_outs = self.windows[-1].carve_outs if self.windows else []
-        pre_close = [(addr, self.memory.read_bytes(addr, length)) for addr, length in carve_outs]
-        before = len(vault.protect_list)
-        vault.stop_protect(self.memory, pc)
-        if len(vault.protect_list) >= before:
-            return  # window still open; nothing was restored
-        window = self.windows.pop()
-        for addr, expected in window.integrity + pre_close:
-            actual = self.memory.read_bytes(addr, len(expected))
-            if actual != expected:
-                delta = next(i for i in range(len(expected)) if actual[i] != expected[i])
-                self.violations.append(IntegrityBreach(
-                    window=window.wid, address=addr, length=len(expected),
-                    detail=f"first mismatch at byte {delta}"))
-
     # ------------------------------------------------------------------
 
     def _digest(self) -> str:
@@ -447,6 +383,172 @@ class Executor:
             h.update(obj.base.to_bytes(8, "little"))
             h.update(self.memory.read_bytes(obj.base, obj.size))
         return "sha256:" + h.hexdigest()
+
+
+# ----------------------------------------------------------------------
+# statement handlers: handler(executor, ctx, operand, depth)
+
+def _nothing(*_) -> None:
+    """A statement or runtime call that only costs its step."""
+
+
+def _assign(ex: Executor, ctx: _FrameCtx, stmt: Assign, depth: int) -> None:
+    ex.memory.write_bytes(ctx.frame.top + ctx.vars[stmt.var][0], stmt.value)
+
+
+def _heap_alloc(ex: Executor, ctx: _FrameCtx, stmt: HeapAlloc, depth: int) -> None:
+    var = ctx.vars.get(stmt.var)
+    if var is None:
+        ex.faults.append(f"{ctx.func.name}: heap_alloc into unknown variable {stmt.var!r}")
+        return
+    try:
+        obj = ex.memory.heap_alloc(stmt.size)
+    except MemoryFault as exc:
+        ex.faults.append(f"{ctx.func.name}: {exc}")
+        return
+    ex.memory.write_bytes(ctx.frame.top + var[0], obj.base.to_bytes(8, "little")[:var[1]])
+    if stmt.init:
+        ex.memory.write_bytes(obj.base, stmt.init[:stmt.size])
+
+
+def _call(ex: Executor, ctx: _FrameCtx, stmt: Call, depth: int) -> None:
+    callee = ex.functions.get(stmt.callee)
+    if callee is None:
+        ex.faults.append(f"{ctx.func.name}: call to unknown function {stmt.callee!r}")
+        return
+    if depth + 1 >= MAX_CALL_DEPTH:
+        ex.faults.append(f"{ctx.func.name}: call depth limit at {stmt.callee}")
+        return
+    arg_values: list[bytes] = []
+    for arg in stmt.args:
+        var = ctx.vars.get(arg.var)
+        if var is None:
+            ex.faults.append(f"{ctx.func.name}: unknown argument variable {arg.var!r}")
+            return
+        addr, size = ctx.frame.top + var[0], var[1]
+        if isinstance(arg, AddrOfArg):
+            arg_values.append(addr.to_bytes(8, "little"))
+        else:
+            arg_values.append(ex.memory.read_bytes(addr, size))
+    ex._invoke(callee, arg_values, depth + 1)
+
+
+def _probe(ex: Executor, ctx: _FrameCtx, stmt: ReadProbe | WriteProbe, depth: int) -> None:
+    addr = ex._resolve_target(ctx, stmt.target)
+    if addr is None:
+        return
+    try:
+        if isinstance(stmt, ReadProbe):
+            kind, data = "read", ex.memory.read_bytes(addr, stmt.length)
+        else:
+            kind, data = "write", stmt.value
+            ex.memory.write_bytes(addr, data)
+    except MemoryFault as exc:
+        ex.faults.append(f"{ctx.func.name}: probe {exc}")
+        return
+    nonzero = _nonzero(data)
+    ex.observations.append(Observation(
+        kind=kind, function=ctx.func.name,
+        window=ex.windows[-1].wid if ex.windows else None, address=addr,
+        length=len(data), nonzero=nonzero, preview=data[:16].hex()))
+    if kind == "read" and nonzero and ex.windows:
+        secret = hidden_nonzero(data, addr, (r for w in ex.windows for r in w.hidden))
+        if secret:
+            ex.violations.append(Leak(
+                window=ex.windows[-1].wid, function=ctx.func.name, address=addr,
+                length=len(data), secret_bytes=secret,
+                detail="untrusted read observed protected bytes"))
+
+
+def _runtime_call(ex: Executor, ctx: _FrameCtx, operand: tuple, depth: int) -> None:
+    vault = ex.vault
+    if vault is None:
+        return  # a native run makes no runtime call
+    action, stmt, pc, key = operand
+    ex.provenance_counts[key] = ex.provenance_counts.get(key, 0) + 1
+    before = len(vault.exception_log)
+    action(ex, vault, ctx, stmt, pc)
+    if ex.strict and len(vault.exception_log) > before:
+        raise _Halt()
+
+
+_HANDLERS = {Assign: _assign, HeapAlloc: _heap_alloc, Call: _call,
+             ReadProbe: _probe, WriteProbe: _probe, Return: _nothing}
+
+
+# ----------------------------------------------------------------------
+# runtime-call actions: action(executor, vault, ctx, statement, pc)
+
+def _register_stack(ex: Executor, vault: VaultState, ctx: _FrameCtx, stmt: RuntimeCall,
+                    pc: int) -> None:
+    vault.register_stack(pc, all=bool(stmt.all),
+                         frame_base=ctx.frame.base, frame_top=ctx.frame.top)
+
+
+def _register_memory(ex: Executor, vault: VaultState, ctx: _FrameCtx, stmt: RuntimeCall,
+                     pc: int) -> None:
+    _register_region(ex, ctx, stmt, pc, vault.register_memory)
+
+
+def _register_memory_exception(ex: Executor, vault: VaultState, ctx: _FrameCtx,
+                               stmt: RuntimeCall, pc: int) -> None:
+    _register_region(ex, ctx, stmt, pc, vault.register_memory_exception)
+
+
+def _register_region(ex: Executor, ctx: _FrameCtx, stmt: RuntimeCall, pc: int,
+                     register) -> None:
+    region = ex._region_of(ctx, stmt)
+    if region is None:
+        return
+    base, length = region
+    try:
+        register(pc, base, length, bool(stmt.read_only))
+    except ValueError as exc:
+        ex.faults.append(f"{ctx.func.name}: {stmt.call}: {exc}")
+
+
+def _start_protect(ex: Executor, vault: VaultState, ctx: _FrameCtx, stmt: RuntimeCall,
+                   pc: int) -> None:
+    hidden, kept, carve_outs = window_bytes(vault.register_list, vault.watermark(),
+                                            len(vault.register_list) - 1)
+    integrity = [(addr, ex.memory.read_bytes(addr, length)) for addr, length in kept]
+
+    before = len(vault.protect_list)
+    vault.start_protect(ex.memory, pc)
+    if len(vault.protect_list) > before:
+        ex._wid += 1
+        ex.windows.append(_Window(
+            wid=ex._wid, hidden=[(addr, addr + length) for addr, length in hidden],
+            integrity=integrity, carve_outs=carve_outs))
+
+
+def _stop_protect(ex: Executor, vault: VaultState, ctx: _FrameCtx, stmt: RuntimeCall,
+                  pc: int) -> None:
+    carve_outs = ex.windows[-1].carve_outs if ex.windows else []
+    pre_close = [(addr, ex.memory.read_bytes(addr, length)) for addr, length in carve_outs]
+    before = len(vault.protect_list)
+    vault.stop_protect(ex.memory, pc)
+    if len(vault.protect_list) >= before:
+        return  # window still open; nothing was restored
+    window = ex.windows.pop()
+    for addr, expected in window.integrity + pre_close:
+        actual = ex.memory.read_bytes(addr, len(expected))
+        if actual != expected:
+            delta = next(i for i in range(len(expected)) if actual[i] != expected[i])
+            ex.violations.append(IntegrityBreach(
+                window=window.wid, address=addr, length=len(expected),
+                detail=f"first mismatch at byte {delta}"))
+
+
+def _unregister_stack(ex: Executor, vault: VaultState, ctx: _FrameCtx, stmt: RuntimeCall,
+                      pc: int) -> None:
+    vault.unregister_stack(ex.memory, pc)
+
+
+_RUNTIME_ACTIONS = {"register_stack": _register_stack, "register_memory": _register_memory,
+                    "register_memory_exception": _register_memory_exception,
+                    "start_protect": _start_protect, "stop_protect": _stop_protect,
+                    "unregister_stack": _unregister_stack}
 
 
 def run(program: ProgramDesc, table: IdentityTable, entry: str, *,

@@ -15,6 +15,11 @@ from typing import Sequence
 from .memory import TEXT_BASE, TEXT_LIMIT
 
 
+# Most lines an image map may have, comments and blank lines included: four
+# per function a program may describe (program.MAX_FUNCTIONS).
+MAX_IMAGE_MAP_LINES = 4096
+
+
 class ImageMapError(ValueError):
     """Malformed, overlapping, or out-of-region image map input."""
 
@@ -55,11 +60,15 @@ class IdentityTable:
 
 def load_image_map(text: str) -> IdentityTable:
     """Parse an image map document. `#` starts a comment; blank lines are
-    ignored. Rejects malformed lines, duplicate names, spans outside the
-    text region, and overlapping spans."""
+    ignored. Rejects more than MAX_IMAGE_MAP_LINES lines, malformed lines,
+    duplicate names, spans outside the text region, and overlapping spans."""
+    lines = text.splitlines()
+    if len(lines) > MAX_IMAGE_MAP_LINES:
+        raise ImageMapError(f"image map: {len(lines)} lines exceed the cap of "
+                            f"{MAX_IMAGE_MAP_LINES} (MAX_IMAGE_MAP_LINES)")
     spans: list[FunctionSpan] = []
     names: set[str] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -29,9 +29,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 
-from .program import (AddrOfArg, AnnotationKind, Assign, Call, FunctionDesc,
-                      HeapAlloc, PointeeRef, ProgramDesc, ReadProbe, Return, RuntimeCall,
-                      RUNTIME_CALLS, Sensitivity, Statement, VarDesc, VarRef,
+from .program import (MAX_BODY_STATEMENTS, AddrOfArg, AnnotationKind, Assign, Call,
+                      FunctionDesc, HeapAlloc, PointeeRef, ProgramDesc, ReadProbe, Return,
+                      RuntimeCall, RUNTIME_CALLS, Sensitivity, Statement, VarDesc, VarRef,
                       WriteProbe, is_instrumented)
 
 # Provenance labels for inserted calls, one per insertion rule.
@@ -315,6 +315,10 @@ def instrument(program: ProgramDesc, untrusted: frozenset[Prototype],
             out.append(fn)
         else:
             body = _instrument_body(fn, sens[fn.name], is_untrusted_call)
+            if len(body) > MAX_BODY_STATEMENTS:  # the output must parse again
+                raise AnnotationError(
+                    f"function {fn.name!r}: instrumented body of {len(body)} statements "
+                    f"exceeds the cap of {MAX_BODY_STATEMENTS} (MAX_BODY_STATEMENTS)")
             out.append(replace(fn, body=body, sensitivity=sens[fn.name]))
     return ProgramDesc(functions=tuple(out), instrumented=True)
 

@@ -41,7 +41,8 @@ suffix gives the pointee size in bytes (otherwise ``pointee_size`` must).
 Every declared byte size (``size``, ``pointee_size``, the ``_N`` suffix, a
 ``heap_alloc`` size and a ``runtime_call`` ``len``) is at most
 MAX_OBJECT_BYTES, the 1 MiB stack; a ``runtime_call`` ``len`` is also at
-least 0.
+least 0. A document has at most MAX_FUNCTIONS functions, and a body at
+most MAX_BODY_STATEMENTS statements.
 """
 
 from __future__ import annotations
@@ -63,6 +64,13 @@ MAX_PROBE_BYTES = STACK_CAPACITY
 # clearing such an object allocates its size again, so without a cap one
 # description could make the simulator allocate hundreds of MiB.
 MAX_OBJECT_BYTES = STACK_CAPACITY
+
+# Most functions a document may describe and most statements one body may
+# hold, checked before either is parsed. Generated programs stay far below
+# both: benchmark chains have up to 125 functions, fuzzed bodies about 20
+# statements.
+MAX_FUNCTIONS = 1024
+MAX_BODY_STATEMENTS = 1024
 
 
 class ProgramFormatError(ValueError):
@@ -320,6 +328,11 @@ def _check_cap(size: int | None, where: str, what: str) -> None:
                                  f"{MAX_OBJECT_BYTES} bytes (MAX_OBJECT_BYTES)")
 
 
+def _check_count(items: Any, where: str, what: str, cap: int, name: str) -> None:
+    if isinstance(items, list) and len(items) > cap:
+        raise ProgramFormatError(f"{where}: {len(items)} {what} exceed the cap of {cap} ({name})")
+
+
 def _target_to_dict(target: ProbeTarget) -> dict[str, Any]:
     out: dict[str, Any]
     if isinstance(target, VarTarget):
@@ -526,6 +539,8 @@ def function_from_dict(raw: Any, where: str) -> FunctionDesc:
                    for i, v in enumerate(raw.get("params", [])))
     locals_ = tuple(_var_from_dict(v, f"{where}.locals[{i}]")
                     for i, v in enumerate(raw.get("locals", [])))
+    _check_count(raw.get("body"), where, "statements", MAX_BODY_STATEMENTS,
+                 "MAX_BODY_STATEMENTS")
     body = tuple(_stmt_from_dict(s, f"{where}.body[{i}]")
                  for i, s in enumerate(raw.get("body", [])))
     sizes: dict[str, int] = {}
@@ -559,6 +574,7 @@ def program_from_dict(raw: Any) -> ProgramDesc:
     _require(isinstance(raw, dict), "program", "document must be an object")
     functions = raw.get("functions")
     _require(isinstance(functions, list), "program", "document needs a 'functions' list")
+    _check_count(functions, "program", "functions", MAX_FUNCTIONS, "MAX_FUNCTIONS")
     fns = tuple(function_from_dict(f, f"functions[{i}]") for i, f in enumerate(functions))
     names = set()
     for fn in fns:

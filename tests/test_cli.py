@@ -14,9 +14,11 @@ from framevault.cli import main
 from framevault.executor import image_map_for
 from framevault.fuzzer import MAX_CHAIN, FuzzConfig, generate_scenario, scenario_to_json
 from framevault.memory import HEAP_BASE, HEAP_LIMIT
-from framevault.program import (MAX_OBJECT_BYTES, MAX_PROBE_BYTES, AbsoluteTarget, Call,
-                                FunctionDesc, ProgramDesc, ProgramFormatError, ReadProbe,
-                                Return, emit, parse)
+from framevault.identity import MAX_IMAGE_MAP_LINES, ImageMapError, load_image_map
+from framevault.program import (MAX_BODY_STATEMENTS, MAX_FUNCTIONS, MAX_OBJECT_BYTES,
+                                MAX_PROBE_BYTES, AbsoluteTarget, Call, FunctionDesc,
+                                ProgramDesc, ProgramFormatError, ReadProbe, Return, emit,
+                                parse)
 
 from support import DEMO_DIR, PWDGEN_MAP, pwdgen_instrumented
 from test_fuzz import (LEAKY_CONFIG, LEAKY_FINDINGS, LEAKY_SEED, faulting_scenario,
@@ -178,6 +180,68 @@ class TestObjectCap:
         program_file.write_text(sized_program("heap_alloc 'size'", MAX_OBJECT_BYTES + 1))
         assert main(["instrument", "--program", str(program_file)]) == 2
         assert "(MAX_OBJECT_BYTES)" in capsys.readouterr().err
+
+
+def counted_program(functions: int, statements: int) -> str:
+    return json.dumps({"functions": [
+        {"name": f"f{i}", "body": [{"op": "return"}] * statements} for i in range(functions)]})
+
+
+def counted_map(lines: int) -> str:
+    return "main 0x401000 0x401100\n" + "# padding\n" * (lines - 1)
+
+
+class TestCountCaps:
+    """Function, statement and image-map line counts are capped when
+    parsing, before anything is built from them."""
+
+    def test_counts_of_exactly_the_caps_parse(self):
+        assert len(parse(counted_program(MAX_FUNCTIONS, 1)).functions) == MAX_FUNCTIONS
+        assert len(parse(counted_program(1, MAX_BODY_STATEMENTS)).functions[0].body) \
+            == MAX_BODY_STATEMENTS
+        assert load_image_map(counted_map(MAX_IMAGE_MAP_LINES)).by_name("main") is not None
+
+    def test_counts_over_the_caps_are_refused_by_name(self):
+        with pytest.raises(ProgramFormatError, match=re.escape(
+                f"program: {MAX_FUNCTIONS + 1} functions exceed the cap of "
+                f"{MAX_FUNCTIONS} (MAX_FUNCTIONS)")):
+            parse(counted_program(MAX_FUNCTIONS + 1, 1))
+        with pytest.raises(ProgramFormatError, match=re.escape(
+                f"functions[0]: {MAX_BODY_STATEMENTS + 1} statements exceed the cap of "
+                f"{MAX_BODY_STATEMENTS} (MAX_BODY_STATEMENTS)")):
+            parse(counted_program(1, MAX_BODY_STATEMENTS + 1))
+        with pytest.raises(ImageMapError, match=re.escape(
+                f"image map: {MAX_IMAGE_MAP_LINES + 1} lines exceed the cap of "
+                f"{MAX_IMAGE_MAP_LINES} (MAX_IMAGE_MAP_LINES)")):
+            load_image_map(counted_map(MAX_IMAGE_MAP_LINES + 1))
+
+    @pytest.mark.parametrize("functions, statements, lines, cap", [
+        (MAX_FUNCTIONS + 1, 1, 1, "MAX_FUNCTIONS"),
+        (1, MAX_BODY_STATEMENTS + 1, 1, "MAX_BODY_STATEMENTS"),
+        (1, 1, MAX_IMAGE_MAP_LINES + 1, "MAX_IMAGE_MAP_LINES"),
+    ])
+    def test_counts_over_the_caps_exit_2(self, tmp_path, capsys, functions, statements,
+                                         lines, cap):
+        program_file, map_file = tmp_path / "counted.json", tmp_path / "counted.map"
+        program_file.write_text(counted_program(functions, statements).replace('"f0"', '"main"'))
+        map_file.write_text(counted_map(lines))
+        assert main(["native", "--program", str(program_file),
+                     "--image-map", str(map_file)]) == 2
+        assert f"({cap})" in capsys.readouterr().err
+
+    def test_an_instrumented_body_over_the_cap_exits_2(self, tmp_path, capsys):
+        # Each untrusted call gains a start_protect and a stop_protect, so a
+        # body within the cap can grow past it; the output must parse again.
+        calls = MAX_BODY_STATEMENTS // 2
+        program_file, untrusted = tmp_path / "calls.json", tmp_path / "untrusted.list"
+        program_file.write_text(json.dumps({"functions": [
+            {"name": "main", "body": [{"op": "call", "callee": "lib"}] * calls},
+            {"name": "lib", "body": [{"op": "return"}]}]}))
+        untrusted.write_text("lib(0)\n")
+        assert main(["instrument", "--program", str(program_file),
+                     "--untrusted-list", str(untrusted)]) == 2
+        assert (f"function 'main': instrumented body of {3 * calls} statements exceeds the "
+                f"cap of {MAX_BODY_STATEMENTS} (MAX_BODY_STATEMENTS)") in capsys.readouterr().err
 
 
 class TestAssignFit:

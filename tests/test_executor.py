@@ -19,7 +19,7 @@ from framevault.executor import (
     run_native,
     secret_bytes_observed,
 )
-from framevault.identity import load_image_map
+from framevault.identity import load_image_map, synthesize_image_map
 from framevault.instrument import instrument, parse_lists
 from framevault.memory import HEAP_BASE, FRAME_METADATA_BYTES
 from framevault.oracle import OracleVault
@@ -43,10 +43,12 @@ from framevault.program import (
     VarDesc,
     VarRef,
     VarTarget,
+    emit,
+    parse,
 )
 from framevault.runtime import ExceptionKind, VaultException, VaultState
 
-from support import pwdgen_instrumented, pwdgen_table, PASSWD
+from support import PWDGEN_MAP, pwdgen_instrumented, pwdgen_table, PASSWD
 
 
 def exception_kinds(report):
@@ -415,3 +417,50 @@ class TestLayout:
         report = run(program, table, "main")
         assert report.clean and report.stats.total == 0
         assert report.observations == [] and report.faults == []
+
+
+class TestCompiledPrograms:
+    """A program is compiled once per identity table and the compile is
+    kept on the program; no run may see another run's state through it."""
+
+    RUNS = (
+        lambda program, table: run_native(program, table, "main"),
+        lambda program, table: run(program, table, "main"),
+        lambda program, table: Executor(program, table, vault_factory=OracleVault).run("main"),
+        lambda program, table: run(program, table, "main"),
+    )
+
+    @staticmethod
+    def spoof_files():
+        program, _ = build_spoof_program([TestSpoofing.FORGED_REGISTER])
+        return emit(program), image_map_for(program)
+
+    @pytest.mark.parametrize("files", [
+        lambda: (emit(pwdgen_instrumented()), PWDGEN_MAP),
+        spoof_files,
+    ], ids=["pwdgen", "spoof"])
+    def test_four_runs_of_one_program_match_runs_of_fresh_programs(self, files):
+        text, image_map = files()
+        program, table = parse(text), load_image_map(image_map)
+        again = [each(program, table) for each in self.RUNS]
+        fresh = [each(parse(text), load_image_map(image_map)) for each in self.RUNS]
+        assert again == fresh
+        assert again[0].mode == "native" and again[0] != again[1]
+
+    def test_each_image_map_gives_the_runtime_its_own_pcs(self):
+        program, forward = build_spoof_program([TestSpoofing.FORGED_REGISTER])
+        backward = load_image_map(synthesize_image_map(
+            [(fn.name, 0x300) for fn in reversed(program.functions)]))
+        assert forward.by_name("lib").lo != backward.by_name("lib").lo
+        for table in (forward, backward, forward, backward):
+            report = run(program, table, "main")
+            # The forged call is lib's first statement, so its pc is the span's first.
+            assert [v.caller_pc for v in report.violations
+                    if isinstance(v, VaultException)] == [table.by_name("lib").lo]
+
+    def test_the_compile_stays_out_of_equality_hashing_and_emit(self):
+        text = emit(pwdgen_instrumented())
+        program = parse(text)
+        run(program, pwdgen_table(), "main")
+        assert program == parse(text) and hash(program) == hash(parse(text))
+        assert emit(program) == text

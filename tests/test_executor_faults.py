@@ -6,13 +6,14 @@ from __future__ import annotations
 import pytest
 
 from framevault import executor
-from framevault.executor import IntegrityBreach, image_map_for, run
+from framevault.executor import IntegrityBreach, image_map_for, run, run_native
 from framevault.identity import load_image_map
 from framevault.memory import (FRAME_METADATA_BYTES, HEAP_CAPACITY, STACK_BASE,
                                STACK_CAPACITY)
 from framevault.program import (AddressRef, Assign, Call, DerefTarget, FunctionDesc,
                                 HeapAlloc, HeapTarget, PointeeRef, ProgramDesc, ReadProbe,
-                                Return, RuntimeCall, ValueArg, VarDesc, VarRef, VarTarget)
+                                Return, RuntimeCall, ValueArg, VarDesc, VarRef, VarTarget,
+                                WriteProbe)
 from framevault.reporting import render_report, report_to_dict
 from framevault.runtime import VaultState
 
@@ -45,6 +46,50 @@ class TestEnterAndBudget:
                           locals=(VarDesc("x", 1),))
         assert report.halted
         assert report.faults == ["statement budget exceeded"]
+
+    def test_runtime_calls_and_returns_cost_one_step_each_in_a_native_run(self, monkeypatch):
+        # Steps: 1 register_stack, 2 write 01, 3 unregister_stack, 4 write 02,
+        # 5 call leaf, 6 leaf's return, 7 write 03, 8 main's return.
+        program = ProgramDesc(functions=(
+            FunctionDesc(name="main", locals=(VarDesc("x", 1),), body=(
+                RuntimeCall(call="register_stack", all=False),
+                WriteProbe(VarTarget("main", "x"), b"\x01"),
+                RuntimeCall(call="unregister_stack"),
+                WriteProbe(VarTarget("main", "x"), b"\x02"),
+                Call("leaf"),
+                WriteProbe(VarTarget("main", "x"), b"\x03"),
+                Return())),
+            FunctionDesc(name="leaf", body=(Return(),))), instrumented=True)
+        table = load_image_map(image_map_for(program))
+        written = {1: [], 2: ["01"], 3: ["01"], 4: ["01", "02"], 5: ["01", "02"],
+                   6: ["01", "02"], 7: ["01", "02", "03"], 8: ["01", "02", "03"]}
+        # The same program and table throughout: each run reads the budget
+        # afresh, whatever the budget was when the program was compiled.
+        for budget in (8, 1, 7, 2, 6, 3, 5, 4):
+            monkeypatch.setattr(executor, "MAX_STATEMENTS", budget)
+            report = run_native(program, table, "main")
+            assert [o.preview for o in report.observations] == written[budget], budget
+            assert report.halted == (budget < 8), budget
+            assert report.faults == (["statement budget exceeded"] if budget < 8 else [])
+
+
+class TestImageMapCoverage:
+    PROGRAM = ProgramDesc(functions=(
+        FunctionDesc(name="main", body=(Call("b"), Return())),
+        FunctionDesc(name="c", body=(Return(),)),
+        FunctionDesc(name="b", body=(Return(),))), instrumented=True)
+    MAIN_ONLY = load_image_map("main 0x401000 0x401100\n")
+
+    def test_uncovered_functions_are_named_in_sorted_order(self):
+        with pytest.raises(ValueError) as err:
+            run(self.PROGRAM, self.MAIN_ONLY, "main")
+        assert str(err.value) == "image map does not cover: b, c"
+
+    def test_an_undescribed_entry_is_reported_before_the_coverage(self):
+        for _ in range(2):  # also once the program has been compiled against the map
+            with pytest.raises(ValueError) as err:
+                run(self.PROGRAM, self.MAIN_ONLY, "absent")
+            assert str(err.value) == "entry function 'absent' not described"
 
 
 class TestHeapAlloc:

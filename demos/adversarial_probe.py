@@ -1,6 +1,6 @@
 """What happens when untrusted code calls the runtime itself.
 
-Two attacks, both detected by the caller-identity and watermark checks:
+Three attacks, all detected by the caller-identity and watermark checks:
 
 1. The intruder invokes register_memory while the victim's window is
    open, hoping to get a region restored with attacker-chosen content.
@@ -12,6 +12,13 @@ Two attacks, both detected by the caller-identity and watermark checks:
    stop_protect now sees more registrations than its window recorded:
    one IndexMismatch, and the window refuses to close (no restore from
    a list the attacker grew).
+
+3. The intruder opens a window of its own inside the victim's window.
+   The victim's stop_protect now meets the intruder's window: one
+   IdentityMismatch. The victim's unregister_stack is refused as well,
+   with IndexMismatch, because its frame registration lies under the
+   open windows that restore from it; the frame stays registered and
+   hidden.
 
 Run with:  python3 demos/adversarial_probe.py
 """
@@ -75,6 +82,18 @@ def main() -> None:
     vault.stop_protect(memory, VICTIM_PC)
     print(f"  windows remaining: {len(vault.protect_list)}, "
           f"new exceptions: {len(vault.exception_log) - 1}")
+
+    print()
+    print("== attack 3: forged start_protect, then the victim's epilogue ==")
+    memory, vault = fresh()
+    vault.start_protect(memory, INTRUDER_PC)
+    print("  intruder opened a window of its own inside the victim's window")
+    before = memory.content_signature()
+    vault.stop_protect(memory, VICTIM_PC)
+    vault.unregister_stack(memory, VICTIM_PC)
+    show_log(vault)
+    print(f"  victim's frame still registered: {len(vault.register_list) == 1}, "
+          f"memory untouched: {memory.content_signature() == before}")
 
 
 if __name__ == "__main__":

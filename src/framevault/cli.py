@@ -27,8 +27,18 @@ _INPUT_ERRORS = (ProgramFormatError, ListParseError, AnnotationError,
                  ImageMapError, OSError, ValueError)
 
 
+# Most bytes any input file may hold; the largest generated input, a
+# benchmark program with a 512 KiB frame, is about 1.4 MB of JSON.
+MAX_INPUT_BYTES = 64 * 1024 * 1024
+
+
 def _read(path: str) -> str:
-    return pathlib.Path(path).read_text()
+    with open(path, "rb") as f:
+        data = f.read(MAX_INPUT_BYTES + 1)
+    if len(data) > MAX_INPUT_BYTES:
+        raise ValueError(f"{path}: input exceeds the cap of {MAX_INPUT_BYTES} bytes "
+                         f"(MAX_INPUT_BYTES)")
+    return data.decode()
 
 
 def _emit(text: str, output: str | None) -> None:

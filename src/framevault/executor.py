@@ -351,30 +351,6 @@ class Executor:
         return victim.frame.top + var[0] + target.offset
 
     # ------------------------------------------------------------------
-    # runtime calls
-
-    def _region_of(self, ctx: _FrameCtx, stmt: RuntimeCall) -> tuple[int, int] | None:
-        ref = stmt.target
-        if isinstance(ref, VarRef):
-            var = ctx.vars.get(ref.var)
-            if var is None:
-                self.faults.append(f"{ctx.func.name}: {stmt.call} names unknown variable "
-                                   f"{ref.var!r}")
-                return None
-            return ctx.frame.top + var[0], (var[1] if stmt.length is None else stmt.length)
-        if isinstance(ref, PointeeRef):
-            var = ctx.vars.get(ref.var)
-            if var is None or stmt.length is None:
-                self.faults.append(f"{ctx.func.name}: {stmt.call} has unresolvable pointee region")
-                return None
-            raw = self.memory.read_bytes(ctx.frame.top + var[0], 8)
-            return int.from_bytes(raw, "little"), stmt.length
-        if isinstance(ref, AddressRef):
-            return ref.addr, stmt.length or 0
-        self.faults.append(f"{ctx.func.name}: {stmt.call} without a region")
-        return None
-
-    # ------------------------------------------------------------------
 
     def _digest(self) -> str:
         h = hashlib.sha256()
@@ -466,9 +442,7 @@ def _runtime_call(ex: Executor, ctx: _FrameCtx, operand: tuple, depth: int) -> N
         return  # a native run makes no runtime call
     action, stmt, pc, key = operand
     ex.provenance_counts[key] = ex.provenance_counts.get(key, 0) + 1
-    before = len(vault.exception_log)
-    action(ex, vault, ctx, stmt, pc)
-    if ex.strict and len(vault.exception_log) > before:
+    if action(ex, vault, ctx, stmt, pc) is not None and ex.strict:
         raise _Halt()
 
 
@@ -477,59 +451,67 @@ _HANDLERS = {Assign: _assign, HeapAlloc: _heap_alloc, Call: _call,
 
 
 # ----------------------------------------------------------------------
-# runtime-call actions: action(executor, vault, ctx, statement, pc)
+# runtime-call actions: action(executor, vault, ctx, statement, pc), each
+# returning the vault's refusal or None
 
 def _register_stack(ex: Executor, vault: VaultState, ctx: _FrameCtx, stmt: RuntimeCall,
-                    pc: int) -> None:
-    vault.register_stack(pc, all=bool(stmt.all),
-                         frame_base=ctx.frame.base, frame_top=ctx.frame.top)
+                    pc: int) -> VaultException | None:
+    return vault.register_stack(pc, all=bool(stmt.all),
+                                frame_base=ctx.frame.base, frame_top=ctx.frame.top)
 
 
-def _register_memory(ex: Executor, vault: VaultState, ctx: _FrameCtx, stmt: RuntimeCall,
-                     pc: int) -> None:
-    _register_region(ex, ctx, stmt, pc, vault.register_memory)
-
-
-def _register_memory_exception(ex: Executor, vault: VaultState, ctx: _FrameCtx,
-                               stmt: RuntimeCall, pc: int) -> None:
-    _register_region(ex, ctx, stmt, pc, vault.register_memory_exception)
-
-
-def _register_region(ex: Executor, ctx: _FrameCtx, stmt: RuntimeCall, pc: int,
-                     register) -> None:
-    region = ex._region_of(ctx, stmt)
-    if region is None:
-        return
-    base, length = region
+def _register_region(ex: Executor, vault: VaultState, ctx: _FrameCtx, stmt: RuntimeCall,
+                     pc: int) -> VaultException | None:
+    """register_memory or register_memory_exception, as the statement says,
+    of the region its operand names."""
+    ref = stmt.target
+    if isinstance(ref, VarRef):
+        var = ctx.vars.get(ref.var)
+        if var is None:
+            ex.faults.append(f"{ctx.func.name}: {stmt.call} names unknown variable {ref.var!r}")
+            return None
+        base, length = ctx.frame.top + var[0], (var[1] if stmt.length is None else stmt.length)
+    elif isinstance(ref, PointeeRef):
+        var = ctx.vars.get(ref.var)
+        if var is None or stmt.length is None:
+            ex.faults.append(f"{ctx.func.name}: {stmt.call} has unresolvable pointee region")
+            return None
+        raw = ex.memory.read_bytes(ctx.frame.top + var[0], 8)
+        base, length = int.from_bytes(raw, "little"), stmt.length
+    elif isinstance(ref, AddressRef):
+        base, length = ref.addr, stmt.length or 0
+    else:
+        ex.faults.append(f"{ctx.func.name}: {stmt.call} without a region")
+        return None
     try:
-        register(pc, base, length, bool(stmt.read_only))
+        return getattr(vault, stmt.call)(pc, base, length, bool(stmt.read_only))
     except ValueError as exc:
         ex.faults.append(f"{ctx.func.name}: {stmt.call}: {exc}")
+        return None
 
 
 def _start_protect(ex: Executor, vault: VaultState, ctx: _FrameCtx, stmt: RuntimeCall,
-                   pc: int) -> None:
+                   pc: int) -> VaultException | None:
     hidden, kept, carve_outs = window_bytes(vault.register_list, vault.watermark(),
                                             len(vault.register_list) - 1)
     integrity = [(addr, ex.memory.read_bytes(addr, length)) for addr, length in kept]
 
-    before = len(vault.protect_list)
-    vault.start_protect(ex.memory, pc)
-    if len(vault.protect_list) > before:
+    refused = vault.start_protect(ex.memory, pc)
+    if refused is None:
         ex._wid += 1
         ex.windows.append(_Window(
             wid=ex._wid, hidden=[(addr, addr + length) for addr, length in hidden],
             integrity=integrity, carve_outs=carve_outs))
+    return refused
 
 
 def _stop_protect(ex: Executor, vault: VaultState, ctx: _FrameCtx, stmt: RuntimeCall,
-                  pc: int) -> None:
+                  pc: int) -> VaultException | None:
     carve_outs = ex.windows[-1].carve_outs if ex.windows else []
     pre_close = [(addr, ex.memory.read_bytes(addr, length)) for addr, length in carve_outs]
-    before = len(vault.protect_list)
-    vault.stop_protect(ex.memory, pc)
-    if len(vault.protect_list) >= before:
-        return  # window still open; nothing was restored
+    refused = vault.stop_protect(ex.memory, pc)
+    if refused is not None:
+        return refused  # window still open; nothing was restored
     window = ex.windows.pop()
     for addr, expected in window.integrity + pre_close:
         actual = ex.memory.read_bytes(addr, len(expected))
@@ -538,15 +520,16 @@ def _stop_protect(ex: Executor, vault: VaultState, ctx: _FrameCtx, stmt: Runtime
             ex.violations.append(IntegrityBreach(
                 window=window.wid, address=addr, length=len(expected),
                 detail=f"first mismatch at byte {delta}"))
+    return None
 
 
 def _unregister_stack(ex: Executor, vault: VaultState, ctx: _FrameCtx, stmt: RuntimeCall,
-                      pc: int) -> None:
-    vault.unregister_stack(ex.memory, pc)
+                      pc: int) -> VaultException | None:
+    return vault.unregister_stack(ex.memory, pc)
 
 
-_RUNTIME_ACTIONS = {"register_stack": _register_stack, "register_memory": _register_memory,
-                    "register_memory_exception": _register_memory_exception,
+_RUNTIME_ACTIONS = {"register_stack": _register_stack, "register_memory": _register_region,
+                    "register_memory_exception": _register_region,
                     "start_protect": _start_protect, "stop_protect": _stop_protect,
                     "unregister_stack": _unregister_stack}
 

@@ -41,8 +41,9 @@ suffix gives the pointee size in bytes (otherwise ``pointee_size`` must).
 Every declared byte size (``size``, ``pointee_size``, the ``_N`` suffix, a
 ``heap_alloc`` size and a ``runtime_call`` ``len``) is at most
 MAX_OBJECT_BYTES, the 1 MiB stack; a ``runtime_call`` ``len`` is also at
-least 0. A document has at most MAX_FUNCTIONS functions, and a body at
-most MAX_BODY_STATEMENTS statements.
+least 0. A document has at most MAX_FUNCTIONS functions, a body at most
+MAX_BODY_STATEMENTS statements, and all bodies together at most
+MAX_PROGRAM_STATEMENTS.
 """
 
 from __future__ import annotations
@@ -65,12 +66,14 @@ MAX_PROBE_BYTES = STACK_CAPACITY
 # description could make the simulator allocate hundreds of MiB.
 MAX_OBJECT_BYTES = STACK_CAPACITY
 
-# Most functions a document may describe and most statements one body may
-# hold, checked before either is parsed. Generated programs stay far below
-# both: benchmark chains have up to 125 functions, fuzzed bodies about 20
-# statements.
+# Most functions a document may describe, most statements one body may
+# hold and most statements all bodies may hold together, checked before
+# any body is parsed. Generated programs stay far below all three:
+# benchmark chains have up to 125 functions and under 900 statements,
+# fuzzed bodies about 20 statements.
 MAX_FUNCTIONS = 1024
 MAX_BODY_STATEMENTS = 1024
+MAX_PROGRAM_STATEMENTS = 65_536
 
 
 class ProgramFormatError(ValueError):
@@ -328,9 +331,13 @@ def _check_cap(size: int | None, where: str, what: str) -> None:
                                  f"{MAX_OBJECT_BYTES} bytes (MAX_OBJECT_BYTES)")
 
 
-def _check_count(items: Any, where: str, what: str, cap: int, name: str) -> None:
-    if isinstance(items, list) and len(items) > cap:
-        raise ProgramFormatError(f"{where}: {len(items)} {what} exceed the cap of {cap} ({name})")
+def _check_count(count: int, where: str, what: str, cap: int, name: str) -> None:
+    if count > cap:
+        raise ProgramFormatError(f"{where}: {count} {what} exceed the cap of {cap} ({name})")
+
+
+def _body_length(raw: Any) -> int:
+    return len(raw["body"]) if isinstance(raw, dict) and isinstance(raw.get("body"), list) else 0
 
 
 def _target_to_dict(target: ProbeTarget) -> dict[str, Any]:
@@ -539,7 +546,7 @@ def function_from_dict(raw: Any, where: str) -> FunctionDesc:
                    for i, v in enumerate(raw.get("params", [])))
     locals_ = tuple(_var_from_dict(v, f"{where}.locals[{i}]")
                     for i, v in enumerate(raw.get("locals", [])))
-    _check_count(raw.get("body"), where, "statements", MAX_BODY_STATEMENTS,
+    _check_count(_body_length(raw), where, "statements", MAX_BODY_STATEMENTS,
                  "MAX_BODY_STATEMENTS")
     body = tuple(_stmt_from_dict(s, f"{where}.body[{i}]")
                  for i, s in enumerate(raw.get("body", [])))
@@ -574,7 +581,9 @@ def program_from_dict(raw: Any) -> ProgramDesc:
     _require(isinstance(raw, dict), "program", "document must be an object")
     functions = raw.get("functions")
     _require(isinstance(functions, list), "program", "document needs a 'functions' list")
-    _check_count(functions, "program", "functions", MAX_FUNCTIONS, "MAX_FUNCTIONS")
+    _check_count(len(functions), "program", "functions", MAX_FUNCTIONS, "MAX_FUNCTIONS")
+    _check_count(sum(map(_body_length, functions)), "program", "statements",
+                 MAX_PROGRAM_STATEMENTS, "MAX_PROGRAM_STATEMENTS")
     fns = tuple(function_from_dict(f, f"functions[{i}]") for i, f in enumerate(functions))
     names = set()
     for fn in fns:

@@ -5,7 +5,9 @@ Every call takes the explicit program-counter value of its caller and
 verifies the caller's identity against the identity table before touching
 any state, so a caller cannot act on another function's registrations.
 Verification failures are logged as exceptions and the offending call
-becomes a no-op; process memory is never mutated by a failed call.
+becomes a no-op; process memory is never mutated by a failed call. Each
+call returns the `VaultException` it logged, or None. No registration an
+open window covers can be removed, so a window restores what it saved.
 """
 
 from __future__ import annotations
@@ -175,22 +177,35 @@ class VaultState:
     # ------------------------------------------------------------------
     # helpers
 
-    def _flag(self, kind: ExceptionKind, syscall: str, caller_pc: int, detail: str) -> None:
-        self.exception_log.append(VaultException(kind, syscall, caller_pc, detail))
+    def _flag(self, kind: ExceptionKind, syscall: str, caller_pc: int,
+              detail: str) -> VaultException:
+        self.exception_log.append(exc := VaultException(kind, syscall, caller_pc, detail))
+        return exc
 
-    def _resolve(self, syscall: str, caller_pc: int) -> int | None:
+    def _resolve(self, syscall: str, caller_pc: int) -> int | VaultException:
         self._calls[syscall] += 1  # each of the six calls passes here exactly once
         fid = self.identity.resolve(caller_pc)
         if fid is None:
-            self._flag(ExceptionKind.UNKNOWN_CALLER, syscall, caller_pc,
-                       f"pc {caller_pc:#x} not inside any function span")
+            return self._flag(ExceptionKind.UNKNOWN_CALLER, syscall, caller_pc,
+                              f"pc {caller_pc:#x} not inside any function span")
         return fid
 
-    def _last_stack_index(self) -> int | None:
-        for i in range(len(self.register_list) - 1, -1, -1):
-            if isinstance(self.register_list[i], StackEntry):
-                return i
-        return None
+    def _latest_frame(self, syscall: str, caller_pc: int,
+                      missing: str) -> tuple[int, StackEntry] | VaultException:
+        """The index and entry of the latest frame registration; the caller must own it."""
+        fid = self._resolve(syscall, caller_pc)
+        if isinstance(fid, VaultException):
+            return fid
+        for idx in range(len(self.register_list) - 1, -1, -1):
+            last = self.register_list[idx]
+            if isinstance(last, StackEntry):
+                if last.owner != fid:
+                    return self._flag(ExceptionKind.IDENTITY_MISMATCH, syscall, caller_pc,
+                                      f"caller {self.identity.name_of(fid)} does not own the "
+                                      f"latest frame registration "
+                                      f"({self.identity.name_of(last.owner)})")
+                return idx, last
+        return self._flag(ExceptionKind.IDENTITY_MISMATCH, syscall, caller_pc, missing)
 
     def watermark(self) -> int:
         """RegisterList length when the innermost open window opened, else 0."""
@@ -204,95 +219,80 @@ class VaultState:
     # registration calls
 
     def register_stack(self, caller_pc: int, all: bool,
-                       frame_base: int, frame_top: int) -> None:
+                       frame_base: int, frame_top: int) -> VaultException | None:
         """Record the caller's own frame; all selects whole-frame protection."""
         fid = self._resolve("register_stack", caller_pc)
-        if fid is None:
-            return
+        if isinstance(fid, VaultException):
+            return fid
         if not (frame_top < frame_base and in_stack(frame_top, frame_base - frame_top)):
             raise ValueError(f"invalid frame bounds [{frame_top:#x}, {frame_base:#x})")
         self.register_list.append(StackEntry(owner=fid, frame_base=frame_base,
                                              frame_top=frame_top, all=all))
+        return None
 
     def _register_object(self, syscall: str, caller_pc: int, base: int,
-                         length: int, read_only: bool) -> None:
-        fid = self._resolve(syscall, caller_pc)
-        if fid is None:
-            return
-        idx = self._last_stack_index()
-        if idx is None:
-            self._flag(ExceptionKind.IDENTITY_MISMATCH, syscall, caller_pc,
-                       "no frame registration to attach to")
-            return
-        last = self.register_list[idx]
-        assert isinstance(last, StackEntry)
-        if last.owner != fid:
-            self._flag(ExceptionKind.IDENTITY_MISMATCH, syscall, caller_pc,
-                       f"caller {self.identity.name_of(fid)} does not own the "
-                       f"latest frame registration ({self.identity.name_of(last.owner)})")
-            return
+                         length: int, read_only: bool) -> VaultException | None:
+        found = self._latest_frame(syscall, caller_pc, "no frame registration to attach to")
+        if isinstance(found, VaultException):
+            return found
+        _, last = found
         if length < 0:
             raise ValueError("negative region length")
         if syscall == "register_memory_exception":
             if not (last.frame_top <= base and base + length <= last.frame_base):
-                self._flag(ExceptionKind.REGION_OUT_OF_FRAME, syscall, caller_pc,
-                           f"region {base:#x}+{length} lies outside the caller frame")
-                return
-            self.register_list.append(MemoryExceptionEntry(owner=fid, base=base,
+                return self._flag(ExceptionKind.REGION_OUT_OF_FRAME, syscall, caller_pc,
+                                  f"region {base:#x}+{length} lies outside the caller frame")
+            self.register_list.append(MemoryExceptionEntry(owner=last.owner, base=base,
                                                            length=length, read_only=read_only))
         else:
             if not (in_stack(base, length) or in_heap(base, length)):
                 raise ValueError(f"region {base:#x}+{length} outside stack and heap")
-            self.register_list.append(MemoryEntry(owner=fid, base=base,
+            self.register_list.append(MemoryEntry(owner=last.owner, base=base,
                                                   length=length, read_only=read_only))
+        return None
 
     def register_memory(self, caller_pc: int, base: int, length: int,
-                        read_only: bool) -> None:
+                        read_only: bool) -> VaultException | None:
         """Record a memory object (frame variable or heap block) for
         save/clear/restore handling around untrusted calls."""
-        self._register_object("register_memory", caller_pc, base, length, read_only)
+        return self._register_object("register_memory", caller_pc, base, length, read_only)
 
     def register_memory_exception(self, caller_pc: int, base: int, length: int,
-                                  read_only: bool) -> None:
+                                  read_only: bool) -> VaultException | None:
         """Record a carve-out that stays usable inside a fully protected
         frame. The region must lie within the caller's registered frame."""
-        self._register_object("register_memory_exception", caller_pc, base, length, read_only)
+        return self._register_object("register_memory_exception", caller_pc, base, length,
+                                     read_only)
 
-    def unregister_stack(self, memory: ProcessMemory, caller_pc: int) -> None:
+    def unregister_stack(self, memory: ProcessMemory, caller_pc: int) -> VaultException | None:
         """Drop the latest frame registration and everything after it,
-        then scrub the frame so no stale data survives the return."""
-        fid = self._resolve("unregister_stack", caller_pc)
-        if fid is None:
-            return
-        idx = self._last_stack_index()
-        if idx is None:
-            self._flag(ExceptionKind.IDENTITY_MISMATCH, "unregister_stack", caller_pc,
-                       "no frame registration to remove")
-            return
-        last = self.register_list[idx]
-        assert isinstance(last, StackEntry)
-        if last.owner != fid:
-            self._flag(ExceptionKind.IDENTITY_MISMATCH, "unregister_stack", caller_pc,
-                       f"caller {self.identity.name_of(fid)} does not own the "
-                       f"latest frame registration ({self.identity.name_of(last.owner)})")
-            return
+        then scrub the frame so no stale data survives the return. One
+        below the open window's watermark stays: the window restores it."""
+        found = self._latest_frame("unregister_stack", caller_pc,
+                                   "no frame registration to remove")
+        if isinstance(found, VaultException):
+            return found
+        idx, last = found
+        if idx < self.watermark():
+            return self._flag(ExceptionKind.INDEX_MISMATCH, "unregister_stack", caller_pc,
+                              f"frame registration {idx} lies below the open window's "
+                              f"watermark {self.watermark()}")
         del self.register_list[idx:]
         self._clear(memory, last.frame_top, last.frame_size)
+        return None
 
     # ------------------------------------------------------------------
     # protection windows
 
-    def start_protect(self, memory: ProcessMemory, caller_pc: int) -> None:
+    def start_protect(self, memory: ProcessMemory, caller_pc: int) -> VaultException | None:
         """Open a protection window covering every registration made since
         the enclosing window opened (or since the beginning)."""
         fid = self._resolve("start_protect", caller_pc)
-        if fid is None:
-            return
+        if isinstance(fid, VaultException):
+            return fid
         self._open_window(memory, self.watermark(), len(self.register_list) - 1)
         self.protect_list.append(ProtectEntry(caller=fid, register_index=len(self.register_list)))
-        if len(self.protect_list) >= 2 and (self.protect_list[-1].register_index
-                                            < self.protect_list[-2].register_index):
-            self.diagnostics.append("protection windows opened out of registration order")
+        return None
 
     def _open_window(self, memory: ProcessMemory, start: int, end: int) -> None:
         """Save everything in [start, end], then hide it in fixed phases:
@@ -324,7 +324,7 @@ class VaultState:
             if isinstance(entry, MemoryEntry) and not entry.read_only:
                 self._clear(memory, entry.base, entry.length)
 
-    def stop_protect(self, memory: ProcessMemory, caller_pc: int) -> None:
+    def stop_protect(self, memory: ProcessMemory, caller_pc: int) -> VaultException | None:
         """Close the innermost protection window and restore saved data.
 
         The caller must be the function that opened the window, and the
@@ -332,26 +332,24 @@ class VaultState:
         open and nothing is restored.
         """
         fid = self._resolve("stop_protect", caller_pc)
-        if fid is None:
-            return
+        if isinstance(fid, VaultException):
+            return fid
         if not self.protect_list:
-            self._flag(ExceptionKind.IDENTITY_MISMATCH, "stop_protect", caller_pc,
-                       "no protection window is open")
-            return
+            return self._flag(ExceptionKind.IDENTITY_MISMATCH, "stop_protect", caller_pc,
+                              "no protection window is open")
         top = self.protect_list[-1]
         if top.caller != fid:
-            self._flag(ExceptionKind.IDENTITY_MISMATCH, "stop_protect", caller_pc,
-                       f"window opened by {self.identity.name_of(top.caller)}, "
-                       f"closed by {self.identity.name_of(fid)}")
-            return
+            return self._flag(ExceptionKind.IDENTITY_MISMATCH, "stop_protect", caller_pc,
+                              f"window opened by {self.identity.name_of(top.caller)}, "
+                              f"closed by {self.identity.name_of(fid)}")
         if len(self.register_list) != top.register_index:
-            self._flag(ExceptionKind.INDEX_MISMATCH, "stop_protect", caller_pc,
-                       f"RegisterList grew from {top.register_index} to "
-                       f"{len(self.register_list)} inside the window")
-            return
+            return self._flag(ExceptionKind.INDEX_MISMATCH, "stop_protect", caller_pc,
+                              f"RegisterList grew from {top.register_index} to "
+                              f"{len(self.register_list)} inside the window")
 
         self.protect_list.pop()
         self._close_window(memory, self.watermark(), len(self.register_list) - 1)
+        return None
 
     def _close_window(self, memory: ProcessMemory, start: int, end: int) -> None:
         """Write every saved image in [start, end] back, then the carve-outs
@@ -372,10 +370,6 @@ class VaultState:
                     self.diagnostics.append("carve-out with no enclosing frame in window")
             elif isinstance(entry, StackEntry) and not entry.all:
                 continue
-            elif entry.save_record is None:
-                self.diagnostics.append("frame registered all=True has no saved image"
-                                        if isinstance(entry, StackEntry)
-                                        else "memory object has no saved image")
             else:
                 addr = entry.frame_top if isinstance(entry, StackEntry) else entry.base
                 memory.write_bytes(addr, self.save_buffer.consume(entry.save_record))

@@ -10,15 +10,16 @@ import sys
 
 import pytest
 
+from framevault import cli
 from framevault.cli import main
 from framevault.executor import image_map_for
 from framevault.fuzzer import MAX_CHAIN, FuzzConfig, generate_scenario, scenario_to_json
 from framevault.memory import HEAP_BASE, HEAP_LIMIT
 from framevault.identity import MAX_IMAGE_MAP_LINES, ImageMapError, load_image_map
 from framevault.program import (MAX_BODY_STATEMENTS, MAX_FUNCTIONS, MAX_OBJECT_BYTES,
-                                MAX_PROBE_BYTES, AbsoluteTarget, Call, FunctionDesc,
-                                ProgramDesc, ProgramFormatError, ReadProbe, Return, emit,
-                                parse)
+                                MAX_PROBE_BYTES, MAX_PROGRAM_STATEMENTS, AbsoluteTarget, Call,
+                                FunctionDesc, ProgramDesc, ProgramFormatError, ReadProbe,
+                                Return, emit, parse)
 
 from support import DEMO_DIR, PWDGEN_MAP, pwdgen_instrumented
 from test_fuzz import (LEAKY_CONFIG, LEAKY_FINDINGS, LEAKY_SEED, faulting_scenario,
@@ -182,9 +183,15 @@ class TestObjectCap:
         assert "(MAX_OBJECT_BYTES)" in capsys.readouterr().err
 
 
-def counted_program(functions: int, statements: int) -> str:
+def counted_program(functions: int, statements: int, extra: int = 0) -> str:
+    """`functions` bodies of `statements` returns, plus one of `extra`."""
+    bodies = [statements] * functions + ([extra] if extra else [])
     return json.dumps({"functions": [
-        {"name": f"f{i}", "body": [{"op": "return"}] * statements} for i in range(functions)]})
+        {"name": f"f{i}", "body": [{"op": "return"}] * n} for i, n in enumerate(bodies)]})
+
+
+# Full bodies that fill the statement cap exactly.
+FULL_BODIES = MAX_PROGRAM_STATEMENTS // MAX_BODY_STATEMENTS
 
 
 def counted_map(lines: int) -> str:
@@ -199,6 +206,8 @@ class TestCountCaps:
         assert len(parse(counted_program(MAX_FUNCTIONS, 1)).functions) == MAX_FUNCTIONS
         assert len(parse(counted_program(1, MAX_BODY_STATEMENTS)).functions[0].body) \
             == MAX_BODY_STATEMENTS
+        assert sum(len(fn.body) for fn in parse(counted_program(
+            FULL_BODIES, MAX_BODY_STATEMENTS)).functions) == MAX_PROGRAM_STATEMENTS
         assert load_image_map(counted_map(MAX_IMAGE_MAP_LINES)).by_name("main") is not None
 
     def test_counts_over_the_caps_are_refused_by_name(self):
@@ -210,6 +219,10 @@ class TestCountCaps:
                 f"functions[0]: {MAX_BODY_STATEMENTS + 1} statements exceed the cap of "
                 f"{MAX_BODY_STATEMENTS} (MAX_BODY_STATEMENTS)")):
             parse(counted_program(1, MAX_BODY_STATEMENTS + 1))
+        with pytest.raises(ProgramFormatError, match=re.escape(
+                f"program: {MAX_PROGRAM_STATEMENTS + 1} statements exceed the cap of "
+                f"{MAX_PROGRAM_STATEMENTS} (MAX_PROGRAM_STATEMENTS)")):
+            parse(counted_program(FULL_BODIES, MAX_BODY_STATEMENTS, extra=1))
         with pytest.raises(ImageMapError, match=re.escape(
                 f"image map: {MAX_IMAGE_MAP_LINES + 1} lines exceed the cap of "
                 f"{MAX_IMAGE_MAP_LINES} (MAX_IMAGE_MAP_LINES)")):
@@ -229,6 +242,15 @@ class TestCountCaps:
                      "--image-map", str(map_file)]) == 2
         assert f"({cap})" in capsys.readouterr().err
 
+    def test_statements_one_over_the_program_cap_exit_2(self, tmp_path, capsys):
+        program_file, map_file = tmp_path / "counted.json", tmp_path / "counted.map"
+        program_file.write_text(counted_program(FULL_BODIES, MAX_BODY_STATEMENTS, extra=1)
+                                .replace('"f0"', '"main"'))
+        map_file.write_text(counted_map(1))
+        assert main(["native", "--program", str(program_file),
+                     "--image-map", str(map_file)]) == 2
+        assert "(MAX_PROGRAM_STATEMENTS)" in capsys.readouterr().err
+
     def test_an_instrumented_body_over_the_cap_exits_2(self, tmp_path, capsys):
         # Each untrusted call gains a start_protect and a stop_protect, so a
         # body within the cap can grow past it; the output must parse again.
@@ -242,6 +264,29 @@ class TestCountCaps:
                      "--untrusted-list", str(untrusted)]) == 2
         assert (f"function 'main': instrumented body of {3 * calls} statements exceeds the "
                 f"cap of {MAX_BODY_STATEMENTS} (MAX_BODY_STATEMENTS)") in capsys.readouterr().err
+
+
+class TestByteCap:
+    """Every input file is read up to MAX_INPUT_BYTES and refused past it.
+    The cap is lowered to the demo program's size, so the files stay small."""
+
+    @pytest.mark.parametrize("which", ["--program", "--image-map"])
+    def test_an_input_of_the_cap_is_read_and_one_byte_more_exits_2(self, tmp_path, capsys,
+                                                                   monkeypatch, which):
+        program = (DEMO_DIR / "program.json").read_bytes()
+        monkeypatch.setattr(cli, "MAX_INPUT_BYTES", len(program))
+        assert len(PWDGEN_MAP) < len(program)
+        files = {"--program": tmp_path / "program.json", "--image-map": tmp_path / "image.map"}
+        files["--program"].write_bytes(program)
+        files["--image-map"].write_text(PWDGEN_MAP.ljust(len(program) - 1) + "\n")
+        paths = [arg for flag, path in files.items() for arg in (flag, str(path))]
+        assert main(["native", *paths, "-o", str(tmp_path / "out.txt")]) == 0
+        with files[which].open("ab") as f:
+            f.write(b" ")
+        assert main(["native", *paths, "-o", str(tmp_path / "out.txt")]) == 2
+        assert capsys.readouterr().err == (
+            f"framevault: error: {files[which]}: input exceeds the cap of {len(program)} "
+            f"bytes (MAX_INPUT_BYTES)\n")
 
 
 class TestAssignFit:

@@ -43,6 +43,7 @@ from framevault.program import (
     VarDesc,
     VarRef,
     VarTarget,
+    WriteProbe,
     emit,
     parse,
 )
@@ -139,6 +140,14 @@ class TestSpoofing:
         assert report.halted
         # The probe behind the forged call never executes.
         assert report.observations == []
+
+    @pytest.mark.parametrize("call", ["stop_protect", "unregister_stack"])
+    def test_strict_mode_halts_at_any_refused_call(self, call):
+        program, table = build_spoof_program([RuntimeCall(call=call)])
+        report = Executor(program, table, strict=True).run("main")
+        assert report.halted and report.observations == []
+        assert [(v.kind, v.syscall) for v in report.violations] == [
+            (ExceptionKind.IDENTITY_MISMATCH, call)]
 
     def test_forged_stop_protect_cannot_close_the_window(self):
         forged_stop = RuntimeCall(call="stop_protect")
@@ -379,6 +388,30 @@ class TestLeakDetection:
                        if b and any(addr + i in s for s in sets))
         ranges = [(base, base + length) for hidden in windows for base, length in hidden]
         assert hidden_nonzero(data, addr, ranges) == expected
+
+
+class TestWriteSensitive:
+    @pytest.mark.xfail(strict=True, reason="the whole-frame carve-out keeps the callee's write: "
+                       "nothing reads MemoryExceptionEntry.read_only")
+    def test_callee_write_is_reverted_in_both_modes(self):
+        # `buf` is write_sensitive: untrusted code may read it but not
+        # change it, so `peek`, in the next window, must see `f`'s value.
+        value = bytes(range(0x41, 0x51))
+        for sensitivity in (Sensitivity.FINEGRAINED, Sensitivity.ALL):
+            program = instrument(ProgramDesc(functions=(
+                FunctionDesc(name="main", body=(Call("f"), Return())),
+                FunctionDesc(name="f", sensitivity=sensitivity, locals=(VarDesc(
+                    "buf", 16, annotation=Annotation(AnnotationKind.WRITE_SENSITIVE)),),
+                    body=(Assign("buf", value), Call("lib"), Call("peek"), Return())),
+                FunctionDesc(name="lib", body=(
+                    ReadProbe(VarTarget("f", "buf"), 16),
+                    WriteProbe(VarTarget("f", "buf"), b"\xee" * 16), Return())),
+                FunctionDesc(name="peek", body=(ReadProbe(VarTarget("f", "buf"), 16), Return())),
+            )), *parse_lists("lib\npeek\n", ""))
+            report = run(program, load_image_map(image_map_for(program)), "main")
+            seen = [(o.function, o.kind, o.preview) for o in report.observations]
+            assert seen == [("lib", "read", value.hex()), ("lib", "write", "ee" * 16),
+                            ("peek", "read", value.hex())], sensitivity
 
 
 class TestOracleEquivalence:

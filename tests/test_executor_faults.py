@@ -1,19 +1,25 @@
-"""The executor's fault paths, each pinned to its exact message, and the
-integrity verdict from detection through both report renderings."""
+"""The executor's fault paths, each pinned to its exact message, the
+integrity verdict from detection through both report renderings, and a
+forged window that must not expose a later window's secret."""
 
 from __future__ import annotations
+
+import dataclasses
 
 import pytest
 
 from framevault import executor
-from framevault.executor import IntegrityBreach, image_map_for, run, run_native
+from framevault.executor import (IntegrityBreach, image_map_for, run, run_native,
+                                 secret_bytes_observed)
 from framevault.identity import load_image_map
+from framevault.instrument import instrument, parse_lists
 from framevault.memory import (FRAME_METADATA_BYTES, HEAP_CAPACITY, STACK_BASE,
                                STACK_CAPACITY)
 from framevault.program import (AddressRef, Assign, Call, DerefTarget, FunctionDesc,
                                 HeapAlloc, HeapTarget, PointeeRef, ProgramDesc, ReadProbe,
                                 Return, RuntimeCall, ValueArg, VarDesc, VarRef, VarTarget,
                                 WriteProbe)
+from framevault.oracle import OracleVault
 from framevault.reporting import render_report, report_to_dict
 from framevault.runtime import VaultState
 
@@ -172,3 +178,44 @@ def test_unrestored_window_is_an_integrity_breach_in_every_rendering():
     assert report_to_dict(report)["violations"] == [
         {"type": "integrity", "window": w, "addr": a, "len": n, "detail": d}
         for w, a, n, d in expected]
+
+
+def forged_window_program() -> ProgramDesc:
+    """`main` calls `victim`, then `mid`, which calls `w2`. `victim` and
+    `w2` are whole-frame sensitive and each calls one untrusted lib: `lib0`
+    forges a `start_protect`, `lib1` reads all of `w2`'s secret. `mid`'s
+    64-byte local puts `w2`'s frame off `victim`'s old stack range, so the
+    executor window left open over `victim` cannot catch the read."""
+    secret = bytes(range(1, 33))
+    program = instrument(ProgramDesc(functions=(
+        FunctionDesc(name="main", body=(Call("victim"), Call("mid"), Return())),
+        FunctionDesc(name="victim", locals=(VarDesc("s", 32),),
+                     body=(Assign("s", secret), Call("lib0"), Return())),
+        FunctionDesc(name="lib0", body=(Return(),)),
+        FunctionDesc(name="mid", locals=(VarDesc("pad", 64),), body=(Call("w2"), Return())),
+        FunctionDesc(name="w2", locals=(VarDesc("s", 32),),
+                     body=(Assign("s", secret), Call("lib1"), Return())),
+        FunctionDesc(name="lib1", body=(ReadProbe(VarTarget("w2", "s"), 32), Return())),
+    )), *parse_lists("lib0\nlib1", "victim\nw2"))
+    forged = RuntimeCall(call="start_protect")
+    return ProgramDesc(functions=tuple(
+        dataclasses.replace(fn, body=(forged, *fn.body)) if fn.name == "lib0" else fn
+        for fn in program.functions), instrumented=True)
+
+
+@pytest.mark.parametrize("vault_factory", [VaultState, OracleVault])
+def test_a_forged_window_exposes_no_later_secret(vault_factory):
+    # The victim's stop_protect is refused (lib0's window is on top), so its
+    # unregister_stack is refused too: its registration stays under the
+    # open windows, and w2's window opens above it and hides w2's frame.
+    program = forged_window_program()
+    report = run(program, load_image_map(image_map_for(program)), "main",
+                 vault_factory=vault_factory)
+    assert secret_bytes_observed(report) == 0
+    lines = render_report(report).splitlines()
+    first = lines.index("violations: 2") + 1
+    assert lines[first:lines.index("faults: 0")] == [
+        "  exception  IdentityMismatch  stop_protect  pc 0x401104  "
+        "window opened by lib0, closed by victim",
+        "  exception  IndexMismatch  unregister_stack  pc 0x401105  "
+        "frame registration 0 lies below the open window's watermark 1"]

@@ -34,16 +34,14 @@ def make_state(vault_cls=VaultState):
     return ProcessMemory(), vault_cls(table)
 
 
-def run_both(ops, skip_windowed_unregister=True):
+def run_both(ops):
     """Apply ops to a VaultState and an OracleVault over the same memory
     layout, asserting equal memory after every op; return both vaults.
 
     The layout: a 64-byte frame, a 32-byte frame and a 32-byte heap object,
     each holding its own non-zero pattern. Ops are the six runtime calls,
     with regions given as (block, offset, length), plus ("write", region,
-    byte) for a write by whoever runs at that point. With
-    skip_windowed_unregister, an unregister_stack that would drop
-    registrations an open window covers is skipped on both sides.
+    byte) for a write by whoever runs at that point.
     """
     runs = []
     for vault_cls in (VaultState, OracleVault):
@@ -66,9 +64,6 @@ def run_both(ops, skip_windowed_unregister=True):
 
     for op in ops:
         name, *args = op
-        if (name == "unregister_stack" and skip_windowed_unregister
-                and drops_windowed_registrations(runs[0][1], args[0])):
-            continue
         for memory, vault, frames, blocks in runs:
             if name == "register_stack":
                 pc, index, all_ = args
@@ -84,15 +79,6 @@ def run_both(ops, skip_windowed_unregister=True):
                 getattr(vault, name)(memory, args[0])
         assert runs[0][0].content_signature() == runs[1][0].content_signature(), op
     return runs[0][1], runs[1][1]
-
-
-def drops_windowed_registrations(vault, caller_pc):
-    """Would unregister_stack(caller_pc) succeed and remove registrations
-    that an open window covers?"""
-    frames = [i for i, e in enumerate(vault.register_list) if isinstance(e, StackEntry)]
-    return (bool(vault.protect_list) and bool(frames)
-            and frames[-1] < vault.protect_list[-1].register_index
-            and vault.register_list[frames[-1]].owner == vault.identity.resolve(caller_pc))
 
 
 # Calls come in rounds: a few registrations, start_protect, a few writes
@@ -348,6 +334,42 @@ class TestUnregister:
         vault.unregister_stack(memory, VPC)
         assert [e.kind for e in vault.exception_log] == [ExceptionKind.IDENTITY_MISMATCH]
 
+    def test_unregister_under_an_open_window_is_refused(self):
+        memory, vault = make_state()
+        frame = memory.push_frame(0, 32)
+        memory.write_bytes(frame.top, FRAME_PATTERN[:32])
+        vault.register_stack(VPC, all=True, frame_base=frame.base, frame_top=frame.top)
+        vault.start_protect(memory, VPC)
+        refused = vault.unregister_stack(memory, VPC)
+        assert vault.exception_log == [refused]
+        assert refused.kind is ExceptionKind.INDEX_MISMATCH
+        assert refused.detail == "frame registration 0 lies below the open window's watermark 1"
+        assert len(vault.register_list) == 1
+        assert memory.read_bytes(frame.top, 32) == bytes(32)  # still hidden
+        # A second window opens at the same watermark, not below it.
+        vault.start_protect(memory, VPC)
+        assert [w.register_index for w in vault.protect_list] == [1, 1]
+        assert vault.diagnostics == []
+
+    def test_unregister_and_register_again_leave_the_window_unclosable(self):
+        memory, vault = make_state()
+        frame = memory.push_frame(0, 32)
+        memory.write_bytes(frame.top, FRAME_PATTERN[:32])
+        vault.register_stack(VPC, all=True, frame_base=frame.base, frame_top=frame.top)
+        vault.start_protect(memory, VPC)
+        vault.unregister_stack(memory, VPC)
+        vault.register_stack(VPC, all=True, frame_base=frame.base, frame_top=frame.top)
+        memory.write_bytes(frame.top, b"\x33" * 4)
+        vault.stop_protect(memory, VPC)
+        assert [(e.kind, e.syscall, e.detail) for e in vault.exception_log] == [
+            (ExceptionKind.INDEX_MISMATCH, "unregister_stack",
+             "frame registration 0 lies below the open window's watermark 1"),
+            (ExceptionKind.INDEX_MISMATCH, "stop_protect",
+             "RegisterList grew from 1 to 2 inside the window")]
+        assert len(vault.register_list) == 2 and len(vault.protect_list) == 1
+        assert memory.read_bytes(frame.top, 32) == b"\x33" * 4 + bytes(28)  # still hidden
+        assert vault.diagnostics == []
+
 
 class TestSaveBuffer:
     def test_records_are_read_exactly_once(self):
@@ -369,33 +391,6 @@ class TestSaveBuffer:
 
 
 class TestDiagnostics:
-    def test_out_of_registration_order_windows_are_noted(self):
-        memory, vault = make_state()
-        frame = memory.push_frame(0, 32)
-        vault.register_stack(VPC, all=True, frame_base=frame.base, frame_top=frame.top)
-        vault.start_protect(memory, VPC)
-        vault.unregister_stack(memory, VPC)  # empties the list mid-window
-        vault.start_protect(memory, VPC)
-        assert any("out of registration order" in d for d in vault.diagnostics)
-
-    def test_frame_registered_inside_the_window_has_no_saved_image(self):
-        memory, vault = make_state()
-        frame = memory.push_frame(0, 32)
-        memory.write_bytes(frame.top, FRAME_PATTERN[:32])
-        vault.register_stack(VPC, all=True, frame_base=frame.base, frame_top=frame.top)
-        vault.start_protect(memory, VPC)
-        # Unregister (which scrubs the frame) and register it again, so the
-        # RegisterList is back at the window's watermark and the close is
-        # accepted, but the new registration was never saved.
-        vault.unregister_stack(memory, VPC)
-        vault.register_stack(VPC, all=True, frame_base=frame.base, frame_top=frame.top)
-        memory.write_bytes(frame.top, b"\x33" * 4)
-        vault.stop_protect(memory, VPC)
-        assert vault.exception_log == []
-        assert vault.diagnostics == ["frame registered all=True has no saved image"]
-        assert memory.read_bytes(frame.top, 32) == b"\x33" * 4 + bytes(28)
-        assert not vault.save_buffer.all_consumed()
-
     def test_carve_out_opened_alone_has_no_enclosing_frame(self):
         memory, vault = make_state()
         frame = memory.push_frame(0, 32)
@@ -519,10 +514,11 @@ class TestOracleEquivalence:
         assert ([e.kind for e in runtime.exception_log]
                 == [e.kind for e in oracle.exception_log])
 
-    @pytest.mark.xfail(strict=True, reason="a frame unregistered and registered again inside "
-                       "an open window is left as the callee left it by the runtime but "
-                       "restored by the oracle (ROADMAP item 1)")
     def test_frame_registered_again_inside_an_open_window(self):
-        run_both([("register_stack", VPC, 0, True), ("start_protect", VPC),
-                  ("unregister_stack", VPC), ("register_stack", VPC, 0, True),
-                  ("stop_protect", VPC)], skip_windowed_unregister=False)
+        vaults = run_both([("register_stack", VPC, 0, True), ("start_protect", VPC),
+                           ("unregister_stack", VPC), ("register_stack", VPC, 0, True),
+                           ("stop_protect", VPC)])
+        for vault in vaults:
+            assert [(e.kind, e.syscall) for e in vault.exception_log] == [
+                (ExceptionKind.INDEX_MISMATCH, "unregister_stack"),
+                (ExceptionKind.INDEX_MISMATCH, "stop_protect")]

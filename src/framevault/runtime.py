@@ -1,5 +1,5 @@
 """Protection runtime: registration lists, protection windows, the save
-buffer, and the six runtime calls.
+buffer (a stack of saved images), and the six runtime calls.
 
 Every call takes the explicit program-counter value of its caller and
 verifies the caller's identity against the identity table before touching
@@ -47,7 +47,6 @@ class StackEntry:
     frame_base: int
     frame_top: int
     all: bool
-    save_record: int | None = None
 
     @property
     def frame_size(self) -> int:
@@ -63,7 +62,6 @@ class MemoryEntry:
     base: int
     length: int
     read_only: bool
-    save_record: int | None = None
 
 
 @dataclass
@@ -87,38 +85,26 @@ class ProtectEntry:
     register_index: int  # first free RegisterList slot when the window opened
 
 
-@dataclass
-class SaveRecord:
-    data: bytes | None
-    consumed: bool = False
-
-
 class SaveBuffer:
-    """Append-only store of saved byte images. Each record is read back
-    exactly once; its storage is released on that read."""
+    """Stack of saved byte images. Windows close innermost first, so
+    images come back last in, first out; popping an image releases it."""
 
     def __init__(self) -> None:
-        self.records: list[SaveRecord] = []
+        self.images: list[bytes] = []
         self.bytes_produced = 0
         self.bytes_released = 0
 
-    def append(self, data: bytes) -> int:
-        self.records.append(SaveRecord(data=data))
+    def push(self, data: bytes) -> None:
+        self.images.append(data)
         self.bytes_produced += len(data)
-        return len(self.records) - 1
 
-    def consume(self, record_id: int) -> bytes:
-        rec = self.records[record_id]
-        if rec.consumed or rec.data is None:
-            raise RuntimeError(f"save record {record_id} consumed twice")
-        data = rec.data
-        rec.data = None
-        rec.consumed = True
+    def pop(self) -> bytes:
+        data = self.images.pop()
         self.bytes_released += len(data)
         return data
 
     def all_consumed(self) -> bool:
-        return all(r.consumed for r in self.records)
+        return not self.images
 
 
 @dataclass
@@ -295,31 +281,31 @@ class VaultState:
         return None
 
     def _open_window(self, memory: ProcessMemory, start: int, end: int) -> None:
-        """Save everything in [start, end], then hide it in fixed phases:
-        zero the all=True frames, copy the carve-outs back from their saved
-        images, and zero the writable objects last, so a carve-out never
-        shows a byte that an object hides. Registration order plays no part.
+        """Push an image of every all=True frame and object in [start, end]
+        in registration order, then of every carve-out. Then hide in fixed
+        phases: zero the frames, pop the carve-outs back into place, and
+        zero the writable objects last, so a carve-out never shows a byte
+        that an object hides.
         """
         entries = self.register_list[start:end + 1]
-        carve_outs: list[tuple[int, int]] = []  # (base, save record)
+        push = self.save_buffer.push
+        carve_outs: list[MemoryExceptionEntry] = []
         for entry in entries:
             if isinstance(entry, StackEntry):
-                if not entry.all:
-                    continue
-                addr, length = entry.frame_top, entry.frame_size
+                if entry.all:
+                    push(memory.read_bytes(entry.frame_top, entry.frame_size))
+            elif isinstance(entry, MemoryEntry):
+                push(memory.read_bytes(entry.base, entry.length))
             else:
-                addr, length = entry.base, entry.length
-            record = self.save_buffer.append(memory.read_bytes(addr, length))
-            if isinstance(entry, MemoryExceptionEntry):
-                carve_outs.append((addr, record))
-            else:
-                entry.save_record = record
+                carve_outs.append(entry)
+        for carve_out in carve_outs:
+            push(memory.read_bytes(carve_out.base, carve_out.length))
 
         for entry in entries:
             if isinstance(entry, StackEntry) and entry.all:
                 self._clear(memory, entry.frame_top, entry.frame_size)
-        for addr, record in carve_outs:
-            memory.write_bytes(addr, self.save_buffer.consume(record))
+        for carve_out in reversed(carve_outs):
+            memory.write_bytes(carve_out.base, self.save_buffer.pop())
         for entry in entries:
             if isinstance(entry, MemoryEntry) and not entry.read_only:
                 self._clear(memory, entry.base, entry.length)
@@ -352,8 +338,8 @@ class VaultState:
         return None
 
     def _close_window(self, memory: ProcessMemory, start: int, end: int) -> None:
-        """Write every saved image in [start, end] back, then the carve-outs
-        as the callee left them.
+        """Pop every image in [start, end] back in reverse registration
+        order, then write the carve-outs back as the callee left them.
 
         _open_window takes every image before it clears anything, so
         overlapping images hold the same bytes and their order does not
@@ -364,15 +350,15 @@ class VaultState:
                       if isinstance(e, MemoryExceptionEntry)]
         first_frame = next((i for i, e in enumerate(entries) if isinstance(e, StackEntry)),
                            len(entries))
-        for i, entry in enumerate(entries):
-            if isinstance(entry, MemoryExceptionEntry):
-                if i < first_frame:
-                    self.diagnostics.append("carve-out with no enclosing frame in window")
-            elif isinstance(entry, StackEntry) and not entry.all:
-                continue
-            else:
-                addr = entry.frame_top if isinstance(entry, StackEntry) else entry.base
-                memory.write_bytes(addr, self.save_buffer.consume(entry.save_record))
-                entry.save_record = None
+        pop = self.save_buffer.pop
+        for i in range(len(entries) - 1, -1, -1):
+            entry = entries[i]
+            if isinstance(entry, StackEntry):
+                if entry.all:
+                    memory.write_bytes(entry.frame_top, pop())
+            elif isinstance(entry, MemoryEntry):
+                memory.write_bytes(entry.base, pop())
+            elif i < first_frame:
+                self.diagnostics.append("carve-out with no enclosing frame in window")
         for addr, data in carve_outs:
             memory.write_bytes(addr, data)

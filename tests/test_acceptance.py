@@ -324,15 +324,37 @@ def test_criterion_6_adversarial_detection():
 # 7. read-exactly-once storage accounting
 
 
+class _DepthCheckingVault(VaultState):
+    """Records the save-buffer depth each window opens at and closes to."""
+
+    def __init__(self, identity):
+        super().__init__(identity)
+        self.windows: list[tuple[int, int]] = []
+        self._opened_at: list[int] = []
+
+    def _open_window(self, memory, start, end):
+        self._opened_at.append(len(self.save_buffer.images))
+        super()._open_window(memory, start, end)
+
+    def _close_window(self, memory, start, end):
+        super()._close_window(memory, start, end)
+        self.windows.append((self._opened_at.pop(), len(self.save_buffer.images)))
+
+
 def test_criterion_7_read_exactly_once(campaign, scenario_sample):
     assert campaign.findings == []
+    closed = 0
     for scenario in scenario_sample:
-        executor, _ = execute(scenario)
-        buf = executor.vault.save_buffer
-        assert all(record.consumed for record in buf.records)
-        assert all(record.data is None for record in buf.records)
+        executor, _ = execute(scenario, vault_factory=_DepthCheckingVault)
+        vault = executor.vault
+        # Each window pops exactly the images it pushed, innermost first.
+        assert all(opened == closed_to for opened, closed_to in vault.windows)
+        closed += len(vault.windows)
+        buf = vault.save_buffer
+        assert buf.images == []
         assert buf.all_consumed()
         assert buf.bytes_released == buf.bytes_produced
+    assert closed > len(scenario_sample)
 
 
 # ----------------------------------------------------------------------

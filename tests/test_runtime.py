@@ -372,21 +372,24 @@ class TestUnregister:
 
 
 class TestSaveBuffer:
-    def test_records_are_read_exactly_once(self):
+    def test_images_pop_last_in_first_out(self):
         buf = SaveBuffer()
-        rid = buf.append(b"\x01\x02\x03")
-        assert buf.consume(rid) == b"\x01\x02\x03"
-        with pytest.raises(RuntimeError):
-            buf.consume(rid)
+        buf.push(b"\x01\x02\x03")
+        buf.push(b"\x04")
+        assert buf.pop() == b"\x04"
+        assert buf.pop() == b"\x01\x02\x03"
+        with pytest.raises(IndexError):
+            buf.pop()
 
     def test_byte_accounting(self):
         buf = SaveBuffer()
-        a = buf.append(b"\x01" * 10)
-        b = buf.append(b"\x02" * 6)
+        buf.push(b"\x01" * 10)
+        buf.push(b"\x02" * 6)
         assert buf.bytes_produced == 16 and buf.bytes_released == 0
         assert not buf.all_consumed()
-        buf.consume(a)
-        buf.consume(b)
+        buf.pop()
+        assert buf.bytes_released == 6 and not buf.all_consumed()
+        buf.pop()
         assert buf.bytes_released == 16 and buf.all_consumed()
 
 

@@ -43,18 +43,20 @@ def subtract_intervals(intervals: list[Interval], holes: list[Interval]) -> list
 
 def window_bytes(entries: list[RegisterEntry], start: int,
                  end: int) -> tuple[list[Interval], list[Interval], list[Interval]]:
-    """The (hidden, kept, carve_outs) intervals of a window over
+    """The (hidden, kept, writable carve-outs) intervals of a window over
     entries[start:end + 1].
 
-    hidden: what the window zeroes, i.e. all=True frames minus carve-outs,
-    then writable objects. kept: what closing the window restores, i.e.
-    those frames and every object, read-only ones too, minus carve-outs.
-    carve_outs: regions the callee may use; closing keeps its writes.
-    all=False frames contribute nothing themselves.
+    hidden: what the window zeroes, i.e. all=True frames minus every
+    carve-out, then writable objects. kept: what closing the window
+    restores, i.e. those frames and every object, read-only ones too,
+    minus the writable carve-outs. Writable carve-outs: regions whose
+    callee writes closing keeps; a read-only carve-out is restored with
+    its frame. all=False frames contribute nothing themselves.
     """
     frames: list[Interval] = []
     objects: list[MemoryEntry] = []
     carve_outs: list[Interval] = []
+    writable: list[Interval] = []
     for entry in entries[start:end + 1]:
         if isinstance(entry, StackEntry):
             if entry.all:
@@ -63,10 +65,12 @@ def window_bytes(entries: list[RegisterEntry], start: int,
             objects.append(entry)
         else:
             carve_outs.append((entry.base, entry.length))
+            if not entry.read_only:
+                writable.append((entry.base, entry.length))
     hidden = subtract_intervals(frames, carve_outs)
     hidden += [(obj.base, obj.length) for obj in objects if not obj.read_only]
-    kept = subtract_intervals(frames + [(obj.base, obj.length) for obj in objects], carve_outs)
-    return hidden, kept, carve_outs
+    kept = subtract_intervals(frames + [(obj.base, obj.length) for obj in objects], writable)
+    return hidden, kept, writable
 
 
 class OracleVault(VaultState):

@@ -68,7 +68,8 @@ class MemoryEntry:
 class MemoryExceptionEntry:
     """Carve-out inside a fully protected frame: the region is saved when
     the window opens and copied back once the frames are cleared, so the
-    callee can use it; closing the window keeps the callee's writes."""
+    callee can use it. Closing the window keeps the callee's writes to a
+    writable carve-out; a read-only one comes back from its frame's image."""
 
     owner: int
     base: int
@@ -339,15 +340,16 @@ class VaultState:
 
     def _close_window(self, memory: ProcessMemory, start: int, end: int) -> None:
         """Pop every image in [start, end] back in reverse registration
-        order, then write the carve-outs back as the callee left them.
+        order, then write the writable carve-outs back as the callee left
+        them.
 
         _open_window takes every image before it clears anything, so
         overlapping images hold the same bytes and their order does not
-        matter; the carve-outs, read first, are written last.
+        matter; the writable carve-outs, read first, are written last.
         """
         entries = self.register_list[start:end + 1]
         carve_outs = [(e.base, memory.read_bytes(e.base, e.length)) for e in entries
-                      if isinstance(e, MemoryExceptionEntry)]
+                      if isinstance(e, MemoryExceptionEntry) and not e.read_only]
         first_frame = next((i for i, e in enumerate(entries) if isinstance(e, StackEntry)),
                            len(entries))
         pop = self.save_buffer.pop

@@ -391,8 +391,6 @@ class TestLeakDetection:
 
 
 class TestWriteSensitive:
-    @pytest.mark.xfail(strict=True, reason="the whole-frame carve-out keeps the callee's write: "
-                       "nothing reads MemoryExceptionEntry.read_only")
     def test_callee_write_is_reverted_in_both_modes(self):
         # `buf` is write_sensitive: untrusted code may read it but not
         # change it, so `peek`, in the next window, must see `f`'s value.

@@ -153,6 +153,21 @@ class TestWindowByteExact:
         assert vault.save_buffer.bytes_released == 100
         assert vault.protect_list == [] and len(vault.register_list) == 3
 
+    @pytest.mark.parametrize("vault_cls", [VaultState, OracleVault])
+    def test_close_restores_a_read_only_carve_out(self, vault_cls):
+        memory, vault = make_state(vault_cls)
+        frame = memory.push_frame(owner=0, size=64)
+        memory.write_bytes(frame.top, FRAME_PATTERN)
+        vault.register_stack(VPC, all=True, frame_base=frame.base, frame_top=frame.top)
+        vault.register_memory_exception(VPC, frame.top + 8, 4, True)
+        vault.start_protect(memory, VPC)
+        # The callee sees the carve-out, then writes it.
+        assert memory.read_bytes(frame.top + 8, 4) == FRAME_PATTERN[8:12]
+        memory.write_bytes(frame.top + 8, CARVE_NEW)
+        vault.stop_protect(memory, VPC)
+        assert vault.exception_log == []
+        assert memory.read_bytes(frame.top, 64) == FRAME_PATTERN + bytes(16)
+
     def test_read_only_object_stays_visible_and_comes_back(self):
         memory, vault = make_state()
         frame = memory.push_frame(0, 32)
@@ -430,6 +445,14 @@ class TestWindowBytes:
         hidden, kept, _ = window_bytes(self.ENTRIES, 0, 4)
         assert hidden[2:] == [(0x5000, 32)]
         assert kept[2:] == [(0x5000, 32), (0x6000, 16)]
+
+    def test_read_only_carve_outs_are_cut_out_of_hidden_only(self):
+        entries = self.ENTRIES[:3] + [
+            MemoryExceptionEntry(owner=0, base=0x1008, length=4, read_only=True)]
+        hidden, kept, carve_outs = window_bytes(entries, 0, 3)
+        assert carve_outs == []
+        assert hidden[:2] == [(0x1000, 8), (0x100C, 0xF4)]
+        assert kept[0] == (0x1000, 0x100)
 
     def test_partial_frames_contribute_nothing(self):
         assert window_bytes(self.ENTRIES, 4, 4) == ([], [], [])

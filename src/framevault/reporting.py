@@ -15,7 +15,7 @@ from .executor import ExecutionReport, IntegrityBreach, Leak, secret_bytes_obser
 from .fuzzer import CampaignResult
 from .runtime import SyscallStats, VaultException
 
-REPORT_VERSION = "framevault report v1"
+REPORT_VERSION = "framevault report v2"
 
 _SYSCALL_COLUMNS = ("register_stack", "register_memory", "register_memory_exception",
                     "unregister_stack", "start_protect", "stop_protect", "Total")

@@ -29,7 +29,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 
-from .program import (MAX_BODY_STATEMENTS, AddrOfArg, AnnotationKind, Assign, Call,
+from .program import (MAX_BODY_STATEMENTS, MAX_PROGRAM_STATEMENTS, AddrOfArg, AnnotationKind, Assign, Call,
                       FunctionDesc, HeapAlloc, PointeeRef, ProgramDesc, ReadProbe, Return,
                       RuntimeCall, RUNTIME_CALLS, Sensitivity, Statement, VarDesc, VarRef,
                       WriteProbe, is_instrumented)
@@ -320,6 +320,11 @@ def instrument(program: ProgramDesc, untrusted: frozenset[Prototype],
                     f"function {fn.name!r}: instrumented body of {len(body)} statements "
                     f"exceeds the cap of {MAX_BODY_STATEMENTS} (MAX_BODY_STATEMENTS)")
             out.append(replace(fn, body=body, sensitivity=sens[fn.name]))
+    total = sum(len(fn.body) for fn in out)
+    if total > MAX_PROGRAM_STATEMENTS:  # so must the whole program
+        raise AnnotationError(
+            f"program: instrumented bodies of {total} statements exceed the cap of "
+            f"{MAX_PROGRAM_STATEMENTS} (MAX_PROGRAM_STATEMENTS)")
     return ProgramDesc(functions=tuple(out), instrumented=True)
 
 

@@ -16,6 +16,7 @@ from framevault.executor import image_map_for
 from framevault.fuzzer import MAX_CHAIN, FuzzConfig, generate_scenario, scenario_to_json
 from framevault.memory import HEAP_BASE, HEAP_LIMIT
 from framevault.identity import MAX_IMAGE_MAP_LINES, ImageMapError, load_image_map
+from framevault.instrument import AnnotationError, instrument, parse_lists
 from framevault.program import (MAX_BODY_STATEMENTS, MAX_FUNCTIONS, MAX_OBJECT_BYTES,
                                 MAX_PROBE_BYTES, MAX_PROGRAM_STATEMENTS, AbsoluteTarget, Call,
                                 FunctionDesc, ProgramDesc, ProgramFormatError, ReadProbe,
@@ -264,6 +265,52 @@ class TestCountCaps:
                      "--untrusted-list", str(untrusted)]) == 2
         assert (f"function 'main': instrumented body of {3 * calls} statements exceeds the "
                 f"cap of {MAX_BODY_STATEMENTS} (MAX_BODY_STATEMENTS)") in capsys.readouterr().err
+
+
+def lib_calling_program(extra: int) -> str:
+    """Workers that each call an untrusted `lib` as often as one
+    instrumented body allows; instrumented, the program holds exactly
+    MAX_PROGRAM_STATEMENTS statements plus `extra` returns in main."""
+    calls = MAX_BODY_STATEMENTS // 3  # each call gains start_ and stop_protect
+    workers = MAX_PROGRAM_STATEMENTS // (3 * calls)
+    filler = MAX_PROGRAM_STATEMENTS - workers * 3 * calls - workers
+    assert 0 <= filler and workers + filler + extra <= MAX_BODY_STATEMENTS
+    return json.dumps({"functions": [
+        {"name": "main", "body": [{"op": "call", "callee": f"w{i}"} for i in range(workers)]
+         + [{"op": "return"}] * (filler + extra)},
+        {"name": "lib", "body": []},
+        *({"name": f"w{i}", "body": [{"op": "call", "callee": "lib"}] * calls}
+          for i in range(workers))]})
+
+
+class TestInstrumentedProgramCap:
+    """The instrumented program must parse again, so all its bodies
+    together stay within MAX_PROGRAM_STATEMENTS."""
+
+    def instrument_file(self, tmp_path, extra: int) -> int:
+        program_file, untrusted = tmp_path / "calls.json", tmp_path / "untrusted.list"
+        program_file.write_text(lib_calling_program(extra))
+        untrusted.write_text("lib(0)\n")
+        return main(["instrument", "--program", str(program_file),
+                     "--untrusted-list", str(untrusted), "-o", str(tmp_path / "out.json")])
+
+    def test_a_program_of_exactly_the_cap_instruments_and_parses_again(self, tmp_path,
+                                                                       capsys):
+        assert self.instrument_file(tmp_path, 0) == 0
+        program = parse((tmp_path / "out.json").read_text())
+        assert sum(len(fn.body) for fn in program.functions) == MAX_PROGRAM_STATEMENTS
+
+    def test_one_statement_over_the_cap_is_refused_by_name(self):
+        untrusted, sensitive = parse_lists("lib(0)\n", "")
+        with pytest.raises(AnnotationError, match=re.escape(
+                f"program: instrumented bodies of {MAX_PROGRAM_STATEMENTS + 1} statements "
+                f"exceed the cap of {MAX_PROGRAM_STATEMENTS} (MAX_PROGRAM_STATEMENTS)")):
+            instrument(parse(lib_calling_program(1)), untrusted, sensitive)
+
+    def test_one_statement_over_the_cap_exits_2(self, tmp_path, capsys):
+        assert self.instrument_file(tmp_path, 1) == 2
+        assert "(MAX_PROGRAM_STATEMENTS)" in capsys.readouterr().err
+        assert not (tmp_path / "out.json").exists()
 
 
 class TestByteCap:

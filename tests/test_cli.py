@@ -18,11 +18,14 @@ from framevault.memory import HEAP_BASE, HEAP_LIMIT
 from framevault.identity import MAX_IMAGE_MAP_LINES, ImageMapError, load_image_map
 from framevault.instrument import AnnotationError, instrument, parse_lists
 from framevault.program import (MAX_BODY_STATEMENTS, MAX_FUNCTIONS, MAX_OBJECT_BYTES,
-                                MAX_PROBE_BYTES, MAX_PROGRAM_STATEMENTS, AbsoluteTarget, Call,
-                                FunctionDesc, ProgramDesc, ProgramFormatError, ReadProbe,
-                                Return, emit, parse)
+                                MAX_PROBE_BYTES, MAX_PROGRAM_STATEMENTS, AbsoluteTarget, Assign,
+                                Call, FrameTarget, FunctionDesc, ProgramDesc, ProgramFormatError,
+                                ReadProbe, Return, VarDesc, emit, parse)
+from framevault.reporting import REPORT_VERSION, report_to_dict
 
+import test_executor
 from support import DEMO_DIR, PWDGEN_MAP, pwdgen_instrumented
+from test_executor import build_spoof_program, leaky_run
 from test_fuzz import (LEAKY_CONFIG, LEAKY_FINDINGS, LEAKY_SEED, faulting_scenario,
                        runtime_saves_without_clearing)
 
@@ -313,6 +316,105 @@ class TestInstrumentedProgramCap:
         assert not (tmp_path / "out.json").exists()
 
 
+def one_statement(stmt: dict) -> dict:
+    return {"functions": [{"name": "main", "body": [stmt]}]}
+
+
+REGISTER_AT = {"op": "runtime_call", "call": "register_memory", "len": 4}
+
+PARSE_ERRORS = {
+    "expected hex string": (
+        one_statement({"op": "assign", "var": "x", "value": 5}),
+        "functions[0].body[0]: expected hex string"),
+    "bad hex string": (
+        one_statement({"op": "assign", "var": "x", "value": "zz"}),
+        "functions[0].body[0]: bad hex string 'zz'"),
+    "bad probe address": (
+        one_statement({"op": "read_probe", "len": 1,
+                       "target": {"kind": "addr", "addr": "0xgg"}}),
+        "functions[0].body[0]: bad address '0xgg'"),
+    "bad region address": (
+        one_statement({**REGISTER_AT, "target": {"addr": "nowhere"}}),
+        "functions[0].body[0]: bad address 'nowhere'"),
+    "non-string region address": (
+        one_statement({**REGISTER_AT, "target": {"addr": 4096}}),
+        "functions[0].body[0]: bad address 4096"),
+    "unknown target kind": (
+        one_statement({"op": "read_probe", "len": 1, "target": {"kind": "register"}}),
+        "functions[0].body[0]: unknown target kind 'register'"),
+    "empty region reference": (
+        one_statement({**REGISTER_AT, "target": {}}),
+        "functions[0].body[0]: region reference needs var/pointee_of/addr"),
+    "argument of neither kind": (
+        one_statement({"op": "call", "callee": "lib", "args": [{"value": "x"}]}),
+        "functions[0].body[0].args[0]: needs 'var' or 'addr_of'"),
+    "unknown statement op": (
+        one_statement({"op": "jump"}),
+        "functions[0].body[0]: unknown statement op 'jump'"),
+    "unknown sensitivity": (
+        {"functions": [{"name": "main", "sensitivity": "secret", "body": []}]},
+        "functions[0]: unknown sensitivity 'secret'"),
+    "duplicate variable": (
+        {"functions": [{"name": "main", "params": [{"name": "x", "size": 4}],
+                        "locals": [{"name": "x", "size": 8}], "body": []}]},
+        "functions[0]: duplicate variable 'x'"),
+    "duplicate function name": (
+        {"functions": [{"name": "main", "body": []}, {"name": "main", "body": []}]},
+        "duplicate function name 'main'"),
+    "invalid JSON": (
+        "not json", "invalid JSON: Expecting value: line 1 column 1 (char 0)"),
+}
+
+
+class TestParseErrors:
+    """Every malformed description is refused with exit 2 and a message
+    that names the place and the fault."""
+
+    @pytest.mark.parametrize("case", PARSE_ERRORS)
+    def test_run_exits_2_with_the_message(self, tmp_path, capsys, case):
+        doc, message = PARSE_ERRORS[case]
+        program_file, map_file = tmp_path / "bad.json", tmp_path / "bad.map"
+        program_file.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        map_file.write_text("main 0x401000 0x401100\n")
+        assert main(["run", "--program", str(program_file),
+                     "--image-map", str(map_file)]) == 2
+        assert capsys.readouterr().err == f"framevault: error: {message}\n"
+
+
+LIB = {"name": "lib", "params": [{"name": "a", "size": 8}], "body": [{"op": "return"}]}
+
+VALIDATION_ERRORS = {
+    "heap_alloc into an unknown variable": (
+        {"functions": [{"name": "main", "body": [
+            {"op": "heap_alloc", "var": "p", "size": 16}]}]},
+        "function 'main' body[0]: unknown variable 'p'"),
+    "unknown argument variable": (
+        {"functions": [{"name": "main", "body": [
+            {"op": "call", "callee": "lib", "args": [{"var": "q"}]}]}, LIB]},
+        "function 'main' body[0]: unknown argument variable 'q'"),
+    "unresolvable pointee size": (
+        {"functions": [{"name": "main", "sensitivity": "sensitive", "locals": [
+            {"name": "p", "size": 8, "pointer": True, "annotation": "sensitive_pointer"}],
+            "body": [{"op": "heap_alloc", "var": "p", "size": 16}]}]},
+        "pointer variable 'p': pointee size not resolvable; use a size suffix or "
+        "declare pointee_size"),
+}
+
+
+class TestValidationErrors:
+    """Descriptions that parse but cannot be instrumented exit 2."""
+
+    @pytest.mark.parametrize("case", VALIDATION_ERRORS)
+    def test_instrument_exits_2_with_the_message(self, tmp_path, capsys, case):
+        doc, message = VALIDATION_ERRORS[case]
+        program_file, untrusted = tmp_path / "bad.json", tmp_path / "untrusted.list"
+        program_file.write_text(json.dumps(doc))
+        untrusted.write_text("lib(1)\n")
+        assert main(["instrument", "--program", str(program_file),
+                     "--untrusted-list", str(untrusted)]) == 2
+        assert capsys.readouterr().err == f"framevault: error: {message}\n"
+
+
 class TestByteCap:
     """Every input file is read up to MAX_INPUT_BYTES and refused past it.
     The cap is lowered to the demo program's size, so the files stay small."""
@@ -548,6 +650,62 @@ class TestFuzzCommand:
         assert code == 2
         assert f"scenario count {count} is below 1" in capsys.readouterr().err
         assert not (tmp_path / "x.txt").exists()
+
+
+class TestJsonForms:
+    """The JSON forms of a campaign and of each violation type."""
+
+    def fuzz_json(self, tmp_path, *extra) -> tuple[int, dict]:
+        out = tmp_path / "campaign.json"
+        code = main(["fuzz", "--format", "json", "--no-minimize", "-o", str(out),
+                     "--save-dir", str(tmp_path / "findings"), *extra])
+        return code, json.loads(out.read_text())
+
+    def test_a_clean_campaign(self, tmp_path):
+        code, doc = self.fuzz_json(tmp_path, "--seed", "3", "--count", "5", "--adversarial")
+        assert code == 0
+        assert doc == {"version": REPORT_VERSION, "mode": "fuzz", "seed": 3, "scenarios": 5,
+                       "max_chain": 3, "probes": True, "adversarial": True, "findings": []}
+
+    def test_a_campaign_with_findings(self, tmp_path, runtime_saves_without_clearing):
+        code, doc = self.fuzz_json(tmp_path, "--seed", str(LEAKY_SEED),
+                                   "--count", str(LEAKY_CONFIG.scenarios))
+        assert code == 1
+        assert [f["index"] for f in doc["findings"]] == LEAKY_FINDINGS
+        for finding in doc["findings"]:
+            assert set(finding) == {"index", "seed", "problems"}
+            assert finding["seed"] == LEAKY_SEED
+            assert finding["problems"]
+            assert all(p.startswith("violation: Leak(") for p in finding["problems"])
+
+    def test_an_exception_entry_of_run(self, tmp_path, capsys):
+        program, table = build_spoof_program([test_executor.TestSpoofing.FORGED_REGISTER])
+        program_file, map_file = tmp_path / "spoof.json", tmp_path / "spoof.map"
+        program_file.write_text(emit(program))
+        map_file.write_text(image_map_for(program))
+        assert main(["run", "--program", str(program_file), "--image-map", str(map_file),
+                     "--format", "json"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        # The forged call is lib's first statement, so its pc is lib's first.
+        assert doc["violations"] == [{
+            "type": "exception", "kind": "IdentityMismatch", "syscall": "register_memory",
+            "caller_pc": table.by_name("lib").lo,
+            "detail": "caller lib does not own the latest frame registration (victim)"}]
+
+    def test_a_leak_entry(self):
+        secret = bytes(range(0xA0, 0xB0))
+        report, _ = leaky_run((
+            FunctionDesc(name="victim", locals=(VarDesc("secret", 16),),
+                         body=(Assign("secret", secret), Call("lib"), Return())),
+            FunctionDesc(name="lib", body=(ReadProbe(FrameTarget("victim", 0), 16),
+                                           Return())),
+            FunctionDesc(name="main", body=(Call("victim"), Return()))), "lib(0)\n", "victim\n")
+        doc = report_to_dict(report)
+        (read,) = doc["observations"]
+        assert read["bytes"] == secret.hex()
+        assert doc["violations"] == [{
+            "type": "leak", "window": 1, "function": "lib", "addr": read["addr"], "len": 16,
+            "secret_bytes": 16, "detail": "untrusted read observed protected bytes"}]
 
 
 class TestUsage:

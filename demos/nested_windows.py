@@ -2,9 +2,10 @@
 
 An outer function registers its frame and a heap object, opens a window,
 and (conceptually, through the untrusted code it called) an inner
-function does the same. The save buffer grows by exactly the inner
-registration footprint: bytes already saved by the outer window are not
-copied twice.
+function does the same. The save buffer is a stack of images: the inner
+window pushes exactly its own registration footprint on top of the outer
+window's images, so bytes already saved are not copied twice, and each
+window pops its own images back when it closes.
 
 Run with:  python3 demos/nested_windows.py
 """
@@ -23,7 +24,8 @@ OUTER_PC, INNER_PC = 0x401010, 0x401110
 def report(vault: VaultState, label: str) -> None:
     buf = vault.save_buffer
     print(f"  {label}: produced={buf.bytes_produced:4d}  "
-          f"released={buf.bytes_released:4d}  windows={len(vault.protect_list)}")
+          f"released={buf.bytes_released:4d}  windows={len(vault.protect_list)}  "
+          f"images held={[len(image) for image in buf.images]}")
 
 
 def main() -> None:

@@ -381,17 +381,17 @@ def check_scenario(scenario: Scenario) -> tuple[ExecutionReport, list[str]]:
         if vault.register_list:
             problems.append(f"{len(vault.register_list)} registrations never removed")
         if not vault.save_buffer.all_consumed():
-            problems.append("save buffer holds unconsumed records")
+            problems.append("save buffer holds unconsumed images")
         if vault.save_buffer.bytes_released != vault.save_buffer.bytes_produced:
             problems.append("save buffer released != produced")
 
     oracle = Executor(scenario.program, table, vault_factory=OracleVault)
     oracle.run(scenario.entry)
     if oracle.memory.content_signature() != ex.memory.content_signature():
-        problems.append("final memory differs from snapshot oracle")
+        problems.append("final memory differs from page-dump oracle")
     oracle_kinds = [v.kind for v in oracle.vault.exception_log]  # type: ignore[union-attr]
     if oracle_kinds != [v.kind for v in vault.exception_log]:
-        problems.append("exception log differs from snapshot oracle")
+        problems.append("exception log differs from page-dump oracle")
     return report, problems
 
 

@@ -7,7 +7,11 @@ any state, so a caller cannot act on another function's registrations.
 Verification failures are logged as exceptions and the offending call
 becomes a no-op; process memory is never mutated by a failed call. Each
 call returns the `VaultException` it logged, or None. No registration an
-open window covers can be removed, so a window restores what it saved.
+open window covers can be removed, so a window restores what it saved:
+windows close innermost first, and each pops the images it pushed. A
+read-only registration, such as a `write_sensitive` slot, is restored
+even when it is a carve-out, so a callee's write to it is reverted in
+whole-frame and fine-grained mode alike.
 """
 
 from __future__ import annotations

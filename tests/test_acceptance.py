@@ -233,7 +233,7 @@ def test_criterion_3_fuzz_confidentiality(campaign, scenario_sample):
 
 
 # ----------------------------------------------------------------------
-# 4. integrity against the snapshot oracle
+# 4. integrity against the page-dump oracle
 
 
 def test_criterion_4_integrity_oracle(campaign, scenario_sample):

@@ -1,5 +1,5 @@
 """Scenario execution: leak accounting, integrity checking, fault
-isolation, and equivalence against the snapshot oracle."""
+isolation, and equivalence against the page-dump oracle."""
 
 from __future__ import annotations
 

@@ -29,10 +29,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 
-from .program import (MAX_BODY_STATEMENTS, MAX_PROGRAM_STATEMENTS, AddrOfArg, AnnotationKind, Assign, Call,
-                      FunctionDesc, HeapAlloc, PointeeRef, ProgramDesc, ReadProbe, Return,
-                      RuntimeCall, RUNTIME_CALLS, Sensitivity, Statement, VarDesc, VarRef,
-                      WriteProbe, is_instrumented)
+from .program import (MAX_BODY_STATEMENTS, MAX_PROGRAM_STATEMENTS, AddrOfArg,
+                      AnnotationKind, Assign, Call, FunctionDesc, HeapAlloc, PointeeRef,
+                      ProgramDesc, ReadProbe, Return, RuntimeCall, RUNTIME_CALLS, Sensitivity,
+                      Statement, VarDesc, VarRef, WriteProbe, is_instrumented)
 
 # Provenance labels for inserted calls, one per insertion rule.
 PROV_UNTRUSTED_CALL = "untrusted-call"
@@ -321,7 +321,7 @@ def instrument(program: ProgramDesc, untrusted: frozenset[Prototype],
                     f"exceeds the cap of {MAX_BODY_STATEMENTS} (MAX_BODY_STATEMENTS)")
             out.append(replace(fn, body=body, sensitivity=sens[fn.name]))
     total = sum(len(fn.body) for fn in out)
-    if total > MAX_PROGRAM_STATEMENTS:  # so must the whole program
+    if total > MAX_PROGRAM_STATEMENTS:  # the whole output must parse again too
         raise AnnotationError(
             f"program: instrumented bodies of {total} statements exceed the cap of "
             f"{MAX_PROGRAM_STATEMENTS} (MAX_PROGRAM_STATEMENTS)")

@@ -297,8 +297,7 @@ class TestInstrumentedProgramCap:
         return main(["instrument", "--program", str(program_file),
                      "--untrusted-list", str(untrusted), "-o", str(tmp_path / "out.json")])
 
-    def test_a_program_of_exactly_the_cap_instruments_and_parses_again(self, tmp_path,
-                                                                       capsys):
+    def test_a_program_of_exactly_the_cap_instruments_and_parses_again(self, tmp_path):
         assert self.instrument_file(tmp_path, 0) == 0
         program = parse((tmp_path / "out.json").read_text())
         assert sum(len(fn.body) for fn in program.functions) == MAX_PROGRAM_STATEMENTS

@@ -628,6 +628,8 @@ class TestFuzzCommand:
     @pytest.mark.parametrize("doc, message", [
         ({"index": 0}, "missing key 'seed'"),
         ([1, 2], "document must be an object"),
+        ({"index": 0, "seed": 0, "entry": "main", "untrusted": [1]},
+         "key 'untrusted' must be a list of strings"),
     ])
     def test_malformed_replay_file_exits_2(self, tmp_path, capsys, doc, message):
         path = tmp_path / "malformed.json"

@@ -30,7 +30,7 @@ from framevault.program import (
     Return,
     VarDesc,
 )
-from framevault.runtime import VaultState
+from framevault.runtime import ExceptionKind, SaveBuffer, VaultException, VaultState
 
 from test_executor import _NoClear
 
@@ -113,6 +113,96 @@ class TestFindings:
             assert finding.problems == problems
             assert finding.scenario.program == scenario.program
             assert finding.minimized is not None
+
+
+# One window per lib call, and a forgery that leaves no window open.
+ONE_WINDOW = generate_scenario(7, 0, FuzzConfig(max_chain=1))
+ADVERSARIAL = generate_scenario(7, 0, FuzzConfig(adversarial=True))
+
+
+def _mutate_runtime(monkeypatch, name, mutant):
+    """Route VaultState.<name> through mutant(original, self, *args) for
+    the runtime under test only. OracleVault inherits the method, so its
+    run keeps the original."""
+    original = getattr(VaultState, name)
+
+    def patched(self, *args):
+        if type(self) is VaultState:
+            return mutant(original, self, *args)
+        return original(self, *args)
+    monkeypatch.setattr(VaultState, name, patched)
+
+
+def _stop_keeps_its_window(original, vault, memory, pc):
+    top = vault.protect_list[-1] if vault.protect_list else None
+    refused = original(vault, memory, pc)
+    if refused is None:
+        vault.protect_list.append(top)
+    return refused
+
+
+def _unregister_keeps_the_entries(original, vault, memory, pc):
+    entries = list(vault.register_list)
+    refused = original(vault, memory, pc)
+    vault.register_list[:] = entries
+    return refused
+
+
+def _unregister_skips_the_scrub(original, vault, memory, pc):
+    return original(vault, _NoClear(memory), pc)
+
+
+def _close_leaves_an_image(original, vault, memory, start, end):
+    original(vault, memory, start, end)
+    vault.save_buffer.push(b"")
+
+
+def _close_logs_an_extra_exception(original, vault, memory, start, end):
+    original(vault, memory, start, end)
+    vault.exception_log.append(VaultException(ExceptionKind.INDEX_MISMATCH,
+                                              "stop_protect", 0, "mutant"))
+
+
+class TestEveryProblemCanFire:
+    """Each problem check_scenario reports appears under a runtime broken
+    in the matching way; `alone` marks a problem no other check repeats."""
+
+    def test_both_scenarios_pass_unbroken(self):
+        assert check_scenario(ONE_WINDOW)[1] == check_scenario(ADVERSARIAL)[1] == []
+
+    @pytest.mark.parametrize("name, mutant, problem, alone", [
+        ("stop_protect", _stop_keeps_its_window, "1 windows never closed", False),
+        ("unregister_stack", _unregister_keeps_the_entries,
+         "4 registrations never removed", True),
+        ("_close_window", _close_leaves_an_image, "save buffer holds unconsumed images", True),
+        ("unregister_stack", _unregister_skips_the_scrub,
+         "final memory differs from page-dump oracle", True),
+        ("_close_window", _close_logs_an_extra_exception,
+         "exception log differs from page-dump oracle", False),
+    ])
+    def test_runtime_mutant(self, monkeypatch, name, mutant, problem, alone):
+        _mutate_runtime(monkeypatch, name, mutant)
+        _, problems = check_scenario(ONE_WINDOW)
+        assert problems == [problem] if alone else problem in problems
+
+    def test_uncounted_release(self, monkeypatch):
+        # The oracle's windows never touch the save buffer.
+        monkeypatch.setattr(SaveBuffer, "pop", lambda self: self.images.pop())
+        _, problems = check_scenario(ONE_WINDOW)
+        assert problems == ["save buffer released != produced"]
+
+    def test_unexpected_detection(self, monkeypatch):
+        _mutate_runtime(monkeypatch, "_close_window", _close_logs_an_extra_exception)
+        _, problems = check_scenario(ADVERSARIAL)
+        assert problems[0].startswith("expected detections [<ExceptionKind.IDENTITY_MISMATCH")
+        assert problems[0].endswith("(<ExceptionKind.INDEX_MISMATCH: 'IndexMismatch'>, "
+                                    "'mutant')]")
+
+    def test_broken_protection(self, runtime_saves_without_clearing):
+        _, problems = check_scenario(generate_scenario(7, 2, FuzzConfig(adversarial=True)))
+        assert problems == ["adversarial scenario broke protection: Leak(window=1, "
+                            "function='lib0', address=268435458, length=8, secret_bytes=8, "
+                            "detail='untrusted read observed protected bytes')"]
 
 
 class TestChainCap:

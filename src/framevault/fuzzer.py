@@ -21,6 +21,7 @@ import json
 import random
 import time
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from .executor import ExecutionReport, Executor, image_map_for
 from .identity import load_image_map
@@ -45,19 +46,26 @@ MAX_LOCALS = 4
 # Most single-statement drops minimize() tries on one finding.
 MINIMIZE_BUDGET = 200
 
-FORGERY_KINDS = ("spoof_register_memory", "spoof_stop_protect",
-                 "spoof_unregister_stack", "forge_register_stack")
 
-# A forged StackEntry is caught twice: the victim's stop_protect sees the
-# grown RegisterList (IndexMismatch), then the victim's unregister_stack
-# finds the attacker's entry on top (IdentityMismatch). The spoof kinds
-# fail at the forged call itself and nowhere else.
-_EXPECTED_DETECTION = {
-    "spoof_register_memory": (ExceptionKind.IDENTITY_MISMATCH,),
-    "spoof_stop_protect": (ExceptionKind.IDENTITY_MISMATCH,),
-    "spoof_unregister_stack": (ExceptionKind.IDENTITY_MISMATCH,),
-    "forge_register_stack": (ExceptionKind.INDEX_MISMATCH,
-                             ExceptionKind.IDENTITY_MISMATCH),
+class Forgery(NamedTuple):
+    statement: RuntimeCall                # spliced into a library body
+    refusals: tuple[ExceptionKind, ...]   # what the runtime must log for it
+    leaves_window_open: bool
+
+
+_IDENTITY, _INDEX = ExceptionKind.IDENTITY_MISMATCH, ExceptionKind.INDEX_MISMATCH
+
+# One forged call per runtime call, in the adversarial campaign's rotation
+# order. Most fail at the forged call itself and nowhere else. A forged
+# StackEntry is caught twice: the victim's stop_protect sees the grown
+# RegisterList (IndexMismatch), then the victim's unregister_stack finds
+# the attacker's entry on top (IdentityMismatch).
+FORGERIES = {
+    "register_memory": Forgery(RuntimeCall("register_memory", target=AddressRef(HEAP_BASE),
+                                           length=16, read_only=False), (_IDENTITY,), False),
+    "stop_protect": Forgery(RuntimeCall("stop_protect"), (_IDENTITY,), False),
+    "unregister_stack": Forgery(RuntimeCall("unregister_stack"), (_IDENTITY,), False),
+    "register_stack": Forgery(RuntimeCall("register_stack", all=True), (_INDEX, _IDENTITY), True),
 }
 
 
@@ -86,7 +94,12 @@ class Scenario:
     entry: str
     untrusted: list[str]
     sensitive: list[str]
-    forged: tuple[str, ...] = ()
+
+    @property
+    def forged(self) -> tuple[str, ...]:
+        """The runtime calls in the program that no insertion rule made."""
+        return tuple(stmt.call for fn in self.program.functions for stmt in fn.body
+                     if isinstance(stmt, RuntimeCall) and stmt.provenance is None)
 
 
 @dataclass
@@ -308,43 +321,34 @@ def generate_raw(seed: int, index: int, config: FuzzConfig) \
     return program, untrusted, [p.name for p in plans]
 
 
-def _inject_forged(program: ProgramDesc, lib_name: str, kind: str,
-                   rng: random.Random) -> ProgramDesc:
-    fn = program.function(lib_name)
-    assert fn is not None
-    live = len(fn.body)
-    for i, stmt in enumerate(fn.body):
-        if isinstance(stmt, Return):
-            live = i
-            break
-    pos = rng.randint(0, live)
-    if kind == "spoof_register_memory":
-        forged = RuntimeCall("register_memory", target=AddressRef(HEAP_BASE),
-                             length=16, read_only=False)
-    elif kind == "forge_register_stack":
-        forged = RuntimeCall("register_stack", all=True)
-    elif kind == "spoof_stop_protect":
-        forged = RuntimeCall("stop_protect")
-    else:
-        forged = RuntimeCall("unregister_stack")
-    body = fn.body[:pos] + (forged,) + fn.body[pos:]
-    functions = tuple(replace(f, body=body) if f.name == lib_name else f
-                      for f in program.functions)
+def forgery_slots(fn: FunctionDesc) -> range:
+    """Where a forged call may go: every index up to and including fn's first return."""
+    live = next((i for i, stmt in enumerate(fn.body) if isinstance(stmt, Return)),
+                len(fn.body))
+    return range(live + 1)
+
+
+def inject_forged(program: ProgramDesc, lib_name: str, forged: RuntimeCall,
+                  pos: int) -> ProgramDesc:
+    """program with forged inserted before statement pos of lib_name."""
+    functions = tuple(replace(f, body=f.body[:pos] + (forged,) + f.body[pos:])
+                      if f.name == lib_name else f for f in program.functions)
     return ProgramDesc(functions=functions, instrumented=True)
 
 
 def generate_scenario(seed: int, index: int, config: FuzzConfig) -> Scenario:
     raw, untrusted, sensitive = generate_raw(seed, index, config)
     program = instrument(raw, *parse_lists("\n".join(untrusted), "\n".join(sensitive)))
-    forged: tuple[str, ...] = ()
     if config.adversarial:
         rng = random.Random(scenario_seed(seed, index) ^ 0x5A5A_5A5A)
-        kind = FORGERY_KINDS[index % len(FORGERY_KINDS)]
-        program = _inject_forged(program, "lib0", kind, rng)
-        forged = (kind,)
+        forgery = list(FORGERIES.values())[index % len(FORGERIES)]
+        lib = program.function("lib0")
+        assert lib is not None
+        program = inject_forged(program, "lib0", forgery.statement,
+                                rng.randint(0, forgery_slots(lib)[-1]))
     return Scenario(index=index, seed=seed, raw=raw, program=program,
                     image_map=image_map_for(raw), entry="main",
-                    untrusted=untrusted, sensitive=sensitive, forged=forged)
+                    untrusted=untrusted, sensitive=sensitive)
 
 
 # ----------------------------------------------------------------------
@@ -361,9 +365,9 @@ def check_scenario(scenario: Scenario) -> tuple[ExecutionReport, list[str]]:
 
     exceptions = list(vault.exception_log)
     others = [v for v in report.violations if not isinstance(v, VaultException)]
-    if scenario.forged:
-        expected = sorted(k for forged in scenario.forged
-                          for k in _EXPECTED_DETECTION[forged])
+    forgeries = [FORGERIES[call] for call in scenario.forged]
+    if forgeries:
+        expected = sorted(k for forgery in forgeries for k in forgery.refusals)
         actual = sorted(v.kind for v in exceptions)
         if actual != expected:
             problems.append(f"expected detections {expected}, got "
@@ -374,8 +378,7 @@ def check_scenario(scenario: Scenario) -> tuple[ExecutionReport, list[str]]:
         for v in report.violations:
             problems.append(f"violation: {v}")
 
-    window_stuck = "forge_register_stack" in scenario.forged
-    if not window_stuck:
+    if not any(forgery.leaves_window_open for forgery in forgeries):
         if vault.protect_list:
             problems.append(f"{len(vault.protect_list)} windows never closed")
         if vault.register_list:
@@ -476,26 +479,17 @@ def fuzz(seed: int, config: FuzzConfig,
 # ----------------------------------------------------------------------
 # counterexample files
 
-def scenario_to_json(scenario: Scenario) -> str:
-    doc = {
-        "index": scenario.index,
-        "seed": scenario.seed,
-        "entry": scenario.entry,
-        "untrusted": scenario.untrusted,
-        "sensitive": scenario.sensitive,
-        "forged": list(scenario.forged),
-        "image_map": scenario.image_map,
-        "raw": program_to_dict(scenario.raw),
-        "program": program_to_dict(scenario.program),
-    }
-    return json.dumps(doc, indent=2) + "\n"
-
-
-# Every key a counterexample file must carry, with its JSON type; list
-# items are strings.
+# Every key a counterexample file carries, in file order, with its JSON
+# type; list items are strings. A file may hold other keys, such as the
+# `forged` list of older files; they are ignored.
 _SCENARIO_KEYS = {"index": int, "seed": int, "entry": str, "untrusted": list,
-                  "sensitive": list, "forged": list, "image_map": str,
-                  "raw": dict, "program": dict}
+                  "sensitive": list, "image_map": str, "raw": dict, "program": dict}
+
+
+def scenario_to_json(scenario: Scenario) -> str:
+    doc = {key: getattr(scenario, key) for key in _SCENARIO_KEYS}
+    doc.update(raw=program_to_dict(scenario.raw), program=program_to_dict(scenario.program))
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def scenario_from_json(text: str) -> Scenario:
@@ -510,13 +504,9 @@ def scenario_from_json(text: str) -> Scenario:
                 kind is list and not all(isinstance(item, str) for item in value)):
             what = "a list of strings" if kind is list else f"of type {kind.__name__}"
             raise ProgramFormatError(f"scenario: key {key!r} must be {what}")
-    unknown = set(doc["forged"]) - set(FORGERY_KINDS)
-    if unknown:
-        raise ProgramFormatError(f"scenario: unknown forgery kinds {sorted(unknown)}")
-    return Scenario(index=doc["index"], seed=doc["seed"],
-                    raw=program_from_dict(doc["raw"]),
-                    program=program_from_dict(doc["program"]),
-                    image_map=doc["image_map"], entry=doc["entry"],
-                    untrusted=list(doc["untrusted"]),
-                    sensitive=list(doc["sensitive"]),
-                    forged=tuple(doc["forged"]))
+    fields = {key: doc[key] for key in _SCENARIO_KEYS}
+    fields.update(raw=program_from_dict(doc["raw"]), program=program_from_dict(doc["program"]))
+    scenario = Scenario(**fields)
+    if not set(scenario.forged) <= set(FORGERIES):
+        raise ProgramFormatError(f"scenario: no forgery model for {list(scenario.forged)}")
+    return scenario

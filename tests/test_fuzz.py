@@ -3,11 +3,13 @@ shrinker."""
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from framevault.executor import image_map_for
 from framevault.fuzzer import (
-    FORGERY_KINDS,
+    FORGERIES,
     MAX_CHAIN,
     CampaignResult,
     FuzzConfig,
@@ -83,10 +85,9 @@ class TestCampaigns:
         assert all(not r.clean for r in result.reports)
 
     def test_forgery_kinds_rotate_through_the_batch(self):
-        config = FuzzConfig(scenarios=len(FORGERY_KINDS), adversarial=True)
-        kinds = [generate_scenario(17, i, config).forged[0]
-                 for i in range(len(FORGERY_KINDS))]
-        assert sorted(kinds) == sorted(FORGERY_KINDS)
+        config = FuzzConfig(scenarios=len(FORGERIES), adversarial=True)
+        forged = [generate_scenario(17, i, config).forged for i in range(len(FORGERIES))]
+        assert forged == [(call,) for call in FORGERIES]
 
     def test_probes_can_be_disabled(self):
         result = fuzz(5, FuzzConfig(scenarios=20, probes=False))
@@ -222,6 +223,14 @@ class TestSerialization:
         assert restored.image_map == scenario.image_map
         assert restored.forged == scenario.forged
         assert restored.untrusted == scenario.untrusted
+
+    def test_a_stored_forged_key_is_ignored(self):
+        # The program marks its forged calls; older files also named them.
+        scenario = generate_scenario(23, 2, FuzzConfig(adversarial=True))
+        doc = json.loads(scenario_to_json(scenario))
+        assert "forged" not in doc
+        doc["forged"] = ["spoof_stop_protect"]
+        assert scenario_from_json(json.dumps(doc)).forged == ("unregister_stack",)
 
     def test_restored_scenario_checks_identically(self):
         scenario = generate_scenario(29, 3, FuzzConfig())

@@ -1,7 +1,12 @@
 """Golden outputs: the pwdgenerator demo's instrumentation and reports,
 the instrumenter's output on generated programs and the fuzz verdicts
-must stay byte-identical across refactors. A change that alters them on
-purpose bumps REPORT_VERSION and rewrites the files under tests/golden/.
+must stay byte-identical across refactors.
+
+A change to what a report says for a given input bumps REPORT_VERSION and
+rewrites the files under tests/golden/. A change to what the scenario
+generator makes, with every report of a given input unchanged, rewrites
+only the two corpus hashes (instrument-generated.sha256 and
+fuzz-seed7.sha256) and keeps REPORT_VERSION.
 """
 
 from __future__ import annotations

@@ -4,6 +4,7 @@ shrinker."""
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -15,8 +16,10 @@ from framevault.fuzzer import (
     FuzzConfig,
     Scenario,
     check_scenario,
+    forgery_slots,
     fuzz,
     generate_scenario,
+    inject_forged,
     minimize,
     scenario_from_json,
     scenario_to_json,
@@ -30,6 +33,7 @@ from framevault.program import (
     ProgramDesc,
     ReadProbe,
     Return,
+    RuntimeCall,
     VarDesc,
 )
 from framevault.runtime import ExceptionKind, SaveBuffer, VaultException, VaultState
@@ -204,6 +208,36 @@ class TestEveryProblemCanFire:
         assert problems == ["adversarial scenario broke protection: Leak(window=1, "
                             "function='lib0', address=268435458, length=8, secret_bytes=8, "
                             "detail='untrusted read observed protected bytes')"]
+
+
+def single_forgery_failures(seed: int, count: int) -> tuple[int, list[tuple]]:
+    """Place each table call, plus register_stack with all=False, at every
+    slot generate_scenario may draw in lib0 of adversarial scenarios
+    0..count-1 of seed. Returns the number of placements and an
+    (index, call, slot, problems) tuple for each placement with a problem."""
+    calls = [f.statement for f in FORGERIES.values()]
+    calls.append(RuntimeCall("register_stack", all=False))
+    config = FuzzConfig(adversarial=True)
+    placements, failures = 0, []
+    for index in range(count):
+        scenario = generate_scenario(seed, index, config)
+        base = instrument(scenario.raw, *parse_lists("\n".join(scenario.untrusted),
+                                                     "\n".join(scenario.sensitive)))
+        lib = base.function("lib0")
+        assert lib is not None
+        for call in calls:
+            for pos in forgery_slots(lib):
+                placed = replace(scenario, program=inject_forged(base, "lib0", call, pos))
+                assert placed.forged == (call.call,)
+                _, problems = check_scenario(placed)
+                if problems:
+                    failures.append((index, call, pos, problems))
+                placements += 1
+    return placements, failures
+
+
+def test_every_single_forgery_placement_is_detected():
+    assert single_forgery_failures(7, 40) == (931, [])
 
 
 class TestChainCap:

@@ -107,9 +107,12 @@ def cmd_fuzz(args) -> int:
     if args.replay:
         scenario = scenario_from_json(_read(args.replay))
         report, problems = check_scenario(scenario)
-        lines = [render_report(report).rstrip("\n"), f"problems: {len(problems)}"]
-        lines.extend(f"  {p}" for p in problems)
-        _emit("\n".join(lines) + "\n", args.output)
+        if args.format == "json":
+            doc = to_json({**report_to_dict(report), "problems": problems})
+        else:
+            lines = [render_report(report).rstrip("\n"), f"problems: {len(problems)}"]
+            doc = "\n".join(lines + [f"  {p}" for p in problems]) + "\n"
+        _emit(doc, args.output)
         return 1 if problems else 0
 
     config = FuzzConfig(scenarios=args.count, max_chain=args.depth,

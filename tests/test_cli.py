@@ -13,7 +13,8 @@ import pytest
 from framevault import cli
 from framevault.cli import main
 from framevault.executor import image_map_for
-from framevault.fuzzer import MAX_CHAIN, FuzzConfig, generate_scenario, scenario_to_json
+from framevault.fuzzer import (MAX_CHAIN, FuzzConfig, check_scenario, generate_scenario,
+                               scenario_to_json)
 from framevault.memory import HEAP_BASE, HEAP_LIMIT
 from framevault.identity import MAX_IMAGE_MAP_LINES, ImageMapError, load_image_map
 from framevault.instrument import AnnotationError, instrument, parse_lists
@@ -21,7 +22,7 @@ from framevault.program import (MAX_BODY_STATEMENTS, MAX_FUNCTIONS, MAX_OBJECT_B
                                 MAX_PROBE_BYTES, MAX_PROGRAM_STATEMENTS, AbsoluteTarget, Assign,
                                 Call, FrameTarget, FunctionDesc, ProgramDesc, ProgramFormatError,
                                 ReadProbe, Return, VarDesc, emit, parse)
-from framevault.reporting import REPORT_VERSION, report_to_dict
+from framevault.reporting import REPORT_VERSION, report_to_dict, to_json
 
 import test_executor
 from support import DEMO_DIR, PWDGEN_MAP, pwdgen_instrumented
@@ -611,6 +612,19 @@ class TestFuzzCommand:
         code = main(["fuzz", "--replay", str(path)])
         assert code == 1
         assert "problems:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("scenario, code", [
+        (generate_scenario(43, 1, FuzzConfig()), 0),
+        (faulting_scenario(), 1),
+    ], ids=["clean", "failing"])
+    def test_replay_in_json(self, tmp_path, capsys, scenario, code):
+        path = tmp_path / "scenario.json"
+        path.write_text(scenario_to_json(scenario))
+        assert main(["fuzz", "--replay", str(path), "--format", "json"]) == code
+        report, problems = check_scenario(scenario)
+        assert bool(problems) == bool(code)
+        assert capsys.readouterr().out == to_json({**report_to_dict(report),
+                                                    "problems": problems})
 
     def test_campaign_with_findings_saves_replayable_counterexamples(
             self, tmp_path, capsys, runtime_saves_without_clearing):

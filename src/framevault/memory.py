@@ -157,10 +157,6 @@ class ProcessMemory:
     # ------------------------------------------------------------------
     # stack frames
 
-    @property
-    def frames(self) -> tuple[StackFrame, ...]:
-        return tuple(self._frames)
-
     def push_frame(self, owner: int, size: int) -> StackFrame:
         """Allocate a zero-initialized frame directly below the stack top."""
         if size <= 0:

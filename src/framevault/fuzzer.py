@@ -4,8 +4,11 @@ Each scenario is a small annotated program: a chain of secret-holding
 functions calling library functions that probe memory however they like.
 The scenario is instrumented, executed twice (real runtime and the
 page-dump oracle), and checked against every protection invariant. In
-adversarial mode one forged runtime call is spliced into a library body
-and the expected detection is asserted instead.
+adversarial mode one forged runtime call from `FORGERIES`, which names a
+forgery of each of the six calls, is spliced into a library body and the
+refusals the table expects are asserted instead. A forged call is one
+that carries no provenance, so a scenario's forgeries are read off its
+program and never stored beside it.
 
 Generation is deterministic: scenario i of seed s is always the same
 program, independent of the campaign size. A campaign checks its

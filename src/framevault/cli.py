@@ -1,10 +1,10 @@
 """Command line front end.
 
 Subcommands mirror the pipeline: instrument an annotated program, run it
-protected or native, diff the two, fuzz the runtime, or print syscall
-statistics. Exit codes: 0 clean, 1 protection violation, run fault or
-fuzz finding, 2 usage or input errors. Output files are byte-identical
-for identical inputs and seed.
+protected or native, diff the two, or fuzz the runtime. Exit codes: 0
+clean, 1 protection violation, run fault or fuzz finding, 2 usage or
+input errors. Output files are byte-identical for identical inputs and
+seed.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .instrument import (AnnotationError, ListParseError, instrument, parse_list
                          provenance_listing)
 from .program import ProgramFormatError, emit, parse
 from .reporting import (campaign_to_dict, diff_to_dict, render_campaign, render_diff,
-                        render_report, render_stats, report_to_dict, to_json)
+                        render_report, report_to_dict, to_json)
 
 _INPUT_ERRORS = (ProgramFormatError, ListParseError, AnnotationError,
                  ImageMapError, OSError, ValueError)
@@ -96,13 +96,6 @@ def cmd_diff(args) -> int:
     return _exit_code(protected)
 
 
-def cmd_stats(args) -> int:
-    program, table = _load_run_inputs(args)
-    report = run(program, table, args.entry)
-    _emit(render_stats(report), args.output)
-    return _exit_code(report)
-
-
 def cmd_fuzz(args) -> int:
     if args.replay:
         scenario = scenario_from_json(_read(args.replay))
@@ -136,12 +129,12 @@ def cmd_fuzz(args) -> int:
 
 # ----------------------------------------------------------------------
 
-def _add_io(sub, *, formats: tuple[str, ...] = ("text", "json")) -> None:
+def _add_io(sub) -> None:
     sub.add_argument("--program", required=True, help="program description (JSON)")
     sub.add_argument("--image-map", required=True,
                      help="function span table (name lo hi per line)")
     sub.add_argument("--entry", default="main", help="entry function name")
-    sub.add_argument("--format", choices=formats, default="text")
+    sub.add_argument("--format", choices=("text", "json"), default="text")
     sub.add_argument("-o", "--output", help="write the report to this path")
 
 
@@ -173,11 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("diff", help="compare native exposure against protected")
     _add_io(p)
     p.set_defaults(func=cmd_diff)
-
-    # `run --format json` already carries the stats and provenance keys.
-    p = sub.add_parser("stats", help="print the per-syscall count table")
-    _add_io(p, formats=("text",))
-    p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("fuzz", help="randomized invariant checking")
     p.add_argument("--seed", type=int, default=0)

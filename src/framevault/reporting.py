@@ -24,12 +24,9 @@ _SYSCALL_COLUMNS = ("register_stack", "register_memory", "register_memory_except
 def stats_table(stats: SyscallStats) -> list[str]:
     """Per-syscall counts as one header row and one value row, then the
     byte traffic lines."""
-    values = [stats.register_stack, stats.register_memory,
-              stats.register_memory_exception, stats.unregister_stack,
-              stats.start_protect, stats.stop_protect, stats.total]
     header = "  ".join(_SYSCALL_COLUMNS)
-    row = "  ".join(str(v).rjust(len(name))
-                    for name, v in zip(_SYSCALL_COLUMNS, values))
+    row = "  ".join(str(getattr(stats, name.lower())).rjust(len(name))
+                    for name in _SYSCALL_COLUMNS)
     return [header, row,
             f"bytes copied   {stats.bytes_copied}",
             f"bytes cleared  {stats.bytes_cleared}"]
@@ -74,14 +71,6 @@ def render_report(report: ExecutionReport) -> str:
     lines.append(f"diagnostics: {len(report.diagnostics)}")
     lines.extend(f"  {d}" for d in report.diagnostics)
     lines.append(f"final digest: {report.final_digest}")
-    return "\n".join(lines) + "\n"
-
-
-def render_stats(report: ExecutionReport) -> str:
-    """The per-syscall count table of a protected run."""
-    lines = [REPORT_VERSION, "mode: stats", f"entry: {report.entry}"]
-    lines.extend(stats_table(report.stats))
-    lines.extend(_provenance_lines(report.provenance_counts))
     return "\n".join(lines) + "\n"
 
 

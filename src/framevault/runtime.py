@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 from .identity import IdentityTable
 from .memory import ProcessMemory, in_heap, in_stack
+from .program import RUNTIME_CALLS
 
 
 class ExceptionKind(str, enum.Enum):
@@ -129,21 +130,12 @@ class SyscallStats:
 
     @property
     def total(self) -> int:
-        return (self.register_stack + self.unregister_stack + self.register_memory
-                + self.register_memory_exception + self.start_protect + self.stop_protect)
+        return sum(getattr(self, call) for call in RUNTIME_CALLS)
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "register_stack": self.register_stack,
-            "unregister_stack": self.unregister_stack,
-            "register_memory": self.register_memory,
-            "register_memory_exception": self.register_memory_exception,
-            "start_protect": self.start_protect,
-            "stop_protect": self.stop_protect,
-            "total": self.total,
-            "bytes_copied": self.bytes_copied,
-            "bytes_cleared": self.bytes_cleared,
-        }
+        counts = {call: getattr(self, call) for call in RUNTIME_CALLS}
+        return {**counts, "total": sum(counts.values()),
+                "bytes_copied": self.bytes_copied, "bytes_cleared": self.bytes_cleared}
 
 
 class VaultState:

@@ -4,7 +4,9 @@ files shipping in demos/pwdgenerator."""
 from __future__ import annotations
 
 import json
+import pathlib
 import re
+import shlex
 import subprocess
 import sys
 
@@ -29,6 +31,7 @@ from support import DEMO_DIR, PWDGEN_MAP, pwdgen_instrumented
 from test_executor import build_spoof_program, leaky_run
 from test_fuzz import (LEAKY_CONFIG, LEAKY_FINDINGS, LEAKY_SEED, faulting_scenario,
                        runtime_saves_without_clearing)
+from test_golden import GOLDEN_DIR
 
 DEMO_PROGRAM = str(DEMO_DIR / "program.json")
 DEMO_MAP = str(DEMO_DIR / "image.map")
@@ -520,8 +523,7 @@ class TestFaultExitCode:
     fault as a problem; the heap's last byte is writable, the next is not."""
 
     @pytest.mark.parametrize("command, extra", [
-        ("run", ()), ("run", ("--format", "json")), ("native", ()), ("diff", ()),
-        ("stats", ())])
+        ("run", ()), ("run", ("--format", "json")), ("native", ()), ("diff", ())])
     def test_a_run_with_a_fault_exits_1(self, tmp_path, capsys, command, extra):
         assert run_doc(tmp_path, heap_write(HEAP_LIMIT), command, *extra) == 1
         out = capsys.readouterr().out
@@ -529,7 +531,7 @@ class TestFaultExitCode:
             assert "faults: 1" in out
             assert "write outside writable regions" in out
 
-    @pytest.mark.parametrize("command", ["run", "native", "diff", "stats"])
+    @pytest.mark.parametrize("command", ["run", "native", "diff"])
     def test_a_write_to_the_last_heap_byte_exits_0(self, tmp_path, capsys, command):
         assert run_doc(tmp_path, heap_write(HEAP_LIMIT - 1), command) == 0
         if command == "run":
@@ -546,7 +548,7 @@ class TestDiff:
         assert "secret bytes observed (protected): 0" in out
 
     def test_stats_table_totals_the_demo(self, capsys, instrumented_file):
-        code = main(["stats", "--program", str(instrumented_file),
+        code = main(["run", "--program", str(instrumented_file),
                      "--image-map", DEMO_MAP])
         assert code == 0
         out = capsys.readouterr().out
@@ -559,14 +561,10 @@ class TestDiff:
         assert header is not None and header[-1] == "Total"
         assert values == ["1", "1", "1", "1", "1", "1", "6"]
 
-    def test_stats_has_no_json_format_but_run_json_carries_the_stats(
-            self, capsys, instrumented_file):
+    def test_run_json_carries_the_stats(self, capsys, instrumented_file):
         args = ["--program", str(instrumented_file), "--image-map", DEMO_MAP,
                 "--format", "json"]
-        with pytest.raises(SystemExit) as exc:
-            main(["stats", *args])
-        assert exc.value.code == 2
-        capsys.readouterr()
+        capsys.readouterr()  # drop the provenance listing
         assert main(["run", *args]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["stats"]["total"] == 6
@@ -723,6 +721,27 @@ class TestJsonForms:
             "secret_bytes": 16, "detail": "untrusted read observed protected bytes"}]
 
 
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_commands() -> list[list[str]]:
+    """The arguments of every `framevault` line in README's sh blocks,
+    with backslash continuations joined."""
+    blocks = re.findall(r"^```sh\n(.*?)^```", README.read_text(), re.S | re.M)
+    lines = "".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True)[1:]
+            for line in lines if line.startswith("framevault ")]
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=lambda argv: argv[0])
+def test_readme_command_lines_parse(argv):
+    assert cli.build_parser().parse_args(argv).func is not None
+
+
+def test_readme_commands_are_found():
+    assert {argv[0] for argv in readme_commands()} >= {"instrument", "diff", "run", "fuzz"}
+
+
 class TestUsage:
     def test_no_subcommand_is_a_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -739,3 +758,20 @@ class TestUsage:
                               capture_output=True, text=True)
         assert proc.returncode == 0
         assert "instrument" in proc.stdout and "fuzz" in proc.stdout
+
+    def test_module_entry_point_prints_the_diff(self, instrumented_file):
+        proc = subprocess.run([sys.executable, "-m", "framevault.cli", "diff",
+                               "--program", str(instrumented_file), "--image-map", DEMO_MAP],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert "exit 0\n" + proc.stdout == (GOLDEN_DIR / "pwdgen-diff.text").read_text()
+
+    def test_console_main_exits_with_mains_code(self, tmp_path, monkeypatch):
+        argv = ["run", "--program", str(tmp_path / "program.json"),
+                "--image-map", str(tmp_path / "program.map")]
+        code = run_doc(tmp_path, heap_write(HEAP_LIMIT))
+        assert code == 1 and main(argv) == code
+        monkeypatch.setattr(sys, "argv", ["framevault", *argv])
+        with pytest.raises(SystemExit) as exc:
+            cli.console_main()
+        assert exc.value.code == code

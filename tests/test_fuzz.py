@@ -240,6 +240,32 @@ def test_every_single_forgery_placement_is_detected():
     assert single_forgery_failures(7, 40) == (931, [])
 
 
+def test_a_forged_call_after_return_expects_no_refusal():
+    # The executor stops at lib0's return, so the appended call never runs.
+    scenario = generate_scenario(7, 0, FuzzConfig(adversarial=True))
+    lib = scenario.program.function("lib0")
+    assert lib is not None
+    program = inject_forged(scenario.program, "lib0", RuntimeCall("stop_protect"),
+                            len(lib.body))
+    placed = replace(scenario, program=program)
+    assert placed.forged == ("register_memory", "stop_protect")
+    assert check_scenario(placed)[1] == []
+
+
+@pytest.mark.xfail(strict=True, reason="check_scenario concatenates FORGERIES rows, "
+                   "but a forged window lib0 opens and closes itself is refused "
+                   "nowhere (ROADMAP item 3)")
+def test_a_forged_window_that_closes_itself_expects_no_refusal():
+    scenario = generate_scenario(7, 0, FuzzConfig(adversarial=True))
+    program = instrument(scenario.raw, *parse_lists("\n".join(scenario.untrusted),
+                                                    "\n".join(scenario.sensitive)))
+    program = inject_forged(program, "lib0", RuntimeCall("start_protect"), 0)
+    program = inject_forged(program, "lib0", RuntimeCall("stop_protect"), 1)
+    placed = replace(scenario, program=program)
+    assert placed.forged == ("start_protect", "stop_protect")
+    assert check_scenario(placed)[1] == []
+
+
 class TestChainCap:
     def test_chain_depth_over_the_cap_is_rejected(self):
         assert MAX_CHAIN == 16

@@ -62,7 +62,6 @@ def test_generated_programs_instrument_byte_identically():
     ("run", "text"), ("run", "json"),
     ("native", "text"), ("native", "json"),
     ("diff", "text"), ("diff", "json"),
-    ("stats", "text"),
 ])
 def test_demo_report_is_byte_identical(command, fmt, demo_program, capsys):
     capsys.readouterr()  # drop the provenance listing

@@ -14,11 +14,11 @@ from framevault.executor import (IntegrityBreach, image_map_for, run, run_native
 from framevault.identity import load_image_map
 from framevault.instrument import instrument, parse_lists
 from framevault.memory import (FRAME_METADATA_BYTES, HEAP_CAPACITY, STACK_BASE,
-                               STACK_CAPACITY)
-from framevault.program import (AddressRef, Assign, Call, DerefTarget, FunctionDesc,
-                                HeapAlloc, HeapTarget, PointeeRef, ProgramDesc, ReadProbe,
-                                Return, RuntimeCall, ValueArg, VarDesc, VarRef, VarTarget,
-                                WriteProbe)
+                               STACK_CAPACITY, TEXT_BASE)
+from framevault.program import (AbsoluteTarget, AddressRef, Assign, Call, DerefTarget,
+                                FrameTarget, FunctionDesc, HeapAlloc, HeapTarget, PointeeRef,
+                                ProgramDesc, ReadProbe, Return, RuntimeCall, ValueArg, VarDesc,
+                                VarRef, VarTarget, WriteProbe)
 from framevault.oracle import OracleVault
 from framevault.reporting import render_report, report_to_dict
 from framevault.runtime import VaultState
@@ -26,12 +26,12 @@ from framevault.runtime import VaultState
 from support import pwdgen_instrumented, pwdgen_table
 
 
-def run_main(*body, locals=(), others=()):
+def run_main(*body, locals=(), others=(), runner=run):
     """Run a hand-built instrumented program whose `main` has `body`."""
     program = ProgramDesc(functions=(
         FunctionDesc(name="main", locals=tuple(locals), body=tuple(body) + (Return(),)),
         *others), instrumented=True)
-    return run(program, load_image_map(image_map_for(program)), "main")
+    return runner(program, load_image_map(image_map_for(program)), "main")
 
 
 def faults_of(*body, **kwargs):
@@ -126,6 +126,40 @@ class TestNames:
     def test_frame_without_the_variable(self):
         assert faults_of(ReadProbe(VarTarget("main", "ghost"), 4)) == [
             "main: main has no variable 'ghost'"]
+
+
+class TestProbes:
+    """Probe faults, each in a protected and a native run."""
+
+    @pytest.fixture(params=[run, run_native], ids=["protected", "native"])
+    def runner(self, request):
+        return request.param
+
+    @pytest.mark.parametrize("target", [FrameTarget("ghost", 4), VarTarget("ghost", "x")],
+                             ids=["frame", "var"])
+    @pytest.mark.parametrize("probe", [lambda t: ReadProbe(t, 4),
+                                       lambda t: WriteProbe(t, b"\x01")], ids=["read", "write"])
+    def test_a_function_that_never_ran(self, runner, target, probe):
+        assert faults_of(probe(target), runner=runner) == [
+            "main: no frame known for 'ghost'"]
+
+    def test_read_outside_the_mapped_regions(self, runner):
+        assert faults_of(ReadProbe(AbsoluteTarget(0x50), 8), runner=runner) == [
+            "main: probe read outside mapped regions: 0x50+8"]
+
+    def test_write_into_the_text_region(self, runner):
+        assert faults_of(WriteProbe(AbsoluteTarget(TEXT_BASE + 0x10), b"\x01\x02"),
+                         runner=runner) == [
+            f"main: probe write to read-only text region: {TEXT_BASE + 0x10:#x}"]
+
+    @pytest.mark.parametrize("probe, fault", [
+        (ReadProbe(DerefTarget("p", 4), 2), "read outside mapped regions: 0x54+2"),
+        (WriteProbe(DerefTarget("p", 4), b"\x01\x02"), "write outside writable regions: 0x54+2"),
+    ], ids=["read", "write"])
+    def test_deref_of_a_pointer_into_unmapped_memory(self, runner, probe, fault):
+        pointer = Assign("p", (0x50).to_bytes(8, "little"))
+        assert faults_of(pointer, probe, locals=(VarDesc("p", 8),), runner=runner) == [
+            f"main: probe {fault}"]
 
 
 class TestRegions:

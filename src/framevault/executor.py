@@ -5,14 +5,16 @@ Program-counter values are synthesized per statement from the executing
 function's image-map span, so the runtime sees the same unforgeable caller
 identity a hardware PC would give it. The executor also owns the ground
 truth for verdicts: at each window open it takes the window's bytes from
-`oracle.window_bytes` and records, with its own reads, what must stay
+`oracle.window_regions` and records, with its own reads, what must stay
 hidden and what must survive intact; the runtime's save buffer plays no
 part in that bookkeeping, so a runtime bug cannot mask itself.
 
 Verdict bookkeeping works on byte intervals, never on single addresses:
-a window keeps its hidden bytes as (lo, hi) ranges, and an untrusted read
-counts its secret bytes by clipping the ranges of every open window to
-the read, merging them, and counting non-zero bytes in each merged slice.
+a window keeps its hidden bytes as (addr, length) pairs, and an untrusted
+read that sees non-zero bytes counts its secret bytes by clipping the
+ranges of every open window to the read, merging them, and counting
+non-zero bytes in each merged slice. What must survive is snapshotted
+once per registered frame or object and compared piece by piece at close.
 
 A program is compiled once per program and image map: the first run
 under an identity table compiles it, and the plan stays on the program
@@ -21,35 +23,42 @@ runs alike) share it; a run under another table compiles again and
 replaces it. For each function the plan holds the image-map span, the
 variables' (offset, size) from the frame top, the frame size, and the
 body up to its first `return` as module-level handlers with their
-operands. A runtime call's operand carries its pc, its provenance key and
-the action for its call, all picked at compile time. The statement budget
-is read as the run goes, not compiled in.
+operands. A runtime call's handler is the action for its call in a
+protected run and does nothing in a native one; its operand carries its
+pc and provenance key. All of these are picked at compile time. A probe
+finds its target's resolver in a table keyed by the target's type.
+
+Program calls do not recurse in Python. One loop runs the innermost
+function's statements and keeps each suspended caller, with its statement
+iterator, on an explicit stack, so Python's stack depth stays the same
+however deep the program calls. The statement budget is read once per
+run, not compiled in.
 """
 
 from __future__ import annotations
 
 import hashlib
 import sys
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .identity import FunctionSpan, IdentityTable, synthesize_image_map
 from .memory import FRAME_METADATA_BYTES, MemoryFault, ProcessMemory, StackFrame
-from .oracle import window_bytes
+from .oracle import subtract_intervals, window_regions
 from .program import (AbsoluteTarget, AddrOfArg, AddressRef, Assign, Call, DerefTarget,
                       FrameTarget, FunctionDesc, HeapAlloc, HeapTarget, PointeeRef,
-                      ProbeTarget, ProgramDesc, ReadProbe, Return, RuntimeCall,
-                      VarRef, WriteProbe)
+                      ProgramDesc, ReadProbe, Return, RuntimeCall, VarRef, VarTarget,
+                      WriteProbe)
 from .runtime import SyscallStats, VaultException, VaultState
 
 MAX_CALL_DEPTH = 128
 MAX_STATEMENTS = 1_000_000
 
 
-@dataclass(frozen=True)
-class Observation:
-    """One probe executed by (untrusted) code."""
+class Observation(NamedTuple):
+    """One probe executed by (untrusted) code. A NamedTuple, so it equals
+    the plain tuple of its fields in this order."""
 
     kind: str  # "read" | "write"
     function: str
@@ -147,14 +156,16 @@ def image_map_for(program: ProgramDesc) -> str:
 class _Function(NamedTuple):
     """One function of a compiled program. `handlers` and `operands` run
     the body up to and including its first `return`, one pair per
-    statement: `handlers[i](executor, ctx, operands[i], depth)`."""
+    statement: `handlers[i](executor, ctx, operands[i])`. A native run
+    takes `native_handlers` instead, which differ only at runtime calls."""
 
     desc: FunctionDesc
     span: FunctionSpan
     vars: dict[str, tuple[int, int]]  # name -> (offset from the frame top, size)
     frame_size: int
     handlers: tuple
-    operands: tuple  # the statement; for a runtime call (action, statement, pc, key)
+    native_handlers: tuple
+    operands: tuple  # the statement; for a runtime call (statement, pc, key)
 
 
 class _Plan(NamedTuple):
@@ -162,11 +173,13 @@ class _Plan(NamedTuple):
 
     table: IdentityTable
     functions: dict[str, _Function]
+    keys: tuple[str, ...]  # every runtime call's provenance key, sorted
     uncovered: list[str]  # described functions the image map has no span for
 
 
 def _compile(program: ProgramDesc, table: IdentityTable) -> _Plan:
     functions: dict[str, _Function] = {}
+    keys: set[str] = set()
     uncovered = []
     # A plan lives as long as its program, so functions share equal
     # variable maps and handler sequences, and a body that equals its
@@ -180,28 +193,33 @@ def _compile(program: ProgramDesc, table: IdentityTable) -> _Plan:
             continue
         if fn.name in functions:  # the first description of a name wins
             continue
-        handlers, operands = [], []
+        handlers, native_handlers, operands = [], [], []
         for idx, stmt in enumerate(fn.body):
             if isinstance(stmt, RuntimeCall):
                 pc = span.lo + min(idx, span.hi - span.lo - 1)
                 # Interned: a plan holds one string per distinct key.
                 key = sys.intern(f"{stmt.call}/{stmt.provenance or 'forged'}")
-                handlers.append(_runtime_call)
-                operands.append((_RUNTIME_ACTIONS.get(stmt.call, _nothing), stmt, pc, key))
-            else:
-                handlers.append(_HANDLERS.get(type(stmt), _nothing))
-                operands.append(stmt)
+                keys.add(key)
+                handlers.append(_RUNTIME_ACTIONS.get(stmt.call, _unknown_call))
+                native_handlers.append(_nothing)  # a native run makes no runtime call
+                operands.append((stmt, pc, key))
+                continue
+            handlers.append(_HANDLERS.get(type(stmt), _nothing))
+            native_handlers.append(handlers[-1])
+            operands.append(stmt)
             if isinstance(stmt, Return):
                 break
         offsets, size = function_layout(fn)
         layout = {v.name: (offsets[v.name], v.size) for v in fn.variables()}
-        handlers, operands = tuple(handlers), tuple(operands)
+        handlers, native_handlers = tuple(handlers), tuple(native_handlers)
+        operands = tuple(operands)
         if operands == fn.body:  # no runtime call and nothing after a `return`
             operands = fn.body
         functions[fn.name] = _Function(
             fn, span, layouts.setdefault(tuple(layout.items()), layout), size,
-            sequences.setdefault(handlers, handlers), operands)
-    return _Plan(table, functions, uncovered)
+            sequences.setdefault(handlers, handlers),
+            sequences.setdefault(native_handlers, native_handlers), operands)
+    return _Plan(table, functions, tuple(sorted(keys)), uncovered)
 
 
 def _plan(program: ProgramDesc, table: IdentityTable) -> _Plan:
@@ -215,19 +233,19 @@ def _plan(program: ProgramDesc, table: IdentityTable) -> _Plan:
     return plan
 
 
-@dataclass
-class _FrameCtx:
+class _FrameCtx(NamedTuple):
     func: FunctionDesc
     frame: StackFrame
     vars: dict[str, tuple[int, int]]  # name -> (offset from the frame top, size)
 
 
-@dataclass
-class _Window:
+class _Window(NamedTuple):
     wid: int
-    hidden: list[tuple[int, int]]  # (lo, hi) byte ranges the window must hide
+    hidden: list[tuple[int, int]]  # (addr, length) intervals the window must hide
+    # (addr, the bytes there at window open) of each frame and object;
+    # closing must leave them as they were, but for the carve-outs
     integrity: list[tuple[int, bytes]]
-    carve_outs: list[tuple[int, int]]
+    carve_outs: list[tuple[int, int]]  # (addr, length) of the writable carve-outs
 
 
 class _Halt(Exception):
@@ -252,8 +270,9 @@ class Executor:
         self.provenance_counts: dict[str, int] = {}
         self.windows: list[_Window] = []
         self._wid = 0
-        self._steps = 0
         self._frame_history: dict[str, _FrameCtx] = {}
+        # Suspended callers, outermost first: (context, statement iterator)
+        self._callers: list[tuple[_FrameCtx, Iterator]] = []
         self.functions: dict[str, _Function] = {}
 
     @property
@@ -269,9 +288,10 @@ class Executor:
         if plan.uncovered:
             raise ValueError(f"image map does not cover: {', '.join(sorted(plan.uncovered))}")
         self.functions = plan.functions
+        self.provenance_counts = dict.fromkeys(plan.keys, 0)
         halted = False
         try:
-            self._invoke(self.functions[entry], arg_values=[], depth=0)
+            self._execute(self.functions[entry])
         except _Halt:
             halted = True
         if self.vault is not None:
@@ -283,7 +303,7 @@ class Executor:
             faults=self.faults,
             observations=self.observations,
             stats=self.vault.stats if self.vault else SyscallStats(),
-            provenance_counts=dict(sorted(self.provenance_counts.items())),
+            provenance_counts={key: n for key, n in self.provenance_counts.items() if n},
             diagnostics=list(self.vault.diagnostics) if self.vault else [],
             final_digest=self._digest(),
             halted=halted,
@@ -292,63 +312,44 @@ class Executor:
     # ------------------------------------------------------------------
     # interpretation
 
-    def _invoke(self, fn: _Function, arg_values: list[bytes], depth: int) -> None:
-        try:
-            frame = self.memory.push_frame(fn.span.fid, fn.frame_size)
-        except MemoryFault as exc:
-            self.faults.append(f"cannot enter {fn.desc.name}: {exc}")
+    def _execute(self, fn: _Function) -> None:
+        """Run `fn` and every call it makes, on the explicit caller stack."""
+        entered = _enter(self, fn, ())
+        if entered is None:
             return
-        ctx = _FrameCtx(func=fn.desc, frame=frame, vars=fn.vars)
-        self._frame_history[fn.desc.name] = ctx
-        for param, data in zip(fn.desc.params, arg_values):
-            self.memory.write_bytes(frame.top + fn.vars[param.name][0], data[:param.size])
+        ctx, statements = entered
+        budget, steps = MAX_STATEMENTS, 0
+        callers, pop_frame = self._callers, self.memory.pop_frame
         try:
-            self._run_body(ctx, fn, depth)
-        finally:
-            self.memory.pop_frame()
-
-    def _run_body(self, ctx: _FrameCtx, fn: _Function, depth: int) -> None:
-        # Every statement run costs one step, `return` and the runtime calls
-        # a native run skips included.
-        for handler, operand in zip(fn.handlers, fn.operands):
-            self._steps += 1
-            if self._steps > MAX_STATEMENTS:
-                self.faults.append("statement budget exceeded")
-                raise _Halt()
-            handler(self, ctx, operand, depth)
-
-    # ------------------------------------------------------------------
-    # probes
-
-    def _resolve_target(self, ctx: _FrameCtx, target: ProbeTarget) -> int | None:
-        if isinstance(target, AbsoluteTarget):
-            return target.addr
-        if isinstance(target, DerefTarget):
-            var = ctx.vars.get(target.param)
-            if var is None:
-                self.faults.append(f"{ctx.func.name}: deref of unknown variable {target.param!r}")
-                return None
-            raw = self.memory.read_bytes(ctx.frame.top + var[0], 8)
-            return int.from_bytes(raw, "little") + target.offset
-        if isinstance(target, HeapTarget):
-            objects = self.memory.heap_objects
-            if not 0 <= target.index < len(objects):
-                self.faults.append(f"{ctx.func.name}: heap object {target.index} does not exist")
-                return None
-            return objects[target.index].base + target.offset
-        # Last-known placement works for both live frames and popped ones,
-        # which lets scripts probe for stale data after a return.
-        victim = self._frame_history.get(target.function)
-        if victim is None:
-            self.faults.append(f"{ctx.func.name}: no frame known for {target.function!r}")
-            return None
-        if isinstance(target, FrameTarget):
-            return victim.frame.top + target.offset
-        var = victim.vars.get(target.var)
-        if var is None:
-            self.faults.append(f"{ctx.func.name}: {target.function} has no variable {target.var!r}")
-            return None
-        return victim.frame.top + var[0] + target.offset
+            while True:
+                for handler, operand in statements:
+                    # Every statement run costs one step, `return` and the
+                    # runtime calls a native run skips included.
+                    steps += 1
+                    if steps > budget:
+                        self.faults.append("statement budget exceeded")
+                        raise _Halt()
+                    entered = handler(self, ctx, operand)
+                    if entered is None:
+                        continue
+                    if type(entered) is tuple:  # a call: suspend ctx, run the callee
+                        callers.append((ctx, statements))
+                        ctx, statements = entered
+                        break
+                    if self.strict:  # a refused runtime call
+                        raise _Halt()
+                else:  # the function returned
+                    pop_frame()
+                    if not callers:
+                        return
+                    ctx, statements = callers.pop()
+        except BaseException:
+            # Pop every frame still pushed, the innermost first, as its
+            # return would have.
+            for _ in range(len(callers) + 1):
+                pop_frame()
+            callers.clear()
+            raise
 
     # ------------------------------------------------------------------
 
@@ -361,18 +362,35 @@ class Executor:
         return "sha256:" + h.hexdigest()
 
 
+def _enter(ex: Executor, fn: _Function, args) -> tuple[_FrameCtx, Iterator] | None:
+    """Push `fn`'s frame and write its arguments. Returns its context and
+    statement iterator, or None, after a fault, when the frame does not fit."""
+    try:
+        frame = ex.memory.push_frame(fn.span.fid, fn.frame_size)
+    except MemoryFault as exc:
+        ex.faults.append(f"cannot enter {fn.desc.name}: {exc}")
+        return None
+    ctx = _FrameCtx(fn.desc, frame, fn.vars)
+    ex._frame_history[fn.desc.name] = ctx
+    for param, data in zip(fn.desc.params, args):
+        ex.memory.write_bytes(frame.top + fn.vars[param.name][0], data[:param.size])
+    return ctx, zip(fn.native_handlers if ex.vault is None else fn.handlers, fn.operands)
+
+
 # ----------------------------------------------------------------------
-# statement handlers: handler(executor, ctx, operand, depth)
+# statement handlers: handler(executor, ctx, operand) returns None, the
+# callee's (context, statement iterator) for a call that entered it, or
+# the vault's refusal for a refused runtime call
 
 def _nothing(*_) -> None:
     """A statement or runtime call that only costs its step."""
 
 
-def _assign(ex: Executor, ctx: _FrameCtx, stmt: Assign, depth: int) -> None:
+def _assign(ex: Executor, ctx: _FrameCtx, stmt: Assign) -> None:
     ex.memory.write_bytes(ctx.frame.top + ctx.vars[stmt.var][0], stmt.value)
 
 
-def _heap_alloc(ex: Executor, ctx: _FrameCtx, stmt: HeapAlloc, depth: int) -> None:
+def _heap_alloc(ex: Executor, ctx: _FrameCtx, stmt: HeapAlloc) -> None:
     var = ctx.vars.get(stmt.var)
     if var is None:
         ex.faults.append(f"{ctx.func.name}: heap_alloc into unknown variable {stmt.var!r}")
@@ -387,83 +405,144 @@ def _heap_alloc(ex: Executor, ctx: _FrameCtx, stmt: HeapAlloc, depth: int) -> No
         ex.memory.write_bytes(obj.base, stmt.init[:stmt.size])
 
 
-def _call(ex: Executor, ctx: _FrameCtx, stmt: Call, depth: int) -> None:
+def _call(ex: Executor, ctx: _FrameCtx, stmt: Call) -> tuple[_FrameCtx, Iterator] | None:
     callee = ex.functions.get(stmt.callee)
     if callee is None:
         ex.faults.append(f"{ctx.func.name}: call to unknown function {stmt.callee!r}")
-        return
-    if depth + 1 >= MAX_CALL_DEPTH:
+        return None
+    if len(ex._callers) + 1 >= MAX_CALL_DEPTH:  # the caller's depth is its callers' count
         ex.faults.append(f"{ctx.func.name}: call depth limit at {stmt.callee}")
-        return
+        return None
     arg_values: list[bytes] = []
     for arg in stmt.args:
         var = ctx.vars.get(arg.var)
         if var is None:
             ex.faults.append(f"{ctx.func.name}: unknown argument variable {arg.var!r}")
-            return
+            return None
         addr, size = ctx.frame.top + var[0], var[1]
         if isinstance(arg, AddrOfArg):
             arg_values.append(addr.to_bytes(8, "little"))
         else:
             arg_values.append(ex.memory.read_bytes(addr, size))
-    ex._invoke(callee, arg_values, depth + 1)
+    return _enter(ex, callee, arg_values)
 
 
-def _probe(ex: Executor, ctx: _FrameCtx, stmt: ReadProbe | WriteProbe, depth: int) -> None:
-    addr = ex._resolve_target(ctx, stmt.target)
+def _read_probe(ex: Executor, ctx: _FrameCtx, stmt: ReadProbe) -> None:
+    addr = _RESOLVERS[type(stmt.target)](ex, ctx, stmt.target)
     if addr is None:
         return
+    length = stmt.length
     try:
-        if isinstance(stmt, ReadProbe):
-            kind, data = "read", ex.memory.read_bytes(addr, stmt.length)
-        else:
-            kind, data = "write", stmt.value
-            ex.memory.write_bytes(addr, data)
+        data = ex.memory.read_bytes(addr, length)
     except MemoryFault as exc:
         ex.faults.append(f"{ctx.func.name}: probe {exc}")
         return
-    nonzero = _nonzero(data)
-    ex.observations.append(Observation(
-        kind=kind, function=ctx.func.name,
-        window=ex.windows[-1].wid if ex.windows else None, address=addr,
-        length=len(data), nonzero=nonzero, preview=data[:16].hex()))
-    if kind == "read" and nonzero and ex.windows:
-        secret = hidden_nonzero(data, addr, (r for w in ex.windows for r in w.hidden))
+    nonzero = length - data.count(0)
+    windows = ex.windows
+    ex.observations.append(Observation("read", ctx.func.name,
+                                       windows[-1].wid if windows else None, addr, length,
+                                       nonzero, data[:16].hex()))
+    if nonzero and windows:
+        secret = hidden_nonzero(data, addr, ((lo, lo + n) for w in windows for lo, n in w.hidden))
         if secret:
             ex.violations.append(Leak(
-                window=ex.windows[-1].wid, function=ctx.func.name, address=addr,
-                length=len(data), secret_bytes=secret,
+                window=windows[-1].wid, function=ctx.func.name, address=addr,
+                length=length, secret_bytes=secret,
                 detail="untrusted read observed protected bytes"))
 
 
-def _runtime_call(ex: Executor, ctx: _FrameCtx, operand: tuple, depth: int) -> None:
-    vault = ex.vault
-    if vault is None:
-        return  # a native run makes no runtime call
-    action, stmt, pc, key = operand
-    ex.provenance_counts[key] = ex.provenance_counts.get(key, 0) + 1
-    if action(ex, vault, ctx, stmt, pc) is not None and ex.strict:
-        raise _Halt()
+def _write_probe(ex: Executor, ctx: _FrameCtx, stmt: WriteProbe) -> None:
+    addr = _RESOLVERS[type(stmt.target)](ex, ctx, stmt.target)
+    if addr is None:
+        return
+    value = stmt.value
+    try:
+        ex.memory.write_bytes(addr, value)
+    except MemoryFault as exc:
+        ex.faults.append(f"{ctx.func.name}: probe {exc}")
+        return
+    windows = ex.windows
+    ex.observations.append(Observation("write", ctx.func.name,
+                                       windows[-1].wid if windows else None, addr, len(value),
+                                       _nonzero(value), value[:16].hex()))
 
 
-_HANDLERS = {Assign: _assign, HeapAlloc: _heap_alloc, Call: _call,
-             ReadProbe: _probe, WriteProbe: _probe, Return: _nothing}
+_HANDLERS = {Assign: _assign, HeapAlloc: _heap_alloc, Call: _call, ReadProbe: _read_probe,
+             WriteProbe: _write_probe, Return: _nothing}
 
 
 # ----------------------------------------------------------------------
-# runtime-call actions: action(executor, vault, ctx, statement, pc), each
-# returning the vault's refusal or None
+# probe targets: resolver(executor, ctx, target) returns the address, or
+# None after a fault
 
-def _register_stack(ex: Executor, vault: VaultState, ctx: _FrameCtx, stmt: RuntimeCall,
-                    pc: int) -> VaultException | None:
-    return vault.register_stack(pc, all=bool(stmt.all),
-                                frame_base=ctx.frame.base, frame_top=ctx.frame.top)
+def _absolute(ex: Executor, ctx: _FrameCtx, target: AbsoluteTarget) -> int:
+    return target.addr
 
 
-def _register_region(ex: Executor, vault: VaultState, ctx: _FrameCtx, stmt: RuntimeCall,
-                     pc: int) -> VaultException | None:
+def _deref(ex: Executor, ctx: _FrameCtx, target: DerefTarget) -> int | None:
+    var = ctx.vars.get(target.param)
+    if var is None:
+        ex.faults.append(f"{ctx.func.name}: deref of unknown variable {target.param!r}")
+        return None
+    raw = ex.memory.read_bytes(ctx.frame.top + var[0], 8)
+    return int.from_bytes(raw, "little") + target.offset
+
+
+def _heap(ex: Executor, ctx: _FrameCtx, target: HeapTarget) -> int | None:
+    objects = ex.memory.heap_objects
+    if not 0 <= target.index < len(objects):
+        ex.faults.append(f"{ctx.func.name}: heap object {target.index} does not exist")
+        return None
+    return objects[target.index].base + target.offset
+
+
+def _victim(ex: Executor, ctx: _FrameCtx, function: str) -> _FrameCtx | None:
+    """The last-known placement of `function`'s frame. It works for live
+    frames and popped ones alike, which lets scripts probe for stale data
+    after a return."""
+    victim = ex._frame_history.get(function)
+    if victim is None:
+        ex.faults.append(f"{ctx.func.name}: no frame known for {function!r}")
+    return victim
+
+
+def _frame(ex: Executor, ctx: _FrameCtx, target: FrameTarget) -> int | None:
+    victim = _victim(ex, ctx, target.function)
+    return None if victim is None else victim.frame.top + target.offset
+
+
+def _var(ex: Executor, ctx: _FrameCtx, target: VarTarget) -> int | None:
+    victim = _victim(ex, ctx, target.function)
+    if victim is None:
+        return None
+    var = victim.vars.get(target.var)
+    if var is None:
+        ex.faults.append(f"{ctx.func.name}: {target.function} has no variable {target.var!r}")
+        return None
+    return victim.frame.top + var[0] + target.offset
+
+
+_RESOLVERS = {AbsoluteTarget: _absolute, DerefTarget: _deref, HeapTarget: _heap,
+              FrameTarget: _frame, VarTarget: _var}
+
+
+# ----------------------------------------------------------------------
+# runtime-call actions, a protected run's handlers for the six calls:
+# action(executor, ctx, (statement, pc, provenance key)) counts the call
+# under its key and returns the vault's refusal or None
+
+def _register_stack(ex: Executor, ctx: _FrameCtx, operand: tuple) -> VaultException | None:
+    stmt, pc, key = operand
+    ex.provenance_counts[key] += 1
+    return ex.vault.register_stack(pc, all=bool(stmt.all),
+                                   frame_base=ctx.frame.base, frame_top=ctx.frame.top)
+
+
+def _register_region(ex: Executor, ctx: _FrameCtx, operand: tuple) -> VaultException | None:
     """register_memory or register_memory_exception, as the statement says,
     of the region its operand names."""
+    stmt, pc, key = operand
+    ex.provenance_counts[key] += 1
     ref = stmt.target
     if isinstance(ref, VarRef):
         var = ctx.vars.get(ref.var)
@@ -484,48 +563,64 @@ def _register_region(ex: Executor, vault: VaultState, ctx: _FrameCtx, stmt: Runt
         ex.faults.append(f"{ctx.func.name}: {stmt.call} without a region")
         return None
     try:
-        return getattr(vault, stmt.call)(pc, base, length, bool(stmt.read_only))
+        return getattr(ex.vault, stmt.call)(pc, base, length, bool(stmt.read_only))
     except ValueError as exc:
         ex.faults.append(f"{ctx.func.name}: {stmt.call}: {exc}")
         return None
 
 
-def _start_protect(ex: Executor, vault: VaultState, ctx: _FrameCtx, stmt: RuntimeCall,
-                   pc: int) -> VaultException | None:
-    hidden, kept, carve_outs = window_bytes(vault.register_list, vault.watermark(),
-                                            len(vault.register_list) - 1)
-    integrity = [(addr, ex.memory.read_bytes(addr, length)) for addr, length in kept]
-
+def _start_protect(ex: Executor, ctx: _FrameCtx, operand: tuple) -> VaultException | None:
+    stmt, pc, key = operand
+    ex.provenance_counts[key] += 1
+    vault, read = ex.vault, ex.memory.read_bytes
+    hidden, regions, carve_outs = window_regions(vault.register_list, vault.watermark(),
+                                                 len(vault.register_list) - 1)
+    integrity = [(addr, read(addr, length)) for addr, length in regions]
     refused = vault.start_protect(ex.memory, pc)
     if refused is None:
         ex._wid += 1
-        ex.windows.append(_Window(
-            wid=ex._wid, hidden=[(addr, addr + length) for addr, length in hidden],
-            integrity=integrity, carve_outs=carve_outs))
+        ex.windows.append(_Window(ex._wid, hidden, integrity, carve_outs))
     return refused
 
 
-def _stop_protect(ex: Executor, vault: VaultState, ctx: _FrameCtx, stmt: RuntimeCall,
-                  pc: int) -> VaultException | None:
-    carve_outs = ex.windows[-1].carve_outs if ex.windows else []
-    pre_close = [(addr, ex.memory.read_bytes(addr, length)) for addr, length in carve_outs]
-    refused = vault.stop_protect(ex.memory, pc)
+def _stop_protect(ex: Executor, ctx: _FrameCtx, operand: tuple) -> VaultException | None:
+    stmt, pc, key = operand
+    ex.provenance_counts[key] += 1
+    windows, read = ex.windows, ex.memory.read_bytes
+    carve_outs = windows[-1].carve_outs if windows else []
+    pre_close = [(addr, read(addr, length)) for addr, length in carve_outs]
+    refused = ex.vault.stop_protect(ex.memory, pc)
     if refused is not None:
         return refused  # window still open; nothing was restored
-    window = ex.windows.pop()
-    for addr, expected in window.integrity + pre_close:
-        actual = ex.memory.read_bytes(addr, len(expected))
-        if actual != expected:
-            delta = next(i for i in range(len(expected)) if actual[i] != expected[i])
-            ex.violations.append(IntegrityBreach(
-                window=window.wid, address=addr, length=len(expected),
-                detail=f"first mismatch at byte {delta}"))
+    window = windows.pop()
+    # Each region read back whole; only one that changed is compared piece
+    # by piece, without the writable carve-outs its callee may change.
+    for snapshots, holes in ((window.integrity, window.carve_outs), (pre_close, ())):
+        for addr, snapshot in snapshots:
+            actual = read(addr, len(snapshot))
+            if actual == snapshot:
+                continue
+            view = memoryview(actual)
+            for lo, length in subtract_intervals([(addr, len(snapshot))], holes):
+                off = lo - addr
+                if not snapshot.startswith(view[off:off + length], off):
+                    delta = next(i for i in range(off, off + length)
+                                 if actual[i] != snapshot[i]) - off
+                    ex.violations.append(IntegrityBreach(
+                        window=window.wid, address=lo, length=length,
+                        detail=f"first mismatch at byte {delta}"))
     return None
 
 
-def _unregister_stack(ex: Executor, vault: VaultState, ctx: _FrameCtx, stmt: RuntimeCall,
-                      pc: int) -> VaultException | None:
-    return vault.unregister_stack(ex.memory, pc)
+def _unregister_stack(ex: Executor, ctx: _FrameCtx, operand: tuple) -> VaultException | None:
+    stmt, pc, key = operand
+    ex.provenance_counts[key] += 1
+    return ex.vault.unregister_stack(ex.memory, pc)
+
+
+def _unknown_call(ex: Executor, ctx: _FrameCtx, operand: tuple) -> None:
+    """A runtime call no action exists for is counted and does nothing."""
+    ex.provenance_counts[operand[2]] += 1
 
 
 _RUNTIME_ACTIONS = {"register_stack": _register_stack, "register_memory": _register_region,

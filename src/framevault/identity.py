@@ -8,7 +8,7 @@ most one function. User code has no way to alter the table once loaded.
 
 from __future__ import annotations
 
-import bisect
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -41,15 +41,13 @@ class IdentityTable:
         self._by_name = {s.name: s for s in self._spans}
         ordered = sorted(self._spans, key=lambda s: s.lo)
         self._los = [s.lo for s in ordered]
-        self._ordered = ordered
+        self._his = [s.hi for s in ordered]
+        self._fids = [s.fid for s in ordered]
 
     def resolve(self, pc: int) -> int | None:
         """FunctionId whose span contains pc, or None."""
-        i = bisect.bisect_right(self._los, pc) - 1
-        if i < 0:
-            return None
-        span = self._ordered[i]
-        return span.fid if pc < span.hi else None
+        i = bisect_right(self._los, pc) - 1
+        return self._fids[i] if i >= 0 and pc < self._his[i] else None
 
     def name_of(self, fid: int) -> str:
         return self._spans[fid].name

@@ -11,7 +11,7 @@ capacity; bytes beyond both segments were never written and read as zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 TEXT_BASE = 0x0040_0000
 TEXT_LIMIT = 0x0100_0000
@@ -67,10 +67,10 @@ def in_stack(addr: int, length: int = 1) -> bool:
     return STACK_LIMIT <= addr and addr + length <= STACK_BASE
 
 
-@dataclass(frozen=True)
-class StackFrame:
+class StackFrame(NamedTuple):
     """One live activation record. `base` is the high bound (exclusive),
-    `top` the low bound (inclusive); frames grow downward."""
+    `top` the low bound (inclusive); frames grow downward. A NamedTuple,
+    so it equals the plain tuple (owner, base, top)."""
 
     owner: int
     base: int
@@ -121,14 +121,18 @@ class ProcessMemory:
         """Read from stack, heap, or text. Unwritten bytes are zero."""
         if length < 0:
             raise ValueError("negative read length")
-        if in_stack(addr, length):
-            segment = self._stack
-            off = addr - STACK_BASE + len(segment)
+        segment = self._stack
+        off = addr - STACK_BASE + len(segment)
+        if off >= 0 and addr + length <= STACK_BASE:
+            # The stack segment holds every byte. A slice is the cheaper
+            # copy for short reads, the view below for long ones.
+            if length <= _CHUNK:
+                return bytes(segment[off:off + length])
         elif in_heap(addr, length):
             segment, off = self._heap, addr - HEAP_BASE
         elif in_text(addr, length):
             return bytes(length)
-        else:
+        elif not in_stack(addr, length):
             raise MemoryFault(f"read outside mapped regions: {addr:#x}+{length}")
         if off < 0 or off + length > len(segment):
             return bytes_from_dump({addr - off: segment}, addr, length)
@@ -138,6 +142,11 @@ class ProcessMemory:
 
     def write_bytes(self, addr: int, data: bytes) -> None:
         """Write to stack or heap. The text region is read-only."""
+        stack = self._stack
+        off = addr - STACK_BASE + len(stack)
+        if off >= 0 and addr + len(data) <= STACK_BASE:  # the stack segment holds them
+            stack[off:off + len(data)] = data
+            return
         if not data:
             return
         if not (in_stack(addr, len(data)) or in_heap(addr, len(data))):
@@ -159,16 +168,20 @@ class ProcessMemory:
 
     def push_frame(self, owner: int, size: int) -> StackFrame:
         """Allocate a zero-initialized frame directly below the stack top."""
-        if size <= 0:
-            raise ValueError("frame size must be positive")
-        base = self._frames[-1].top if self._frames else STACK_BASE
+        frames = self._frames
+        base = frames[-1].top if frames else STACK_BASE
         top = base - size
-        if top < STACK_LIMIT:
-            raise StackOverflow(f"frame of {size} bytes exceeds stack capacity")
-        segment, off = self._covering(top, size)
+        segment = self._stack
+        off = top - STACK_BASE + len(segment)
+        if size <= 0 or off < 0:  # not a frame the stack segment already covers
+            if size <= 0:
+                raise ValueError("frame size must be positive")
+            if top < STACK_LIMIT:
+                raise StackOverflow(f"frame of {size} bytes exceeds stack capacity")
+            segment, off = self._covering(top, size)
         segment[off:off + size] = _ZEROS[:size]
-        frame = StackFrame(owner=owner, base=base, top=top)
-        self._frames.append(frame)
+        frame = StackFrame(owner, base, top)
+        frames.append(frame)
         return frame
 
     def pop_frame(self) -> StackFrame:

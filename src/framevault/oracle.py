@@ -2,8 +2,9 @@
 which bytes a protection window hides.
 
 `window_bytes` turns a RegisterList slice into the byte intervals a window
-clears, restores and leaves to the callee; the executor's verdicts and the
-oracle below both use it, and the runtime under test does not.
+clears, restores and leaves to the callee. The oracle below uses it, the
+executor's verdicts use `window_regions`, its first step, and the runtime
+under test uses neither.
 
 The oracle keeps the registration bookkeeping and identity/index
 verification of the real runtime but replaces the window save/restore
@@ -21,23 +22,24 @@ Interval = tuple[int, int]  # (addr, length)
 
 
 def subtract_intervals(intervals: list[Interval], holes: list[Interval]) -> list[Interval]:
-    """Remove hole intervals from (addr, length) intervals."""
+    """Remove hole intervals from (addr, length) intervals. Each interval
+    leaves its pieces in address order, cut at every hole bound inside
+    it, so an empty hole splits a piece in two."""
+    if not holes:
+        return [interval for interval in intervals if interval[1] > 0]
+    holes = sorted(holes)
     out = []
     for addr, length in intervals:
-        pieces = [(addr, addr + length)]
+        lo, end = addr, addr + length
         for h_addr, h_len in holes:
-            h_lo, h_hi = h_addr, h_addr + h_len
-            next_pieces = []
-            for lo, hi in pieces:
-                if h_hi <= lo or hi <= h_lo:
-                    next_pieces.append((lo, hi))
-                    continue
-                if lo < h_lo:
-                    next_pieces.append((lo, h_lo))
-                if h_hi < hi:
-                    next_pieces.append((h_hi, hi))
-            pieces = next_pieces
-        out.extend((lo, hi - lo) for lo, hi in pieces if hi > lo)
+            if h_addr >= end:
+                break
+            if lo < h_addr:
+                out.append((lo, h_addr - lo))
+            if h_addr + h_len > lo:
+                lo = h_addr + h_len
+        if lo < end:
+            out.append((lo, end - lo))
     return out
 
 
@@ -53,24 +55,36 @@ def window_bytes(entries: list[RegisterEntry], start: int,
     callee writes closing keeps; a read-only carve-out is restored with
     its frame. all=False frames contribute nothing themselves.
     """
+    hidden, regions, writable = window_regions(entries, start, end)
+    return hidden, subtract_intervals(regions, writable), writable
+
+
+def window_regions(entries: list[RegisterEntry], start: int,
+                   end: int) -> tuple[list[Interval], list[Interval], list[Interval]]:
+    """`window_bytes` before the writable carve-outs are cut out of what
+    closing restores: (hidden, the all=True frames then the objects,
+    writable carve-outs)."""
     frames: list[Interval] = []
-    objects: list[MemoryEntry] = []
+    objects: list[Interval] = []
+    hidden_objects: list[Interval] = []
     carve_outs: list[Interval] = []
     writable: list[Interval] = []
     for entry in entries[start:end + 1]:
-        if isinstance(entry, StackEntry):
+        kind = type(entry)
+        if kind is StackEntry:
             if entry.all:
-                frames.append((entry.frame_top, entry.frame_size))
-        elif isinstance(entry, MemoryEntry):
-            objects.append(entry)
+                frames.append((entry.frame_top, entry.frame_base - entry.frame_top))
+        elif kind is MemoryEntry:
+            objects.append((entry.base, entry.length))
+            if not entry.read_only:
+                hidden_objects.append((entry.base, entry.length))
         else:
             carve_outs.append((entry.base, entry.length))
             if not entry.read_only:
                 writable.append((entry.base, entry.length))
-    hidden = subtract_intervals(frames, carve_outs)
-    hidden += [(obj.base, obj.length) for obj in objects if not obj.read_only]
-    kept = subtract_intervals(frames + [(obj.base, obj.length) for obj in objects], writable)
-    return hidden, kept, writable
+    if not frames:  # nothing to cut carve-outs out of
+        return hidden_objects, objects, writable
+    return subtract_intervals(frames, carve_outs) + hidden_objects, frames + objects, writable
 
 
 class OracleVault(VaultState):

@@ -17,8 +17,8 @@ whole-frame and fine-grained mode alike.
 from __future__ import annotations
 
 import enum
-from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .identity import IdentityTable
 from .memory import ProcessMemory, in_heap, in_stack
@@ -85,8 +85,10 @@ class MemoryExceptionEntry:
 RegisterEntry = StackEntry | MemoryEntry | MemoryExceptionEntry
 
 
-@dataclass(frozen=True)
-class ProtectEntry:
+class ProtectEntry(NamedTuple):
+    """One open window. A NamedTuple, so it equals the plain tuple
+    (caller, register_index)."""
+
     caller: int
     register_index: int  # first free RegisterList slot when the window opened
 
@@ -148,7 +150,7 @@ class VaultState:
         self.save_buffer = SaveBuffer()
         self.exception_log: list[VaultException] = []
         self.diagnostics: list[str] = []
-        self._calls: Counter[str] = Counter()
+        self._calls = dict.fromkeys(RUNTIME_CALLS, 0)
         self._bytes_cleared = 0
 
     @property
@@ -179,9 +181,10 @@ class VaultState:
         fid = self._resolve(syscall, caller_pc)
         if isinstance(fid, VaultException):
             return fid
-        for idx in range(len(self.register_list) - 1, -1, -1):
-            last = self.register_list[idx]
-            if isinstance(last, StackEntry):
+        register_list = self.register_list
+        for idx in range(len(register_list) - 1, -1, -1):
+            last = register_list[idx]
+            if type(last) is StackEntry:
                 if last.owner != fid:
                     return self._flag(ExceptionKind.IDENTITY_MISMATCH, syscall, caller_pc,
                                       f"caller {self.identity.name_of(fid)} does not own the "
@@ -209,8 +212,7 @@ class VaultState:
             return fid
         if not (frame_top < frame_base and in_stack(frame_top, frame_base - frame_top)):
             raise ValueError(f"invalid frame bounds [{frame_top:#x}, {frame_base:#x})")
-        self.register_list.append(StackEntry(owner=fid, frame_base=frame_base,
-                                             frame_top=frame_top, all=all))
+        self.register_list.append(StackEntry(fid, frame_base, frame_top, all))
         return None
 
     def _register_object(self, syscall: str, caller_pc: int, base: int,
@@ -225,13 +227,11 @@ class VaultState:
             if not (last.frame_top <= base and base + length <= last.frame_base):
                 return self._flag(ExceptionKind.REGION_OUT_OF_FRAME, syscall, caller_pc,
                                   f"region {base:#x}+{length} lies outside the caller frame")
-            self.register_list.append(MemoryExceptionEntry(owner=last.owner, base=base,
-                                                           length=length, read_only=read_only))
+            self.register_list.append(MemoryExceptionEntry(last.owner, base, length, read_only))
         else:
             if not (in_stack(base, length) or in_heap(base, length)):
                 raise ValueError(f"region {base:#x}+{length} outside stack and heap")
-            self.register_list.append(MemoryEntry(owner=last.owner, base=base,
-                                                  length=length, read_only=read_only))
+            self.register_list.append(MemoryEntry(last.owner, base, length, read_only))
         return None
 
     def register_memory(self, caller_pc: int, base: int, length: int,
@@ -256,12 +256,13 @@ class VaultState:
         if isinstance(found, VaultException):
             return found
         idx, last = found
-        if idx < self.watermark():
+        watermark = self.watermark()
+        if idx < watermark:
             return self._flag(ExceptionKind.INDEX_MISMATCH, "unregister_stack", caller_pc,
                               f"frame registration {idx} lies below the open window's "
-                              f"watermark {self.watermark()}")
+                              f"watermark {watermark}")
         del self.register_list[idx:]
-        self._clear(memory, last.frame_top, last.frame_size)
+        self._clear(memory, last.frame_top, last.frame_base - last.frame_top)
         return None
 
     # ------------------------------------------------------------------
@@ -274,7 +275,7 @@ class VaultState:
         if isinstance(fid, VaultException):
             return fid
         self._open_window(memory, self.watermark(), len(self.register_list) - 1)
-        self.protect_list.append(ProtectEntry(caller=fid, register_index=len(self.register_list)))
+        self.protect_list.append(ProtectEntry(fid, len(self.register_list)))
         return None
 
     def _open_window(self, memory: ProcessMemory, start: int, end: int) -> None:
@@ -284,28 +285,31 @@ class VaultState:
         zero the writable objects last, so a carve-out never shows a byte
         that an object hides.
         """
-        entries = self.register_list[start:end + 1]
-        push = self.save_buffer.push
+        push, read = self.save_buffer.push, memory.read_bytes
+        frames: list[StackEntry] = []
+        objects: list[MemoryEntry] = []  # the writable ones
         carve_outs: list[MemoryExceptionEntry] = []
-        for entry in entries:
-            if isinstance(entry, StackEntry):
+        for entry in self.register_list[start:end + 1]:
+            kind = type(entry)
+            if kind is StackEntry:
                 if entry.all:
-                    push(memory.read_bytes(entry.frame_top, entry.frame_size))
-            elif isinstance(entry, MemoryEntry):
-                push(memory.read_bytes(entry.base, entry.length))
+                    push(read(entry.frame_top, entry.frame_base - entry.frame_top))
+                    frames.append(entry)
+            elif kind is MemoryEntry:
+                push(read(entry.base, entry.length))
+                if not entry.read_only:
+                    objects.append(entry)
             else:
                 carve_outs.append(entry)
         for carve_out in carve_outs:
-            push(memory.read_bytes(carve_out.base, carve_out.length))
+            push(read(carve_out.base, carve_out.length))
 
-        for entry in entries:
-            if isinstance(entry, StackEntry) and entry.all:
-                self._clear(memory, entry.frame_top, entry.frame_size)
+        for frame in frames:
+            self._clear(memory, frame.frame_top, frame.frame_base - frame.frame_top)
         for carve_out in reversed(carve_outs):
             memory.write_bytes(carve_out.base, self.save_buffer.pop())
-        for entry in entries:
-            if isinstance(entry, MemoryEntry) and not entry.read_only:
-                self._clear(memory, entry.base, entry.length)
+        for obj in objects:
+            self._clear(memory, obj.base, obj.length)
 
     def stop_protect(self, memory: ProcessMemory, caller_pc: int) -> VaultException | None:
         """Close the innermost protection window and restore saved data.
@@ -343,20 +347,24 @@ class VaultState:
         overlapping images hold the same bytes and their order does not
         matter; the writable carve-outs, read first, are written last.
         """
-        entries = self.register_list[start:end + 1]
-        carve_outs = [(e.base, memory.read_bytes(e.base, e.length)) for e in entries
-                      if isinstance(e, MemoryExceptionEntry) and not e.read_only]
-        first_frame = next((i for i, e in enumerate(entries) if isinstance(e, StackEntry)),
-                           len(entries))
-        pop = self.save_buffer.pop
-        for i in range(len(entries) - 1, -1, -1):
-            entry = entries[i]
-            if isinstance(entry, StackEntry):
+        images: list[int] = []  # where each saved image goes back, in push order
+        carve_outs: list[tuple[int, bytes]] = []
+        framed = False
+        for entry in self.register_list[start:end + 1]:
+            kind = type(entry)
+            if kind is StackEntry:
+                framed = True
                 if entry.all:
-                    memory.write_bytes(entry.frame_top, pop())
-            elif isinstance(entry, MemoryEntry):
-                memory.write_bytes(entry.base, pop())
-            elif i < first_frame:
-                self.diagnostics.append("carve-out with no enclosing frame in window")
+                    images.append(entry.frame_top)
+            elif kind is MemoryEntry:
+                images.append(entry.base)
+            else:
+                if not framed:
+                    self.diagnostics.append("carve-out with no enclosing frame in window")
+                if not entry.read_only:
+                    carve_outs.append((entry.base, memory.read_bytes(entry.base, entry.length)))
+        pop, write = self.save_buffer.pop, memory.write_bytes
+        for addr in reversed(images):
+            write(addr, pop())
         for addr, data in carve_outs:
-            memory.write_bytes(addr, data)
+            write(addr, data)

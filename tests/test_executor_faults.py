@@ -5,6 +5,8 @@ forged window that must not expose a later window's secret."""
 from __future__ import annotations
 
 import dataclasses
+import sys
+from collections import Counter
 
 import pytest
 
@@ -14,7 +16,7 @@ from framevault.executor import (IntegrityBreach, image_map_for, run, run_native
 from framevault.identity import load_image_map
 from framevault.instrument import instrument, parse_lists
 from framevault.memory import (FRAME_METADATA_BYTES, HEAP_CAPACITY, STACK_BASE,
-                               STACK_CAPACITY, TEXT_BASE)
+                               STACK_CAPACITY, TEXT_BASE, ProcessMemory)
 from framevault.program import (AbsoluteTarget, AddressRef, Assign, Call, DerefTarget,
                                 FrameTarget, FunctionDesc, HeapAlloc, HeapTarget, PointeeRef,
                                 ProgramDesc, ReadProbe, Return, RuntimeCall, ValueArg, VarDesc,
@@ -77,6 +79,54 @@ class TestEnterAndBudget:
             assert [o.preview for o in report.observations] == written[budget], budget
             assert report.halted == (budget < 8), budget
             assert report.faults == (["statement budget exceeded"] if budget < 8 else [])
+
+
+def python_depth() -> int:
+    """Python frames on the stack, this function's included."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+def program_of(*functions):
+    program = ProgramDesc(functions=functions, instrumented=True)
+    return program, load_image_map(image_map_for(program))
+
+
+class TestCallStack:
+    """Program calls run on the executor's own stack, so Python's stack
+    depth does not grow with the program's call depth."""
+
+    @pytest.mark.parametrize("runner", [run, run_native], ids=["protected", "native"])
+    def test_runaway_recursion_runs_under_a_tight_recursion_limit(self, runner):
+        # `main` calls itself until the depth limit refuses the call.
+        program, table = program_of(FunctionDesc(name="main", body=(Call("main"), Return())))
+        expected = runner(program, table, "main")
+        assert expected.faults == ["main: call depth limit at main"]
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(python_depth() + 60)
+        try:
+            report = runner(program, table, "main")
+        finally:
+            sys.setrecursionlimit(limit)
+        assert render_report(report) == render_report(expected)
+
+    def test_a_halt_deep_in_a_chain_pops_every_frame_it_pushed(self, monkeypatch):
+        program, table = program_of(
+            *(FunctionDesc(name=f"f{i}", body=(Call(f"f{i + 1}"), Return())) for i in range(99)),
+            FunctionDesc(name="f99", body=(Return(),)))
+        calls = Counter()
+        for name in ("push_frame", "pop_frame"):
+            def counted(self, *args, _name=name, _method=getattr(ProcessMemory, name)):
+                calls[_name] += 1
+                return _method(self, *args)
+            monkeypatch.setattr(ProcessMemory, name, counted)
+        # Step k is f(k-1) calling fk, so the 51st step, in f50, halts.
+        monkeypatch.setattr(executor, "MAX_STATEMENTS", 50)
+        report = run(program, table, "f0")
+        assert report.halted and report.faults == ["statement budget exceeded"]
+        assert calls["push_frame"] == calls["pop_frame"] == 51
 
 
 class TestImageMapCoverage:

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from framevault.identity import load_image_map
 from framevault.memory import ProcessMemory, STACK_BASE
-from framevault.oracle import OracleVault, window_bytes
+from framevault.oracle import OracleVault, subtract_intervals, window_bytes
 from framevault.runtime import (ExceptionKind, MemoryEntry, MemoryExceptionEntry, SaveBuffer,
                                 StackEntry, VaultState)
 
@@ -548,3 +548,17 @@ class TestOracleEquivalence:
             assert [(e.kind, e.syscall) for e in vault.exception_log] == [
                 (ExceptionKind.INDEX_MISMATCH, "unregister_stack"),
                 (ExceptionKind.INDEX_MISMATCH, "stop_protect")]
+
+
+@given(intervals=st.lists(st.tuples(st.integers(0, 60), st.integers(0, 30)), max_size=4),
+       holes=st.lists(st.tuples(st.integers(0, 60), st.integers(0, 12)), max_size=5))
+def test_subtract_intervals_cuts_at_every_hole_bound(intervals, holes):
+    # Reference: cut each interval at every hole bound strictly inside it
+    # and keep the segments no hole covers, in address order.
+    expected = []
+    for addr, length in intervals:
+        end = addr + length
+        cuts = sorted({addr, end} | {b for h, n in holes for b in (h, h + n) if addr < b < end})
+        expected += [(lo, hi - lo) for lo, hi in zip(cuts, cuts[1:])
+                     if not any(h <= lo and hi <= h + n for h, n in holes)]
+    assert subtract_intervals(intervals, holes) == expected

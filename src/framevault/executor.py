@@ -534,8 +534,7 @@ _RESOLVERS = {AbsoluteTarget: _absolute, DerefTarget: _deref, HeapTarget: _heap,
 def _register_stack(ex: Executor, ctx: _FrameCtx, operand: tuple) -> VaultException | None:
     stmt, pc, key = operand
     ex.provenance_counts[key] += 1
-    return ex.vault.register_stack(pc, all=bool(stmt.all),
-                                   frame_base=ctx.frame.base, frame_top=ctx.frame.top)
+    return ex.vault.register_stack(pc, bool(stmt.all), ctx.frame.base, ctx.frame.top)
 
 
 def _register_region(ex: Executor, ctx: _FrameCtx, operand: tuple) -> VaultException | None:

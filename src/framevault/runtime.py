@@ -53,10 +53,6 @@ class StackEntry:
     frame_top: int
     all: bool
 
-    @property
-    def frame_size(self) -> int:
-        return self.frame_base - self.frame_top
-
 
 @dataclass
 class MemoryEntry:

@@ -24,7 +24,7 @@ from framevault.memory import (FRAME_METADATA_BYTES, HEAP_BASE, HEAP_LIMIT, STAC
                                STACK_LIMIT, TEXT_BASE, TEXT_LIMIT)
 from framevault.program import (AbsoluteTarget, AddrOfArg, Assign, Call, DerefTarget,
                                 FrameTarget, HeapAlloc, HeapTarget, ReadProbe, Return,
-                                VarTarget, WriteProbe)
+                                WriteProbe)
 
 WRITABLE = ((STACK_LIMIT, STACK_BASE), (HEAP_BASE, HEAP_LIMIT))
 READABLE = WRITABLE + ((TEXT_BASE, TEXT_LIMIT),)

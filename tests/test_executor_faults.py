@@ -236,6 +236,12 @@ class TestRegions:
             "main: register_memory: region 0x50+8 outside stack and heap"]
 
 
+def test_a_hand_built_call_outside_the_six_is_counted_and_does_nothing():
+    report = run_main(RuntimeCall(call="reboot"))
+    assert report.provenance_counts == {"reboot/forged": 1}
+    assert (report.faults, report.violations, report.stats.total) == ([], [], 0)
+
+
 class RestoresNothing(VaultState):
     """A broken runtime whose windows close without writing anything back."""
 

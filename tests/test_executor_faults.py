@@ -1,6 +1,7 @@
-"""The executor's fault paths, each pinned to its exact message, the
-integrity verdict from detection through both report renderings, and a
-forged window that must not expose a later window's secret."""
+"""The executor's fault paths, each pinned to its exact message, its call
+stack (independent of Python's), the integrity verdict from detection
+through both report renderings, and a forged window that must not expose
+a later window's secret."""
 
 from __future__ import annotations
 

@@ -11,7 +11,10 @@ that carries no provenance, so a scenario's forgeries are read off its
 program and never stored beside it.
 
 Generation is deterministic: scenario i of seed s is always the same
-program, independent of the campaign size. A campaign checks its
+program, independent of the campaign size. Every random choice goes
+through one `random.Random` per scenario, so the corpus depends on how
+CPython draws `randrange`, `choice` and `shuffle`; `_secret` inlines
+`randrange(1, 256)` draw for draw. A campaign checks its
 scenarios one after another in a single process. `FuzzConfig` rejects a
 `max_chain` outside 1..MAX_CHAIN and a scenario count below 1, and a
 saved counterexample file that is not a scenario document raises
@@ -142,7 +145,17 @@ def scenario_seed(seed: int, index: int) -> int:
 
 
 def _secret(rng: random.Random, size: int) -> bytes:
-    return bytes(rng.randrange(1, 256) for _ in range(size))
+    """size bytes from 1..255: `rng.randrange(1, 256)` per byte, inlined.
+    CPython draws that as getrandbits(8) until it reads below 255, plus
+    one, so the bytes and the generator state after them are the same."""
+    getrandbits = rng.getrandbits
+    out = bytearray()
+    for _ in range(size):
+        byte = getrandbits(8)
+        while byte == 255:
+            byte = getrandbits(8)
+        out.append(byte + 1)
+    return bytes(out)
 
 
 def _make_locals(rng: random.Random) -> list[VarDesc]:

@@ -4,7 +4,10 @@ Which calls go where is driven by three inputs: the untrusted-function
 list (call sites to bracket), the sensitive-function list plus inline
 sensitivity markers (frames to register), and per-variable annotations
 (objects and carve-outs). Every inserted call records the rule that
-produced it in its provenance field.
+produced it in its provenance field. Statements are immutable, so the
+calls whose operands never vary (``start_protect``, ``stop_protect`` and
+each mode's ``register_stack``/``unregister_stack``) are single shared
+objects that every instrumented program holds.
 
 Every function that is not untrusted goes through one insertion pass; a
 trusted function is the case with no prologue, slot registrations or
@@ -21,13 +24,16 @@ epilogue. In a sensitive function:
 
 Every untrusted call is bracketed by ``start_protect`` and
 ``stop_protect``. `slot_exposed` is the one rule for which frame slots an
-untrusted callee can read; the fuzzer's generator asks it too.
+untrusted callee can read; the fuzzer's generator asks it too. A function
+or variable name described twice, possible only in a program built in
+code, resolves to its first description, as `ProgramDesc.function` and
+`FunctionDesc.var` resolve it.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .program import (MAX_BODY_STATEMENTS, MAX_PROGRAM_STATEMENTS, AddrOfArg,
                       AnnotationKind, Assign, Call, FunctionDesc, HeapAlloc, PointeeRef,
@@ -114,8 +120,17 @@ def _pointee_size(var: VarDesc) -> int:
         f"use a size suffix or declare pointee_size")
 
 
-def _validate(program: ProgramDesc, untrusted_names: set[str],
-              sens: dict[str, Sensitivity],
+def _first_by_name(items) -> dict:
+    """Name -> item, the first of each name winning, as `ProgramDesc.function`
+    and `FunctionDesc.var` resolve a name described twice."""
+    by_name: dict = {}
+    for item in items:
+        by_name.setdefault(item.name, item)
+    return by_name
+
+
+def _validate(program: ProgramDesc, functions: dict[str, FunctionDesc],
+              untrusted_names: set[str], sens: dict[str, Sensitivity],
               untrusted: frozenset[Prototype]) -> None:
     for fn in program.functions:
         where = f"function {fn.name!r}"
@@ -134,39 +149,43 @@ def _validate(program: ProgramDesc, untrusted_names: set[str],
                     raise AnnotationError(
                         f"{where}: pointer annotation on non-pointer variable {v.name!r}")
                 _pointee_size(v)
-        var_names = {v.name for v in fn.variables()}
+        variables = _first_by_name(fn.variables())
         for i, stmt in enumerate(fn.body):
-            at = f"{where} body[{i}]"
-            if isinstance(stmt, (ReadProbe, WriteProbe)) and not fn_untrusted:
-                raise AnnotationError(f"{at}: probe outside an untrusted function")
-            if isinstance(stmt, Assign):
-                target = fn.var(stmt.var)
-                if target is None:
-                    raise AnnotationError(f"{at}: unknown variable {stmt.var!r}")
-                if len(stmt.value) > target.size:
-                    raise AnnotationError(f"{at}: value longer than {stmt.var!r}")
-            if isinstance(stmt, HeapAlloc):
-                target = fn.var(stmt.var)
-                if target is None:
-                    raise AnnotationError(f"{at}: unknown variable {stmt.var!r}")
-                if not target.pointer:
-                    raise AnnotationError(f"{at}: heap_alloc into non-pointer {stmt.var!r}")
-            if isinstance(stmt, Call):
-                if stmt.callee in RUNTIME_CALLS:
-                    raise AnnotationError(f"{at}: {stmt.callee!r} is a reserved name")
-                for arg in stmt.args:
-                    if arg.var not in var_names:
-                        raise AnnotationError(f"{at}: unknown argument variable {arg.var!r}")
-                callee = program.function(stmt.callee)
-                if callee is not None:
-                    if len(stmt.args) != callee.arity:
-                        raise AnnotationError(
-                            f"{at}: {stmt.callee} takes {callee.arity} arguments, "
-                            f"got {len(stmt.args)}")
-                elif not matches_untrusted(untrusted, stmt.callee, len(stmt.args)):
-                    raise AnnotationError(
-                        f"{at}: unresolved callee {stmt.callee!r} "
-                        f"(not described, not on the untrusted list)")
+            problem = _statement_problem(stmt, fn_untrusted, variables, functions, untrusted)
+            if problem is not None:
+                raise AnnotationError(f"{where} body[{i}]: {problem}")
+
+
+def _statement_problem(stmt: Statement, fn_untrusted: bool, variables: dict[str, VarDesc],
+                       functions: dict[str, FunctionDesc],
+                       untrusted: frozenset[Prototype]) -> str | None:
+    """Why the statement is invalid in its function, or None."""
+    kind = type(stmt)
+    if kind is ReadProbe or kind is WriteProbe:
+        return None if fn_untrusted else "probe outside an untrusted function"
+    if kind is Assign or kind is HeapAlloc:
+        target = variables.get(stmt.var)
+        if target is None:
+            return f"unknown variable {stmt.var!r}"
+        if kind is Assign and len(stmt.value) > target.size:
+            return f"value longer than {stmt.var!r}"
+        if kind is HeapAlloc and not target.pointer:
+            return f"heap_alloc into non-pointer {stmt.var!r}"
+    elif kind is Call:
+        if stmt.callee in RUNTIME_CALLS:
+            return f"{stmt.callee!r} is a reserved name"
+        for arg in stmt.args:
+            if arg.var not in variables:
+                return f"unknown argument variable {arg.var!r}"
+        callee = functions.get(stmt.callee)
+        if callee is not None:
+            if len(stmt.args) != callee.arity:
+                return (f"{stmt.callee} takes {callee.arity} arguments, "
+                        f"got {len(stmt.args)}")
+        elif not matches_untrusted(untrusted, stmt.callee, len(stmt.args)):
+            return (f"unresolved callee {stmt.callee!r} "
+                    f"(not described, not on the untrusted list)")
+    return None
 
 
 # ----------------------------------------------------------------------
@@ -224,6 +243,22 @@ def _reg_pointee(var: VarDesc) -> RuntimeCall:
                        provenance=PROV_WRITE_SENSITIVE_POINTEE if write else PROV_SENSITIVE_POINTEE)
 
 
+# The calls whose operands never vary, built once and shared by every
+# program: the window around an untrusted call, and the (prologue,
+# epilogue) that registers and unregisters a frame in each mode.
+_START_PROTECT = RuntimeCall(call="start_protect", provenance=PROV_UNTRUSTED_CALL)
+_STOP_PROTECT = RuntimeCall(call="stop_protect", provenance=PROV_UNTRUSTED_CALL)
+_FRAME_CALLS: dict[Sensitivity, tuple[tuple[RuntimeCall, ...], tuple[RuntimeCall, ...]]] = {
+    Sensitivity.NONE: ((), ()),
+    Sensitivity.ALL: (
+        (RuntimeCall(call="register_stack", all=True, provenance=PROV_SENSITIVE_FUNCTION),),
+        (RuntimeCall(call="unregister_stack", provenance=PROV_SENSITIVE_FUNCTION),)),
+    Sensitivity.FINEGRAINED: (
+        (RuntimeCall(call="register_stack", all=False, provenance=PROV_FINEGRAINED_FUNCTION),),
+        (RuntimeCall(call="unregister_stack", provenance=PROV_FINEGRAINED_FUNCTION),)),
+}
+
+
 def _instrument_body(fn: FunctionDesc, sensitivity: Sensitivity,
                      is_untrusted_call) -> tuple[Statement, ...]:
     """Insert the runtime calls into a function that is not untrusted. A
@@ -241,22 +276,15 @@ def _instrument_body(fn: FunctionDesc, sensitivity: Sensitivity,
     # Fine-grained registrations follow register_stack; whole-frame
     # carve-outs wait for the first untrusted call.
     registrations, carve_outs = ([], slots) if sensitivity is Sensitivity.ALL else (slots, [])
-
-    prologue: list[Statement] = []
-    epilogue: list[Statement] = []
-    if sensitivity is not Sensitivity.NONE:
-        frame_prov = PROV_SENSITIVE_FUNCTION if sensitivity is Sensitivity.ALL \
-            else PROV_FINEGRAINED_FUNCTION
-        prologue = [RuntimeCall(call="register_stack", all=sensitivity is Sensitivity.ALL,
-                                provenance=frame_prov)]
-        epilogue = [RuntimeCall(call="unregister_stack", provenance=frame_prov)]
+    prologue, epilogue = _FRAME_CALLS[sensitivity]
 
     # Pointer parameters arrive with their value, so their pointees are
     # registered right away; pointer locals wait for a defining statement.
     pending_pointees = {v.name: v for v in fn.locals
                         if v.annotation is not None and v.annotation.is_pointer}
-    body = prologue + registrations + [_reg_pointee(v) for v in fn.params
-                                       if v.annotation is not None and v.annotation.is_pointer]
+    body: list[Statement] = [*prologue, *registrations]
+    body += [_reg_pointee(v) for v in fn.params
+             if v.annotation is not None and v.annotation.is_pointer]
     if first_call is None:
         body += carve_outs
     for i, stmt in enumerate(fn.body):
@@ -266,9 +294,7 @@ def _instrument_body(fn: FunctionDesc, sensitivity: Sensitivity,
         elif i in untrusted_calls:
             if i == first_call:
                 body += carve_outs
-            body += [RuntimeCall(call="start_protect", provenance=PROV_UNTRUSTED_CALL),
-                     stmt,
-                     RuntimeCall(call="stop_protect", provenance=PROV_UNTRUSTED_CALL)]
+            body += (_START_PROTECT, stmt, _STOP_PROTECT)
         else:
             body.append(stmt)
             if isinstance(stmt, (Assign, HeapAlloc)) and stmt.var in pending_pointees:
@@ -301,10 +327,11 @@ def instrument(program: ProgramDesc, untrusted: frozenset[Prototype],
         else:
             sens[fn.name] = Sensitivity.NONE
 
-    _validate(program, untrusted_names, sens, untrusted)
+    functions = _first_by_name(program.functions)
+    _validate(program, functions, untrusted_names, sens, untrusted)
 
     def is_untrusted_call(stmt: Call) -> bool:
-        callee = program.function(stmt.callee)
+        callee = functions.get(stmt.callee)
         if callee is not None:
             return callee.name in untrusted_names
         return matches_untrusted(untrusted, stmt.callee, len(stmt.args))
@@ -319,7 +346,7 @@ def instrument(program: ProgramDesc, untrusted: frozenset[Prototype],
                 raise AnnotationError(
                     f"function {fn.name!r}: instrumented body of {len(body)} statements "
                     f"exceeds the cap of {MAX_BODY_STATEMENTS} (MAX_BODY_STATEMENTS)")
-            out.append(replace(fn, body=body, sensitivity=sens[fn.name]))
+            out.append(FunctionDesc(fn.name, fn.params, fn.locals, body, sens[fn.name]))
     total = sum(len(fn.body) for fn in out)
     if total > MAX_PROGRAM_STATEMENTS:  # the whole output must parse again too
         raise AnnotationError(

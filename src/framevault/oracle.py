@@ -92,16 +92,18 @@ class OracleVault(VaultState):
 
     def __init__(self, identity):
         super().__init__(identity)
-        self._window_dumps: list[dict[int, bytes]] = []
+        # (page dump, kept intervals) per open window, innermost last. The
+        # kept intervals hold at close: the window closes over the slice it
+        # opened over, and no registration below its watermark can go.
+        self._windows: list[tuple[dict[int, bytes], list[Interval]]] = []
 
     def _open_window(self, memory: ProcessMemory, start: int, end: int) -> None:
-        self._window_dumps.append(memory.dump_pages())
-        hidden, _, _ = window_bytes(self.register_list, start, end)
+        hidden, kept, _ = window_bytes(self.register_list, start, end)
+        self._windows.append((memory.dump_pages(), kept))
         for addr, length in hidden:
             memory.clear_region(addr, length)
 
     def _close_window(self, memory: ProcessMemory, start: int, end: int) -> None:
-        dump = self._window_dumps.pop()
-        _, kept, _ = window_bytes(self.register_list, start, end)
+        dump, kept = self._windows.pop()
         for addr, length in kept:
             memory.write_bytes(addr, bytes_from_dump(dump, addr, length))

@@ -104,7 +104,7 @@ RUNTIME_CALLS = ("register_stack", "unregister_stack", "register_memory",
                  "register_memory_exception", "start_protect", "stop_protect")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Annotation:
     kind: AnnotationKind
     size: int | None = None  # explicit pointee size suffix
@@ -132,7 +132,7 @@ def parse_annotation(text: str, where: str | None = None) -> Annotation:
     return Annotation(kind=kind, size=size)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VarDesc:
     name: str
     size: int
@@ -144,12 +144,12 @@ class VarDesc:
 # ----------------------------------------------------------------------
 # call arguments and probe targets
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ValueArg:
     var: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AddrOfArg:
     var: str
 
@@ -157,32 +157,32 @@ class AddrOfArg:
 Arg = ValueArg | AddrOfArg
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VarTarget:
     function: str
     var: str
     offset: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FrameTarget:
     function: str
     offset: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DerefTarget:
     param: str
     offset: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HeapTarget:
     index: int
     offset: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AbsoluteTarget:
     addr: int
 
@@ -193,53 +193,53 @@ ProbeTarget = VarTarget | FrameTarget | DerefTarget | HeapTarget | AbsoluteTarge
 # ----------------------------------------------------------------------
 # statements
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Assign:
     var: str
     value: bytes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HeapAlloc:
     var: str
     size: int
     init: bytes | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Call:
     callee: str
     args: tuple[Arg, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReadProbe:
     target: ProbeTarget
     length: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WriteProbe:
     target: ProbeTarget
     value: bytes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Return:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VarRef:
     var: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PointeeRef:
     var: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AddressRef:
     addr: int
 
@@ -247,7 +247,7 @@ class AddressRef:
 RegionRef = VarRef | PointeeRef | AddressRef
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RuntimeCall:
     """An inserted protection call. `provenance` names the insertion rule
     that produced it; hand-built (forged) calls leave it None."""
@@ -263,7 +263,7 @@ class RuntimeCall:
 Statement = Assign | HeapAlloc | Call | ReadProbe | WriteProbe | Return | RuntimeCall
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FunctionDesc:
     name: str
     params: tuple[VarDesc, ...] = ()
@@ -285,6 +285,8 @@ class FunctionDesc:
         return None
 
 
+# The one description without slots: the executor keeps a program's
+# compiled plan in its instance dict.
 @dataclass(frozen=True)
 class ProgramDesc:
     functions: tuple[FunctionDesc, ...] = ()

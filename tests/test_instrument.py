@@ -24,11 +24,16 @@ from framevault.instrument import (
     slot_exposed,
 )
 from framevault.program import (
+    AbsoluteTarget,
+    AddressRef,
     AddrOfArg,
     Assign,
     Call,
+    DerefTarget,
+    FrameTarget,
     FunctionDesc,
     HeapAlloc,
+    HeapTarget,
     PointeeRef,
     ProgramDesc,
     ReadProbe,
@@ -39,6 +44,7 @@ from framevault.program import (
     VarDesc,
     VarRef,
     VarTarget,
+    WriteProbe,
     parse_annotation,
     emit,
     parse,
@@ -418,6 +424,50 @@ class TestRejections:
             instrument(program, u, s)
 
 
+class TestNamesDescribedTwice:
+    """Only a program built in code can describe a name twice (parse
+    refuses it). The first description wins, as in `ProgramDesc.function`
+    and the executor's plan."""
+
+    def helper_twice(self, first_arity, second_arity):
+        return tuple(FunctionDesc(name="helper", params=tuple(var(f"p{k}", 4)
+                                                              for k in range(arity)),
+                                  body=(Return(),))
+                     for arity in (first_arity, second_arity))
+
+    def test_a_call_is_checked_and_bracketed_against_the_first_function(self):
+        program, _, s = build(body=(Call("helper"), Return()),
+                              extra_fns=self.helper_twice(0, 1))
+        untrusted, _ = parse_lists("helper(1)\n", "")
+        out = instrument(program, untrusted, s)
+        work = out.function("work")
+        assert [getattr(stmt, "call", type(stmt).__name__) for stmt in work.body] == [
+            "register_stack", "start_protect", "Call", "stop_protect",
+            "unregister_stack", "Return"]
+
+    def test_an_arity_that_only_the_first_function_has_is_refused(self):
+        program, u, s = build(body=(Call("helper"), Return()),
+                              extra_fns=self.helper_twice(1, 0))
+        with pytest.raises(AnnotationError, match="helper takes 1 arguments, got 0"):
+            instrument(program, u, s)
+
+    @pytest.mark.parametrize("sizes,refused", [((2, 8), True), ((8, 2), False)])
+    def test_a_variable_resolves_to_its_first_declaration(self, sizes, refused):
+        program, u, s = build(fn_locals=tuple(var("x", size) for size in sizes),
+                              body=(Assign("x", bytes(4)), Return()))
+        if refused:
+            with pytest.raises(AnnotationError, match="value longer than 'x'"):
+                instrument(program, u, s)
+        else:
+            instrument(program, u, s)
+
+    def test_a_heap_alloc_target_resolves_to_its_first_declaration(self):
+        program, u, s = build(fn_locals=(var("x", 8), var("x", 8, pointer=True)),
+                              body=(HeapAlloc("x", 16), Return()))
+        with pytest.raises(AnnotationError, match="heap_alloc into non-pointer 'x'"):
+            instrument(program, u, s)
+
+
 class TestListParsing:
     def test_bare_untrusted_name_matches_any_arity(self):
         untrusted, _ = parse_lists("helper\n", "")
@@ -454,3 +504,38 @@ class TestRoundTrip:
             config = FuzzConfig(scenarios=12, adversarial=index % 2 == 1)
             scenario = generate_scenario(5, index, config)
             assert parse(emit(scenario.program)) == scenario.program
+
+    def test_descriptions_have_slots_and_programs_keep_a_dict(self):
+        """Every statement, target, variable and function description is
+        slotted. A program keeps its instance dict, where the executor
+        stores the compiled plan, and still round-trips and hashes by value."""
+        p, q, x, h = (var("p", 8, "sensitive_pointer_16", pointer=True),
+                      var("q", 8, pointer=True, pointee=16), var("x", 8, "not_sensitive"),
+                      var("h", 8, pointer=True))
+        targets = (VarTarget("work", "x", 1), FrameTarget("work", 2), DerefTarget("q"),
+                   HeapTarget(0, 4), AbsoluteTarget(0x7FFE_FFFF_F000))
+        lib_body = (*(ReadProbe(target, 4) for target in targets),
+                    WriteProbe(HeapTarget(0), b"\x07"), Return())
+        regions = (PointeeRef("p"), VarRef("x"), AddressRef(0x5000_0000))
+        work_body = (RuntimeCall("register_stack", all=True, provenance=PROV_SENSITIVE_FUNCTION),
+                     *(RuntimeCall("register_memory", target=region, length=8, read_only=False)
+                       for region in regions),
+                     Assign("x", b"\x01\x02"), RuntimeCall("start_protect"),
+                     Call("lib", (AddrOfArg("x"),)), RuntimeCall("stop_protect"),
+                     RuntimeCall("unregister_stack"), Return())
+        main_body = (HeapAlloc("h", 16, init=b"\x05"), Call("work", (ValueArg("h"),)), Return())
+        functions = (FunctionDesc("lib", (q,), (), lib_body),
+                     FunctionDesc("work", (p,), (x,), work_body, Sensitivity.ALL),
+                     FunctionDesc("main", (), (h,), main_body))
+        program = ProgramDesc(functions=functions, instrumented=True)
+
+        described = (p, p.annotation, q, x, h, *targets, *lib_body, *regions, *work_body,
+                     AddrOfArg("x"), *main_body, ValueArg("h"), *functions)
+        assert len({type(obj) for obj in described}) == 20  # every class but ProgramDesc
+        assert [type(obj).__name__ for obj in described if hasattr(obj, "__dict__")] == []
+
+        run(program, load_image_map(image_map_for(program)), "main")
+        assert "_plan" in vars(program)
+        again = parse(emit(program))
+        assert again == program and hash(again) == hash(program)
+        assert "_plan" not in vars(again)

@@ -139,11 +139,12 @@ def hidden_nonzero(data: bytes, addr: int, ranges: Iterable[tuple[int, int]]) ->
 
 def function_layout(fn: FunctionDesc) -> tuple[dict[str, int], int]:
     """Variable offsets from the frame top (params then locals, declaration
-    order) and total frame size including the metadata pad."""
+    order) and total frame size including the metadata pad. A name declared
+    twice resolves to its first declaration, as in `FunctionDesc.var`."""
     offsets: dict[str, int] = {}
     off = 0
     for v in fn.params + fn.locals:
-        offsets[v.name] = off
+        offsets.setdefault(v.name, off)
         off += v.size
     return offsets, off + FRAME_METADATA_BYTES
 
@@ -210,7 +211,9 @@ def _compile(program: ProgramDesc, table: IdentityTable) -> _Plan:
             if isinstance(stmt, Return):
                 break
         offsets, size = function_layout(fn)
-        layout = {v.name: (offsets[v.name], v.size) for v in fn.variables()}
+        layout: dict[str, tuple[int, int]] = {}
+        for v in fn.variables():
+            layout.setdefault(v.name, (offsets[v.name], v.size))
         handlers, native_handlers = tuple(handlers), tuple(native_handlers)
         operands = tuple(operands)
         if operands == fn.body:  # no runtime call and nothing after a `return`

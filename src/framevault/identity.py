@@ -8,11 +8,13 @@ most one function. User code has no way to alter the table once loaded.
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
 from .memory import TEXT_BASE, TEXT_LIMIT
+from .program import shown
 
 
 # Most lines an image map may have, comments and blank lines included: four
@@ -24,7 +26,7 @@ class ImageMapError(ValueError):
     """Malformed, overlapping, or out-of-region image map input."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FunctionSpan:
     name: str
     lo: int
@@ -59,7 +61,9 @@ class IdentityTable:
 def load_image_map(text: str) -> IdentityTable:
     """Parse an image map document. `#` starts a comment; blank lines are
     ignored. Rejects more than MAX_IMAGE_MAP_LINES lines, malformed lines,
-    duplicate names, spans outside the text region, and overlapping spans."""
+    duplicate names, spans outside the text region, and overlapping spans.
+    Span names are interned, so tables loaded from many maps share one
+    str per name."""
     lines = text.splitlines()
     if len(lines) > MAX_IMAGE_MAP_LINES:
         raise ImageMapError(f"image map: {len(lines)} lines exceed the cap of "
@@ -72,13 +76,13 @@ def load_image_map(text: str) -> IdentityTable:
             continue
         parts = line.split()
         if len(parts) != 3:
-            raise ImageMapError(f"line {lineno}: expected 'name lo hi', got {raw!r}")
+            raise ImageMapError(f"line {lineno}: expected 'name lo hi', got {shown(raw)}")
         name, lo_text, hi_text = parts
         try:
             lo = int(lo_text, 16)
             hi = int(hi_text, 16)
         except ValueError:
-            raise ImageMapError(f"line {lineno}: bad hex address in {raw!r}") from None
+            raise ImageMapError(f"line {lineno}: bad hex address in {shown(raw)}") from None
         if lo >= hi:
             raise ImageMapError(f"line {lineno}: empty or inverted span for {name}")
         if not (TEXT_BASE <= lo and hi <= TEXT_LIMIT):
@@ -86,7 +90,7 @@ def load_image_map(text: str) -> IdentityTable:
         if name in names:
             raise ImageMapError(f"line {lineno}: duplicate function name {name}")
         names.add(name)
-        spans.append(FunctionSpan(name=name, lo=lo, hi=hi, fid=len(spans)))
+        spans.append(FunctionSpan(name=sys.intern(name), lo=lo, hi=hi, fid=len(spans)))
 
     ordered = sorted(spans, key=lambda s: s.lo)
     for a, b in zip(ordered, ordered[1:]):

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from .program import (MAX_BODY_STATEMENTS, MAX_PROGRAM_STATEMENTS, AddrOfArg,
                       AnnotationKind, Assign, Call, FunctionDesc, HeapAlloc, PointeeRef,
                       ProgramDesc, ReadProbe, Return, RuntimeCall, RUNTIME_CALLS, Sensitivity,
-                      Statement, VarDesc, VarRef, WriteProbe, is_instrumented)
+                      Statement, VarDesc, VarRef, WriteProbe, is_instrumented, shown)
 
 # Provenance labels for inserted calls, one per insertion rule.
 PROV_UNTRUSTED_CALL = "untrusted-call"
@@ -90,7 +90,7 @@ def _parse_list(doc: str, label: str, with_arity: bool) -> list[Prototype]:
         if m and with_arity:
             entries.append(Prototype(name=m.group(1), arity=int(m.group(2))))
             continue
-        raise ListParseError(f"{label} line {lineno}: bad entry {raw!r}")
+        raise ListParseError(f"{label} line {lineno}: bad entry {shown(raw)}")
     return entries
 
 

@@ -44,6 +44,16 @@ MAX_OBJECT_BYTES, the 1 MiB stack; a ``runtime_call`` ``len`` is also at
 least 0. A document has at most MAX_FUNCTIONS functions, a body at most
 MAX_BODY_STATEMENTS statements, and all bodies together at most
 MAX_PROGRAM_STATEMENTS.
+
+A parsed program is compact: within one document it holds one ``str`` per
+distinct name, call and provenance, and one instance per distinct
+variable and per distinct statement that carries no bytes and no region
+(``return``, and a ``runtime_call`` without a target). So a `Call`'s
+callee is the very string its callee's `FunctionDesc` is named by, which
+makes the executor's name lookups hit by identity. Statements compare by
+value only; nothing may tell two equal statements apart by identity.
+Error messages echo an input value through `shown`, which cuts a long
+one to its start and its length.
 """
 
 from __future__ import annotations
@@ -123,12 +133,13 @@ def parse_annotation(text: str, where: str | None = None) -> Annotation:
     at = f"{where}: " if where else ""
     m = _ANNOTATION_RE.match(text)
     if not m:
-        raise ProgramFormatError(f"{at}unknown annotation {text!r}")
+        raise ProgramFormatError(f"{at}unknown annotation {shown(text)}")
     kind = AnnotationKind(m.group(1))
     size = int(m.group(2)) if m.group(2) else None
     if size is not None and kind not in _POINTER_KINDS:
-        raise ProgramFormatError(f"{at}size suffix only applies to pointer annotations: {text!r}")
-    _check_cap(size, f"{at}annotation {text!r}", "size suffix")
+        raise ProgramFormatError(f"{at}size suffix only applies to pointer annotations: "
+                                 f"{shown(text)}")
+    _check_cap(size, f"{at}annotation {shown(text)}", "size suffix")
     return Annotation(kind=kind, size=size)
 
 
@@ -309,6 +320,47 @@ def is_instrumented(program: ProgramDesc) -> bool:
 # ----------------------------------------------------------------------
 # serialization
 
+# Most characters of an input value an error message echoes.
+SHOWN_CHARS = 60
+
+
+def shown(value: Any) -> str:
+    """`repr(value)` for a str of at most SHOWN_CHARS characters or any
+    other value whose repr is that short; for a longer one, the repr of
+    its first SHOWN_CHARS characters and its length. Error messages echo
+    input values through it, so they stay short whatever the input holds."""
+    if isinstance(value, str):
+        if len(value) <= SHOWN_CHARS:
+            return repr(value)
+        return f"{value[:SHOWN_CHARS]!r}... ({len(value)} characters)"
+    text = repr(value)
+    if len(text) <= SHOWN_CHARS:
+        return text
+    return f"{text[:SHOWN_CHARS]}... ({len(text)} characters)"
+
+
+def _name(memo: dict, text: Any) -> Any:
+    """The first str equal to `text` that this document read. A value of
+    another type is returned as it is: a check refuses it, or the format
+    leaves it unchecked."""
+    return memo.setdefault(text, text) if type(text) is str else text
+
+
+def _shared(memo: dict, cls: type, *fields: Any) -> Any:
+    """The one `cls(*fields)` of this document: built on first use, then
+    returned for every later request with fields of the same values and
+    types (True equals 1, but `emit` writes them apart). A field that does
+    not hash, a JSON value the format leaves unchecked, gets its own."""
+    key = (cls, *fields, *map(type, fields))
+    try:
+        obj = memo.get(key)
+    except TypeError:
+        return cls(*fields)
+    if obj is None:
+        obj = memo[key] = cls(*fields)
+    return obj
+
+
 def _hex(data: bytes) -> str:
     return data.hex()
 
@@ -319,7 +371,7 @@ def _unhex(text: Any, where: str) -> bytes:
     try:
         return bytes.fromhex(text)
     except ValueError:
-        raise ProgramFormatError(f"{where}: bad hex string {text!r}") from None
+        raise ProgramFormatError(f"{where}: bad hex string {shown(text)}") from None
 
 
 def _require(cond: bool, where: str, message: str) -> None:
@@ -359,7 +411,7 @@ def _target_to_dict(target: ProbeTarget) -> dict[str, Any]:
     return out
 
 
-def _target_from_dict(raw: Any, where: str) -> ProbeTarget:
+def _target_from_dict(raw: Any, where: str, memo: dict) -> ProbeTarget:
     _require(isinstance(raw, dict), where, "probe target must be an object")
     kind = raw.get("kind")
     offset = raw.get("offset", 0)
@@ -367,13 +419,14 @@ def _target_from_dict(raw: Any, where: str) -> ProbeTarget:
     if kind == "var":
         _require(isinstance(raw.get("function"), str), where, "var target needs 'function'")
         _require(isinstance(raw.get("var"), str), where, "var target needs 'var'")
-        return VarTarget(function=raw["function"], var=raw["var"], offset=offset)
+        return VarTarget(function=_name(memo, raw["function"]), var=_name(memo, raw["var"]),
+                         offset=offset)
     if kind == "frame":
         _require(isinstance(raw.get("function"), str), where, "frame target needs 'function'")
-        return FrameTarget(function=raw["function"], offset=offset)
+        return FrameTarget(function=_name(memo, raw["function"]), offset=offset)
     if kind == "deref":
         _require(isinstance(raw.get("param"), str), where, "deref target needs 'param'")
-        return DerefTarget(param=raw["param"], offset=offset)
+        return DerefTarget(param=_name(memo, raw["param"]), offset=offset)
     if kind == "heap":
         _require(isinstance(raw.get("index"), int), where, "heap target needs 'index'")
         return HeapTarget(index=raw["index"], offset=offset)
@@ -383,8 +436,8 @@ def _target_from_dict(raw: Any, where: str) -> ProbeTarget:
         try:
             return AbsoluteTarget(addr=int(addr, 16))
         except ValueError:
-            raise ProgramFormatError(f"{where}: bad address {addr!r}") from None
-    raise ProgramFormatError(f"{where}: unknown target kind {kind!r}")
+            raise ProgramFormatError(f"{where}: bad address {shown(addr)}") from None
+    raise ProgramFormatError(f"{where}: unknown target kind {shown(kind)}")
 
 
 def _region_ref_to_dict(ref: RegionRef) -> dict[str, Any]:
@@ -395,17 +448,17 @@ def _region_ref_to_dict(ref: RegionRef) -> dict[str, Any]:
     return {"addr": f"{ref.addr:#x}"}
 
 
-def _region_ref_from_dict(raw: Any, where: str) -> RegionRef:
+def _region_ref_from_dict(raw: Any, where: str, memo: dict) -> RegionRef:
     _require(isinstance(raw, dict), where, "region reference must be an object")
     if "var" in raw:
-        return VarRef(var=raw["var"])
+        return VarRef(var=_name(memo, raw["var"]))
     if "pointee_of" in raw:
-        return PointeeRef(var=raw["pointee_of"])
+        return PointeeRef(var=_name(memo, raw["pointee_of"]))
     if "addr" in raw:
         try:
             return AddressRef(addr=int(raw["addr"], 16))
         except (TypeError, ValueError):
-            raise ProgramFormatError(f"{where}: bad address {raw['addr']!r}") from None
+            raise ProgramFormatError(f"{where}: bad address {shown(raw['addr'])}") from None
     raise ProgramFormatError(f"{where}: region reference needs var/pointee_of/addr")
 
 
@@ -442,54 +495,59 @@ def _stmt_to_dict(stmt: Statement) -> dict[str, Any]:
     return out
 
 
-def _stmt_from_dict(raw: Any, where: str) -> Statement:
+def _stmt_from_dict(raw: Any, where: str, memo: dict) -> Statement:
     _require(isinstance(raw, dict), where, "statement must be an object")
     op = raw.get("op")
     if op == "assign":
         _require(isinstance(raw.get("var"), str), where, "assign needs 'var'")
-        return Assign(var=raw["var"], value=_unhex(raw.get("value"), where))
+        return Assign(var=_name(memo, raw["var"]), value=_unhex(raw.get("value"), where))
     if op == "heap_alloc":
         _require(isinstance(raw.get("var"), str), where, "heap_alloc needs 'var'")
         _require(isinstance(raw.get("size"), int) and raw["size"] > 0,
                  where, "heap_alloc needs positive 'size'")
         _check_cap(raw["size"], where, "heap_alloc 'size'")
         init = _unhex(raw["init"], where) if "init" in raw else None
-        return HeapAlloc(var=raw["var"], size=raw["size"], init=init)
+        return HeapAlloc(var=_name(memo, raw["var"]), size=raw["size"], init=init)
     if op == "call":
         _require(isinstance(raw.get("callee"), str), where, "call needs 'callee'")
         args: list[Arg] = []
         for i, a in enumerate(raw.get("args", [])):
             _require(isinstance(a, dict), f"{where}.args[{i}]", "argument must be an object")
             if "var" in a:
-                args.append(ValueArg(var=a["var"]))
+                args.append(ValueArg(var=_name(memo, a["var"])))
             elif "addr_of" in a:
-                args.append(AddrOfArg(var=a["addr_of"]))
+                args.append(AddrOfArg(var=_name(memo, a["addr_of"])))
             else:
                 raise ProgramFormatError(f"{where}.args[{i}]: needs 'var' or 'addr_of'")
-        return Call(callee=raw["callee"], args=tuple(args))
+        return Call(callee=_name(memo, raw["callee"]), args=tuple(args))
     if op == "read_probe":
         _require(isinstance(raw.get("len"), int) and raw["len"] >= 0,
                  where, "read_probe needs non-negative 'len'")
         _require(raw["len"] <= MAX_PROBE_BYTES, where,
                  f"read_probe 'len' {raw['len']} exceeds the cap of {MAX_PROBE_BYTES} bytes")
-        return ReadProbe(target=_target_from_dict(raw.get("target"), where), length=raw["len"])
+        return ReadProbe(target=_target_from_dict(raw.get("target"), where, memo),
+                         length=raw["len"])
     if op == "write_probe":
-        return WriteProbe(target=_target_from_dict(raw.get("target"), where),
+        return WriteProbe(target=_target_from_dict(raw.get("target"), where, memo),
                           value=_unhex(raw.get("value"), where))
     if op == "return":
-        return Return()
+        return _shared(memo, Return)
     if op == "runtime_call":
         call = raw.get("call")
-        _require(call in RUNTIME_CALLS, where, f"unknown runtime call {call!r}")
-        target = (_region_ref_from_dict(raw["target"], where)
+        if call not in RUNTIME_CALLS:
+            raise ProgramFormatError(f"{where}: unknown runtime call {shown(call)}")
+        target = (_region_ref_from_dict(raw["target"], where, memo)
                   if "target" in raw else None)
         length = raw.get("len")
         _require(length is None or (isinstance(length, int) and length >= 0),
                  where, "'len' must be a non-negative integer")
         _check_cap(length, where, "runtime_call 'len'")
-        return RuntimeCall(call=call, all=raw.get("all"), target=target, length=length,
-                           read_only=raw.get("read_only"), provenance=raw.get("provenance"))
-    raise ProgramFormatError(f"{where}: unknown statement op {op!r}")
+        fields = (_name(memo, call), raw.get("all"), target, length, raw.get("read_only"),
+                  _name(memo, raw.get("provenance")))
+        if target is not None:
+            return RuntimeCall(*fields)
+        return _shared(memo, RuntimeCall, *fields)
+    raise ProgramFormatError(f"{where}: unknown statement op {shown(op)}")
 
 
 def _var_to_dict(v: VarDesc) -> dict[str, Any]:
@@ -503,7 +561,7 @@ def _var_to_dict(v: VarDesc) -> dict[str, Any]:
     return out
 
 
-def _var_from_dict(raw: Any, where: str) -> VarDesc:
+def _var_from_dict(raw: Any, where: str, memo: dict) -> VarDesc:
     _require(isinstance(raw, dict), where, "variable must be an object")
     _require(isinstance(raw.get("name"), str), where, "variable needs 'name'")
     _require(isinstance(raw.get("size"), int) and raw["size"] > 0,
@@ -517,8 +575,8 @@ def _var_from_dict(raw: Any, where: str) -> VarDesc:
     _require(pointee is None or (isinstance(pointee, int) and pointee > 0),
              where, "pointee_size must be a positive integer")
     _check_cap(pointee, where, "'pointee_size'")
-    return VarDesc(name=raw["name"], size=raw["size"], pointer=bool(raw.get("pointer", False)),
-                   pointee_size=pointee, annotation=annotation)
+    return _shared(memo, VarDesc, _name(memo, raw["name"]), raw["size"],
+                   bool(raw.get("pointer", False)), pointee, annotation)
 
 
 def function_to_dict(fn: FunctionDesc) -> dict[str, Any]:
@@ -531,10 +589,12 @@ def function_to_dict(fn: FunctionDesc) -> dict[str, Any]:
     return out
 
 
-def function_from_dict(raw: Any, where: str) -> FunctionDesc:
+def function_from_dict(raw: Any, where: str, memo: dict) -> FunctionDesc:
+    """One function of a document; `memo` is the document's (see
+    `program_from_dict`)."""
     _require(isinstance(raw, dict), where, "function must be an object")
     _require(isinstance(raw.get("name"), str), where, "function needs 'name'")
-    name = raw["name"]
+    name = _name(memo, raw["name"])
     sens_text = raw.get("sensitivity")
     if sens_text is None:
         sensitivity = Sensitivity.NONE
@@ -542,20 +602,20 @@ def function_from_dict(raw: Any, where: str) -> FunctionDesc:
         try:
             sensitivity = Sensitivity(sens_text)
         except ValueError:
-            raise ProgramFormatError(f"{where}: unknown sensitivity {sens_text!r}") from None
+            raise ProgramFormatError(f"{where}: unknown sensitivity {shown(sens_text)}") from None
         _require(sensitivity is not Sensitivity.NONE, where, "sensitivity 'none' is implied; omit it")
-    params = tuple(_var_from_dict(v, f"{where}.params[{i}]")
+    params = tuple(_var_from_dict(v, f"{where}.params[{i}]", memo)
                    for i, v in enumerate(raw.get("params", [])))
-    locals_ = tuple(_var_from_dict(v, f"{where}.locals[{i}]")
+    locals_ = tuple(_var_from_dict(v, f"{where}.locals[{i}]", memo)
                     for i, v in enumerate(raw.get("locals", [])))
     _check_count(_body_length(raw), where, "statements", MAX_BODY_STATEMENTS,
                  "MAX_BODY_STATEMENTS")
-    body = tuple(_stmt_from_dict(s, f"{where}.body[{i}]")
+    body = tuple(_stmt_from_dict(s, f"{where}.body[{i}]", memo)
                  for i, s in enumerate(raw.get("body", [])))
     sizes: dict[str, int] = {}
     for v in params + locals_:
         if v.name in sizes:
-            raise ProgramFormatError(f"{where}: duplicate variable {v.name!r}")
+            raise ProgramFormatError(f"{where}: duplicate variable {shown(v.name)}")
         sizes[v.name] = v.size
     for i, stmt in enumerate(body):
         if not isinstance(stmt, Assign):
@@ -563,10 +623,11 @@ def function_from_dict(raw: Any, where: str) -> FunctionDesc:
         size = sizes.get(stmt.var)
         if size is None:
             raise ProgramFormatError(f"{where}.body[{i}]: assign to undeclared variable "
-                                     f"{stmt.var!r} of function {name!r}")
-        _require(len(stmt.value) <= size, f"{where}.body[{i}]",
-                 f"assign of {len(stmt.value)} bytes to {stmt.var!r} of function "
-                 f"{name!r}, which holds {size} bytes")
+                                     f"{shown(stmt.var)} of function {shown(name)}")
+        if len(stmt.value) > size:
+            raise ProgramFormatError(f"{where}.body[{i}]: assign of {len(stmt.value)} bytes to "
+                                     f"{shown(stmt.var)} of function {shown(name)}, which "
+                                     f"holds {size} bytes")
     return FunctionDesc(name=name, params=params, locals=locals_, body=body,
                         sensitivity=sensitivity)
 
@@ -580,17 +641,21 @@ def program_to_dict(program: ProgramDesc) -> dict[str, Any]:
 
 
 def program_from_dict(raw: Any) -> ProgramDesc:
+    """The program a document describes. One memo serves the whole
+    document: it keeps the document's first str of each name and its one
+    instance of each shared statement, and is dropped with the document."""
     _require(isinstance(raw, dict), "program", "document must be an object")
     functions = raw.get("functions")
     _require(isinstance(functions, list), "program", "document needs a 'functions' list")
     _check_count(len(functions), "program", "functions", MAX_FUNCTIONS, "MAX_FUNCTIONS")
     _check_count(sum(map(_body_length, functions)), "program", "statements",
                  MAX_PROGRAM_STATEMENTS, "MAX_PROGRAM_STATEMENTS")
-    fns = tuple(function_from_dict(f, f"functions[{i}]") for i, f in enumerate(functions))
+    memo: dict = {}
+    fns = tuple(function_from_dict(f, f"functions[{i}]", memo) for i, f in enumerate(functions))
     names = set()
     for fn in fns:
         if fn.name in names:
-            raise ProgramFormatError(f"duplicate function name {fn.name!r}")
+            raise ProgramFormatError(f"duplicate function name {shown(fn.name)}")
         names.add(fn.name)
     return ProgramDesc(functions=fns, instrumented=bool(raw.get("instrumented", False)))
 

@@ -384,6 +384,38 @@ class TestParseErrors:
         assert capsys.readouterr().err == f"framevault: error: {message}\n"
 
 
+class TestLongValues:
+    """An error message shows at most SHOWN_CHARS characters of the value
+    it echoes, then the value's length, however long the value is."""
+
+    @pytest.mark.parametrize("doc,image_map,length", [
+        (one_statement({"op": "assign", "var": "x", "value": "z" * 1_000_000}),
+         "main 0x401000 0x401100\n", 1_000_000),
+        (one_statement({"op": "z" * 2_000_000}), "main 0x401000 0x401100\n", 2_000_000),
+        (one_statement({"op": "read_probe", "len": 1,
+                        "target": {"kind": "addr", "addr": "g" * 100_000}}),
+         "main 0x401000 0x401100\n", 100_000),
+        ({"functions": [{"name": "main", "body": []}]}, "m" * 100_000 + "\n", 100_000),
+    ], ids=["bad hex", "unknown op", "bad address", "image-map line"])
+    def test_run_exits_2_with_a_short_message(self, tmp_path, capsys, doc, image_map, length):
+        program_file, map_file = tmp_path / "long.json", tmp_path / "long.map"
+        program_file.write_text(json.dumps(doc))
+        map_file.write_text(image_map)
+        assert main(["run", "--program", str(program_file),
+                     "--image-map", str(map_file)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.encode()) <= 300 and f"... ({length} characters)\n" in err
+
+    def test_a_long_list_entry_exits_2_with_a_short_message(self, tmp_path, capsys):
+        untrusted = tmp_path / "untrusted.list"
+        untrusted.write_text("(" * 100_000 + "\n")
+        assert main(["instrument", "--program", DEMO_PROGRAM,
+                     "--untrusted-list", str(untrusted)]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"framevault: error: untrusted list line 1: bad entry {'(' * 60!r}... "
+                       f"(100000 characters)\n")
+
+
 LIB = {"name": "lib", "params": [{"name": "a", "size": 8}], "body": [{"op": "return"}]}
 
 VALIDATION_ERRORS = {

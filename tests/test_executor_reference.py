@@ -90,7 +90,7 @@ class Reference:
     def invoke(self, fn, args, depth):
         variables, off = {}, 0
         for v in fn.params + fn.locals:
-            variables[v.name] = (off, v.size)
+            variables.setdefault(v.name, (off, v.size))
             off += v.size
         size = off + FRAME_METADATA_BYTES
         top = self.stack_top - size

@@ -49,9 +49,10 @@ from framevault.program import (
     emit,
     parse,
 )
-from framevault.executor import image_map_for, run
+from framevault.executor import function_layout, image_map_for, run, run_native
 from framevault.fuzzer import FuzzConfig, generate_scenario
 from framevault.identity import load_image_map
+from framevault.memory import FRAME_METADATA_BYTES
 
 from support import pwdgen_instrumented
 
@@ -461,6 +462,15 @@ class TestNamesDescribedTwice:
         else:
             instrument(program, u, s)
 
+    def test_the_executor_lays_a_variable_out_by_its_first_declaration(self):
+        program, _, _ = build(fn_locals=(var("x", 8), var("x", 2), var("y", 4)),
+                              body=(Assign("x", bytes.fromhex("01020304")),
+                                    ReadProbe(VarTarget("work", "y"), 4), Return()))
+        assert function_layout(program.function("work")) == ({"x": 0, "y": 10},
+                                                              14 + FRAME_METADATA_BYTES)
+        report = run_native(program, load_image_map(image_map_for(program)), "main")
+        assert [o.preview for o in report.observations] == ["00000000"]
+
     def test_a_heap_alloc_target_resolves_to_its_first_declaration(self):
         program, u, s = build(fn_locals=(var("x", 8), var("x", 8, pointer=True)),
                               body=(HeapAlloc("x", 16), Return()))
@@ -504,6 +514,28 @@ class TestRoundTrip:
             config = FuzzConfig(scenarios=12, adversarial=index % 2 == 1)
             scenario = generate_scenario(5, index, config)
             assert parse(emit(scenario.program)) == scenario.program
+
+    def test_parse_shares_names_and_argument_free_statements(self):
+        """A parsed document keeps one str per name, so every callee is its
+        function's name object, and one instance per argument-free
+        statement; image-map spans are slotted."""
+        fns = (FunctionDesc("main", body=(Call("worker0"), Call("worker1"), Return())),
+               *(FunctionDesc(f"worker{k}", locals=(var("x", 8),),
+                              body=(Assign("x", bytes([k + 1])), Call("helper"), Return()))
+                 for k in range(2)),
+               FunctionDesc("helper", body=(Return(),)))
+        untrusted, sensitive = parse_lists("helper(0)\n", "worker0\nworker1\n")
+        program = parse(emit(instrument(ProgramDesc(functions=fns), untrusted, sensitive)))
+        names = {fn.name: fn.name for fn in program.functions}
+        body = [stmt for fn in program.functions for stmt in fn.body]
+        calls = [stmt for stmt in body if isinstance(stmt, Call)]
+        assert len(calls) == 4 and all(call.callee is names[call.callee] for call in calls)
+        starts = [stmt for stmt in body if getattr(stmt, "call", None) == "start_protect"]
+        returns = [stmt for stmt in body if isinstance(stmt, Return)]
+        assert len(starts) == 2 and len(set(map(id, starts))) == 1
+        assert len(returns) == 4 and len(set(map(id, returns))) == 1
+        table = load_image_map(image_map_for(program))
+        assert [hasattr(table.by_name(name), "__dict__") for name in names] == [False] * 4
 
     def test_descriptions_have_slots_and_programs_keep_a_dict(self):
         """Every statement, target, variable and function description is

@@ -14,7 +14,18 @@ a window keeps its hidden bytes as (addr, length) pairs, and an untrusted
 read that sees non-zero bytes counts its secret bytes by clipping the
 ranges of every open window to the read, merging them, and counting
 non-zero bytes in each merged slice. What must survive is snapshotted
-once per registered frame or object and compared piece by piece at close.
+once per registered frame or object and compared at close.
+
+Bytes are counted and compared where they lie, with no slice copies.
+`_nonzero` counts a span of up to _COUNT_SMALL bytes with `bytes.count`,
+which goes byte by byte; a longer one takes a memchr (`find(0)`) over its
+non-zero start and then goes chunk by chunk, where an all-zero chunk
+costs a memcmp against `memory._ZEROS` and only a chunk holding a zero
+byte is counted. Every read probe, write probe and leak scan counts this
+way. At close each snapshot is compared in place with
+`ProcessMemory.holds`; only a region that changed is read back, and
+compared piece by piece without its carve-outs. The first mismatch of a
+piece is the lowest set bit of the two XORed as ints.
 
 A program is compiled once per program and image map: the first run
 under an identity table compiles it, and the plan stays on the program
@@ -44,12 +55,12 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .identity import FunctionSpan, IdentityTable, synthesize_image_map
-from .memory import FRAME_METADATA_BYTES, MemoryFault, ProcessMemory, StackFrame
+from .memory import _ZEROS, FRAME_METADATA_BYTES, MemoryFault, ProcessMemory, StackFrame
 from .oracle import subtract_intervals, window_regions
 from .program import (AbsoluteTarget, AddrOfArg, AddressRef, Assign, Call, DerefTarget,
                       FrameTarget, FunctionDesc, HeapAlloc, HeapTarget, PointeeRef,
                       ProgramDesc, ReadProbe, Return, RuntimeCall, VarRef, VarTarget,
-                      WriteProbe)
+                      WriteProbe, shown)
 from .runtime import SyscallStats, VaultException, VaultState
 
 MAX_CALL_DEPTH = 128
@@ -119,8 +130,28 @@ def secret_bytes_observed(report: ExecutionReport) -> int:
     return sum(o.nonzero for o in report.observations if o.kind == "read")
 
 
-def _nonzero(data: bytes) -> int:
-    return len(data) - data.count(0)
+# `bytes.count` with a one-byte needle goes byte by byte, so it counts
+# only spans up to _COUNT_SMALL bytes and the mixed chunks of longer ones.
+_COUNT_SMALL = 4096
+_COUNT_CHUNK = 16384
+
+
+def _nonzero(data: bytes, start: int = 0, end: int | None = None) -> int:
+    """Non-zero bytes of data[start:end], counted in place."""
+    if end is None:
+        end = len(data)
+    if end - start <= _COUNT_SMALL:
+        return end - start - data.count(0, start, end)
+    first = data.find(0, start, end)  # every byte before it is non-zero
+    if first < 0:
+        return end - start
+    count = first - start
+    for lo in range(first, end, _COUNT_CHUNK):
+        hi = min(lo + _COUNT_CHUNK, end)
+        if not data.startswith(_ZEROS[:hi - lo], lo):
+            zero = data.find(0, lo, hi)
+            count += hi - lo - (0 if zero < 0 else data.count(0, zero, hi))
+    return count
 
 
 def hidden_nonzero(data: bytes, addr: int, ranges: Iterable[tuple[int, int]]) -> int:
@@ -132,7 +163,7 @@ def hidden_nonzero(data: bytes, addr: int, ranges: Iterable[tuple[int, int]]) ->
     for lo, hi in sorted((lo, hi) for lo, hi in ranges if lo < end and addr < hi):
         lo, hi = max(lo, done), min(hi, end)
         if lo < hi:
-            count += _nonzero(data[lo - addr:hi - addr])
+            count += _nonzero(data, lo - addr, hi - addr)
             done = hi
     return count
 
@@ -141,12 +172,23 @@ def function_layout(fn: FunctionDesc) -> tuple[dict[str, int], int]:
     """Variable offsets from the frame top (params then locals, declaration
     order) and total frame size including the metadata pad. A name declared
     twice resolves to its first declaration, as in `FunctionDesc.var`."""
-    offsets: dict[str, int] = {}
-    off = 0
+    layout, _, size = _layout(fn)
+    return {name: off for name, (off, _) in layout.items()}, size
+
+
+def _layout(fn: FunctionDesc) -> tuple[dict[str, tuple[int, int]], tuple, int]:
+    """`function_layout` as the plan keeps it: name -> (offset, size), the
+    (offset, size) of each parameter by position, and the frame size.
+    Arguments go by position, so a parameter name declared twice still
+    has a slot of its own for each argument."""
+    layout: dict[str, tuple[int, int]] = {}
+    slots, off = [], 0
     for v in fn.params + fn.locals:
-        offsets.setdefault(v.name, off)
+        slot = (off, v.size)
+        slots.append(slot)
+        layout.setdefault(v.name, slot)
         off += v.size
-    return offsets, off + FRAME_METADATA_BYTES
+    return layout, tuple(slots[:len(fn.params)]), off + FRAME_METADATA_BYTES
 
 
 def image_map_for(program: ProgramDesc) -> str:
@@ -163,6 +205,7 @@ class _Function(NamedTuple):
     desc: FunctionDesc
     span: FunctionSpan
     vars: dict[str, tuple[int, int]]  # name -> (offset from the frame top, size)
+    params: tuple[tuple[int, int], ...]  # (offset, size) of each parameter, in order
     frame_size: int
     handlers: tuple
     native_handlers: tuple
@@ -210,16 +253,14 @@ def _compile(program: ProgramDesc, table: IdentityTable) -> _Plan:
             operands.append(stmt)
             if isinstance(stmt, Return):
                 break
-        offsets, size = function_layout(fn)
-        layout: dict[str, tuple[int, int]] = {}
-        for v in fn.variables():
-            layout.setdefault(v.name, (offsets[v.name], v.size))
+        layout, params, size = _layout(fn)
         handlers, native_handlers = tuple(handlers), tuple(native_handlers)
         operands = tuple(operands)
         if operands == fn.body:  # no runtime call and nothing after a `return`
             operands = fn.body
         functions[fn.name] = _Function(
-            fn, span, layouts.setdefault(tuple(layout.items()), layout), size,
+            fn, span, layouts.setdefault(tuple(layout.items()), layout),
+            sequences.setdefault(params, params), size,
             sequences.setdefault(handlers, handlers),
             sequences.setdefault(native_handlers, native_handlers), operands)
     return _Plan(table, functions, tuple(sorted(keys)), uncovered)
@@ -287,9 +328,10 @@ class Executor:
     def run(self, entry: str) -> ExecutionReport:
         plan = _plan(self.program, self.table)
         if entry not in plan.functions and entry not in plan.uncovered:
-            raise ValueError(f"entry function {entry!r} not described")
+            raise ValueError(f"entry function {shown(entry)} not described")
         if plan.uncovered:
-            raise ValueError(f"image map does not cover: {', '.join(sorted(plan.uncovered))}")
+            raise ValueError(
+                f"image map does not cover: {shown(', '.join(sorted(plan.uncovered)), False)}")
         self.functions = plan.functions
         self.provenance_counts = dict.fromkeys(plan.keys, 0)
         halted = False
@@ -375,8 +417,8 @@ def _enter(ex: Executor, fn: _Function, args) -> tuple[_FrameCtx, Iterator] | No
         return None
     ctx = _FrameCtx(fn.desc, frame, fn.vars)
     ex._frame_history[fn.desc.name] = ctx
-    for param, data in zip(fn.desc.params, args):
-        ex.memory.write_bytes(frame.top + fn.vars[param.name][0], data[:param.size])
+    for (offset, size), data in zip(fn.params, args):
+        ex.memory.write_bytes(frame.top + offset, data[:size])
     return ctx, zip(fn.native_handlers if ex.vault is None else fn.handlers, fn.operands)
 
 
@@ -440,7 +482,9 @@ def _read_probe(ex: Executor, ctx: _FrameCtx, stmt: ReadProbe) -> None:
     except MemoryFault as exc:
         ex.faults.append(f"{ctx.func.name}: probe {exc}")
         return
-    nonzero = length - data.count(0)
+    # A short read is counted inline, as _nonzero would: the call would
+    # cost more than the count.
+    nonzero = length - data.count(0) if length <= _COUNT_SMALL else _nonzero(data)
     windows = ex.windows
     ex.observations.append(Observation("read", ctx.func.name,
                                        windows[-1].wid if windows else None, addr, length,
@@ -465,9 +509,11 @@ def _write_probe(ex: Executor, ctx: _FrameCtx, stmt: WriteProbe) -> None:
         ex.faults.append(f"{ctx.func.name}: probe {exc}")
         return
     windows = ex.windows
-    ex.observations.append(Observation("write", ctx.func.name,
-                                       windows[-1].wid if windows else None, addr, len(value),
-                                       _nonzero(value), value[:16].hex()))
+    length = len(value)
+    ex.observations.append(Observation(
+        "write", ctx.func.name, windows[-1].wid if windows else None, addr, length,
+        length - value.count(0) if length <= _COUNT_SMALL else _nonzero(value),
+        value[:16].hex()))
 
 
 _HANDLERS = {Assign: _assign, HeapAlloc: _heap_alloc, Call: _call, ReadProbe: _read_probe,
@@ -595,23 +641,33 @@ def _stop_protect(ex: Executor, ctx: _FrameCtx, operand: tuple) -> VaultExceptio
     if refused is not None:
         return refused  # window still open; nothing was restored
     window = windows.pop()
-    # Each region read back whole; only one that changed is compared piece
-    # by piece, without the writable carve-outs its callee may change.
+    # Each region is compared whole in place; only one that changed is read
+    # back and compared piece by piece, without the writable carve-outs its
+    # callee may change.
+    holds = ex.memory.holds
     for snapshots, holes in ((window.integrity, window.carve_outs), (pre_close, ())):
         for addr, snapshot in snapshots:
-            actual = read(addr, len(snapshot))
-            if actual == snapshot:
+            if holds(addr, snapshot):
                 continue
+            actual = read(addr, len(snapshot))
             view = memoryview(actual)
             for lo, length in subtract_intervals([(addr, len(snapshot))], holes):
                 off = lo - addr
                 if not snapshot.startswith(view[off:off + length], off):
-                    delta = next(i for i in range(off, off + length)
-                                 if actual[i] != snapshot[i]) - off
                     ex.violations.append(IntegrityBreach(
                         window=window.wid, address=lo, length=length,
-                        detail=f"first mismatch at byte {delta}"))
+                        detail=f"first mismatch at byte "
+                               f"{_first_mismatch(view[off:off + length], snapshot, off)}"))
     return None
+
+
+def _first_mismatch(actual: memoryview, snapshot: bytes, off: int) -> int:
+    """Index of the first byte of `actual` that differs from the snapshot's
+    bytes from `off` on; one must differ. The lowest set bit of the two
+    XORed as little-endian ints lies in that byte."""
+    diff = (int.from_bytes(actual, "little")
+            ^ int.from_bytes(memoryview(snapshot)[off:off + len(actual)], "little"))
+    return ((diff & -diff).bit_length() - 1) // 8
 
 
 def _unregister_stack(ex: Executor, ctx: _FrameCtx, operand: tuple) -> VaultException | None:

@@ -84,18 +84,21 @@ def load_image_map(text: str) -> IdentityTable:
         except ValueError:
             raise ImageMapError(f"line {lineno}: bad hex address in {shown(raw)}") from None
         if lo >= hi:
-            raise ImageMapError(f"line {lineno}: empty or inverted span for {name}")
+            raise ImageMapError(f"line {lineno}: empty or inverted span for "
+                                f"{shown(name, False)}")
         if not (TEXT_BASE <= lo and hi <= TEXT_LIMIT):
-            raise ImageMapError(f"line {lineno}: span for {name} outside text region")
+            raise ImageMapError(f"line {lineno}: span for {shown(name, False)} "
+                                f"outside text region")
         if name in names:
-            raise ImageMapError(f"line {lineno}: duplicate function name {name}")
+            raise ImageMapError(f"line {lineno}: duplicate function name {shown(name, False)}")
         names.add(name)
         spans.append(FunctionSpan(name=sys.intern(name), lo=lo, hi=hi, fid=len(spans)))
 
     ordered = sorted(spans, key=lambda s: s.lo)
     for a, b in zip(ordered, ordered[1:]):
         if b.lo < a.hi:
-            raise ImageMapError(f"spans for {a.name} and {b.name} overlap")
+            raise ImageMapError(f"spans for {shown(a.name, False)} and "
+                                f"{shown(b.name, False)} overlap")
     return IdentityTable(spans)
 
 

@@ -116,7 +116,7 @@ def _pointee_size(var: VarDesc) -> int:
     if var.pointee_size is not None:
         return var.pointee_size
     raise AnnotationError(
-        f"pointer variable {var.name!r}: pointee size not resolvable; "
+        f"pointer variable {shown(var.name)}: pointee size not resolvable; "
         f"use a size suffix or declare pointee_size")
 
 
@@ -133,7 +133,7 @@ def _validate(program: ProgramDesc, functions: dict[str, FunctionDesc],
               untrusted_names: set[str], sens: dict[str, Sensitivity],
               untrusted: frozenset[Prototype]) -> None:
     for fn in program.functions:
-        where = f"function {fn.name!r}"
+        where = f"function {shown(fn.name)}"
         fn_untrusted = fn.name in untrusted_names
         fn_sensitive = sens[fn.name] is not Sensitivity.NONE
         if fn_untrusted and fn_sensitive:
@@ -143,11 +143,11 @@ def _validate(program: ProgramDesc, functions: dict[str, FunctionDesc],
                 continue
             if not fn_sensitive:
                 raise AnnotationError(
-                    f"{where}: annotation on {v.name!r} outside a sensitive function")
+                    f"{where}: annotation on {shown(v.name)} outside a sensitive function")
             if v.annotation.is_pointer:
                 if not v.pointer:
                     raise AnnotationError(
-                        f"{where}: pointer annotation on non-pointer variable {v.name!r}")
+                        f"{where}: pointer annotation on non-pointer variable {shown(v.name)}")
                 _pointee_size(v)
         variables = _first_by_name(fn.variables())
         for i, stmt in enumerate(fn.body):
@@ -166,24 +166,24 @@ def _statement_problem(stmt: Statement, fn_untrusted: bool, variables: dict[str,
     if kind is Assign or kind is HeapAlloc:
         target = variables.get(stmt.var)
         if target is None:
-            return f"unknown variable {stmt.var!r}"
+            return f"unknown variable {shown(stmt.var)}"
         if kind is Assign and len(stmt.value) > target.size:
-            return f"value longer than {stmt.var!r}"
+            return f"value longer than {shown(stmt.var)}"
         if kind is HeapAlloc and not target.pointer:
-            return f"heap_alloc into non-pointer {stmt.var!r}"
+            return f"heap_alloc into non-pointer {shown(stmt.var)}"
     elif kind is Call:
         if stmt.callee in RUNTIME_CALLS:
-            return f"{stmt.callee!r} is a reserved name"
+            return f"{shown(stmt.callee)} is a reserved name"
         for arg in stmt.args:
             if arg.var not in variables:
-                return f"unknown argument variable {arg.var!r}"
+                return f"unknown argument variable {shown(arg.var)}"
         callee = functions.get(stmt.callee)
         if callee is not None:
             if len(stmt.args) != callee.arity:
-                return (f"{stmt.callee} takes {callee.arity} arguments, "
+                return (f"{shown(stmt.callee, False)} takes {callee.arity} arguments, "
                         f"got {len(stmt.args)}")
         elif not matches_untrusted(untrusted, stmt.callee, len(stmt.args)):
-            return (f"unresolved callee {stmt.callee!r} "
+            return (f"unresolved callee {shown(stmt.callee)} "
                     f"(not described, not on the untrusted list)")
     return None
 
@@ -303,9 +303,9 @@ def _instrument_body(fn: FunctionDesc, sensitivity: Sensitivity,
         body += epilogue
 
     if pending_pointees:
-        names = ", ".join(sorted(pending_pointees))
+        names = shown(", ".join(sorted(pending_pointees)), False)
         raise AnnotationError(
-            f"function {fn.name!r}: pointer variables never assigned: {names}")
+            f"function {shown(fn.name)}: pointer variables never assigned: {names}")
     return tuple(body)
 
 
@@ -344,7 +344,7 @@ def instrument(program: ProgramDesc, untrusted: frozenset[Prototype],
             body = _instrument_body(fn, sens[fn.name], is_untrusted_call)
             if len(body) > MAX_BODY_STATEMENTS:  # the output must parse again
                 raise AnnotationError(
-                    f"function {fn.name!r}: instrumented body of {len(body)} statements "
+                    f"function {shown(fn.name)}: instrumented body of {len(body)} statements "
                     f"exceeds the cap of {MAX_BODY_STATEMENTS} (MAX_BODY_STATEMENTS)")
             out.append(FunctionDesc(fn.name, fn.params, fn.locals, body, sens[fn.name]))
     total = sum(len(fn.body) for fn in out)
@@ -364,12 +364,12 @@ def provenance_listing(program: ProgramDesc) -> list[str]:
                 detail = stmt.call
                 if stmt.target is not None:
                     if isinstance(stmt.target, VarRef):
-                        shown = stmt.target.var
+                        region = stmt.target.var
                     elif isinstance(stmt.target, PointeeRef):
-                        shown = f"*{stmt.target.var}"
+                        region = f"*{stmt.target.var}"
                     else:
-                        shown = f"{stmt.target.addr:#x}"
-                    detail += f"({shown}, len={stmt.length}, read_only={stmt.read_only})"
+                        region = f"{stmt.target.addr:#x}"
+                    detail += f"({region}, len={stmt.length}, read_only={stmt.read_only})"
                 elif stmt.all is not None:
                     detail += f"(all={stmt.all})"
                 lines.append(f"{fn.name} body[{i}]: {detail}  # {stmt.provenance}")

@@ -156,6 +156,18 @@ class ProcessMemory:
         segment, off = self._covering(addr, len(data))
         segment[off:off + len(data)] = data
 
+    def holds(self, addr: int, data: bytes) -> bool:
+        """Whether the bytes at addr equal `data`. Where one segment holds
+        them all they are compared in place, with no copy."""
+        length = len(data)
+        off = addr - STACK_BASE + len(self._stack)
+        if off >= 0 and addr + length <= STACK_BASE:
+            return self._stack.startswith(data, off)
+        off = addr - HEAP_BASE
+        if off >= 0 and off + length <= len(self._heap):
+            return self._heap.startswith(data, off)
+        return self.read_bytes(addr, length) == data
+
     def clear_region(self, addr: int, length: int) -> None:
         """Overwrite a stack or heap region with zeros."""
         if length < 0:
@@ -173,13 +185,15 @@ class ProcessMemory:
         top = base - size
         segment = self._stack
         off = top - STACK_BASE + len(segment)
+        fresh = 0  # the frame's first bytes that growing the segment zeroes
         if size <= 0 or off < 0:  # not a frame the stack segment already covers
             if size <= 0:
                 raise ValueError("frame size must be positive")
             if top < STACK_LIMIT:
                 raise StackOverflow(f"frame of {size} bytes exceeds stack capacity")
+            fresh = -off
             segment, off = self._covering(top, size)
-        segment[off:off + size] = _ZEROS[:size]
+        segment[off + fresh:off + size] = _ZEROS[:size - fresh]
         frame = StackFrame(owner, base, top)
         frames.append(frame)
         return frame

@@ -324,15 +324,17 @@ def is_instrumented(program: ProgramDesc) -> bool:
 SHOWN_CHARS = 60
 
 
-def shown(value: Any) -> str:
+def shown(value: Any, quote: bool = True) -> str:
     """`repr(value)` for a str of at most SHOWN_CHARS characters or any
     other value whose repr is that short; for a longer one, the repr of
-    its first SHOWN_CHARS characters and its length. Error messages echo
-    input values through it, so they stay short whatever the input holds."""
+    its first SHOWN_CHARS characters and its length. With quote=False a
+    str is shown as it is, not by its repr. Error messages echo input
+    values through it, so they stay short whatever the input holds."""
     if isinstance(value, str):
+        text = repr if quote else str
         if len(value) <= SHOWN_CHARS:
-            return repr(value)
-        return f"{value[:SHOWN_CHARS]!r}... ({len(value)} characters)"
+            return text(value)
+        return f"{text(value[:SHOWN_CHARS])}... ({len(value)} characters)"
     text = repr(value)
     if len(text) <= SHOWN_CHARS:
         return text

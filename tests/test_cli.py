@@ -416,6 +416,77 @@ class TestLongValues:
                        f"(100000 characters)\n")
 
 
+LONG = "n" * 1_000_000
+LONG_SHOWN = f"{'n' * 60}... (1000000 characters)"
+
+# Image maps and programs that name one function or variable LONG, and the
+# start of the message each exits 2 with.
+LONG_NAME_MAPS = {
+    "inverted span": (f"{LONG} 0x401100 0x401000\n", "line 1: empty or inverted span for "),
+    "outside the text region": (f"{LONG} 0x1000 0x2000\n", "line 1: span for "),
+    "duplicate name": (f"{LONG} 0x401000 0x401100\n{LONG} 0x401100 0x401200\n",
+                       "line 2: duplicate function name "),
+    "overlap": (f"{LONG} 0x401000 0x401100\nmain 0x401080 0x401200\n", "spans for "),
+}
+LONG_QUOTED = f"{'n' * 60!r}... (1000000 characters)"
+LONG_NAME_PROGRAMS = {
+    "unresolved callee": (
+        one_statement({"op": "call", "callee": LONG}),
+        f"function 'main' body[0]: unresolved callee {LONG_QUOTED} "
+        f"(not described, not on the untrusted list)"),
+    "wrong arity": (
+        {"functions": [{"name": "main", "locals": [{"name": "a", "size": 8}], "body": [
+            {"op": "call", "callee": LONG, "args": [{"var": "a"}]}]},
+            {"name": LONG, "body": [{"op": "return"}]}]},
+        f"function 'main' body[0]: {LONG_SHOWN} takes 0 arguments, got 1"),
+    "unknown variable": (
+        one_statement({"op": "heap_alloc", "var": LONG, "size": 16}),
+        f"function 'main' body[0]: unknown variable {LONG_QUOTED}"),
+    "function name": (
+        {"functions": [{"name": LONG, "body": [
+            {"op": "read_probe", "len": 1, "target": {"kind": "addr", "addr": "0x401000"}}]}]},
+        f"function {LONG_QUOTED} body[0]: probe outside an untrusted function"),
+}
+
+
+class TestLongNames:
+    """Error messages that echo a function or variable name show at most
+    SHOWN_CHARS characters of it, then its length; the image map's
+    messages keep showing names unquoted."""
+
+    @pytest.mark.parametrize("case", LONG_NAME_MAPS)
+    def test_an_image_map_error_exits_2_with_a_short_message(self, tmp_path, capsys, case):
+        image_map, start = LONG_NAME_MAPS[case]
+        program_file, map_file = tmp_path / "p.json", tmp_path / "long.map"
+        program_file.write_text(json.dumps({"functions": [{"name": "main", "body": []}]}))
+        map_file.write_text(image_map)
+        assert main(["run", "--program", str(program_file), "--image-map", str(map_file)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.encode()) <= 300
+        assert err.startswith(f"framevault: error: {start}{LONG_SHOWN}")
+
+    def test_a_function_the_image_map_misses_exits_2_with_a_short_message(self, tmp_path,
+                                                                          capsys):
+        program_file, map_file = tmp_path / "p.json", tmp_path / "p.map"
+        program_file.write_text(json.dumps({"functions": [{"name": "main", "body": []},
+                                                          {"name": LONG, "body": []}]}))
+        map_file.write_text("main 0x401000 0x401100\n")
+        assert main(["run", "--program", str(program_file), "--image-map", str(map_file)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"framevault: error: image map does not cover: {LONG_SHOWN}\n"
+
+    @pytest.mark.parametrize("case", LONG_NAME_PROGRAMS)
+    def test_an_instrument_error_exits_2_with_a_short_message(self, tmp_path, capsys, case):
+        doc, message = LONG_NAME_PROGRAMS[case]
+        program_file, untrusted = tmp_path / "long.json", tmp_path / "untrusted.list"
+        program_file.write_text(json.dumps(doc))
+        untrusted.write_text("lib(1)\n")
+        assert main(["instrument", "--program", str(program_file),
+                     "--untrusted-list", str(untrusted)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.encode()) <= 300 and err == f"framevault: error: {message}\n"
+
+
 LIB = {"name": "lib", "params": [{"name": "a", "size": 8}], "body": [{"op": "return"}]}
 
 VALIDATION_ERRORS = {

@@ -6,12 +6,15 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from framevault.executor import (
+    _COUNT_CHUNK,
+    _COUNT_SMALL,
     Executor,
     IntegrityBreach,
     Leak,
+    _nonzero,
     function_layout,
     hidden_nonzero,
     image_map_for,
@@ -21,7 +24,7 @@ from framevault.executor import (
 )
 from framevault.identity import load_image_map, synthesize_image_map
 from framevault.instrument import instrument, parse_lists
-from framevault.memory import HEAP_BASE, FRAME_METADATA_BYTES
+from framevault.memory import HEAP_BASE, FRAME_METADATA_BYTES, STACK_BASE
 from framevault.oracle import OracleVault
 from framevault.program import (
     AbsoluteTarget,
@@ -388,6 +391,107 @@ class TestLeakDetection:
                        if b and any(addr + i in s for s in sets))
         ranges = [(base, base + length) for hidden in windows for base, length in hidden]
         assert hidden_nonzero(data, addr, ranges) == expected
+
+
+# Run lengths at and around the small-read threshold and the chunk size,
+# and short ones, so runs end on, just before and just after a chunk end.
+_EDGES = sorted({n + d for n in (_COUNT_SMALL, _COUNT_CHUNK, 2 * _COUNT_CHUNK)
+                 for d in (-1, 0, 1)})
+_RUN_LENGTHS = st.one_of(st.integers(0, 40), st.sampled_from(_EDGES),
+                         st.integers(0, 2 * _COUNT_CHUNK + 1))
+
+
+@st.composite
+def runs(draw, max_runs=6):
+    """Bytes made of runs of zeros, of one non-zero byte and of short mixed
+    bytes, each run of a length from _RUN_LENGTHS."""
+    out = bytearray()
+    for _ in range(draw(st.integers(0, max_runs))):
+        kind = draw(st.sampled_from(("zero", "nonzero", "mixed")))
+        if kind == "mixed":
+            out += draw(st.binary(max_size=64))
+        else:
+            fill = draw(st.integers(1, 255)) if kind == "nonzero" else 0
+            out += bytes([fill]) * draw(_RUN_LENGTHS)
+    return bytes(out)
+
+
+class TestByteCounting:
+    """The non-zero counter takes memcmp and memchr shortcuts over long
+    spans; it must count exactly what `bytes.count` would. The examples
+    put a zero first, so the chunks that follow are all counted, and end
+    a chunk one byte into a run."""
+
+    @given(data=runs())
+    @example(data=bytes(1) + b"\x01" * (2 * _COUNT_CHUNK + 1))
+    @example(data=b"\x01" + bytes(_COUNT_CHUNK - 1) + b"\x01" * _COUNT_SMALL)
+    def test_the_counter_equals_count(self, data):
+        assert _nonzero(data) == len(data) - data.count(0)
+
+    @given(data=runs(), start=st.integers(0, 3 * _COUNT_CHUNK),
+           length=st.one_of(st.integers(0, 3 * _COUNT_CHUNK), st.sampled_from(_EDGES)))
+    @example(data=b"\x01" * 3 * _COUNT_CHUNK, start=0, length=2 * _COUNT_CHUNK)
+    @example(data=bytes(1) + b"\x01" * 3 * _COUNT_CHUNK, start=0, length=_COUNT_CHUNK + 9)
+    def test_the_counter_equals_count_between_start_and_end(self, data, start, length):
+        start = min(start, len(data))
+        end = min(start + length, len(data))
+        assert _nonzero(data, start, end) == end - start - data.count(0, start, end)
+
+    def test_probes_longer_than_the_small_threshold_count_their_nonzero_bytes(self):
+        value = (bytes(_COUNT_SMALL) + b"\x07" * _COUNT_CHUNK) * 2
+        program = ProgramDesc(functions=(
+            FunctionDesc(name="main", locals=(VarDesc("buf", len(value) + 5),),
+                         body=(Call("lib"), Return())),
+            FunctionDesc(name="lib", body=(WriteProbe(FrameTarget("main", 0), value),
+                                           ReadProbe(FrameTarget("main", 0), len(value) + 5),
+                                           Return()))))
+        report = run_native(program, load_image_map(image_map_for(program)), "main")
+        assert [(o.kind, o.length, o.nonzero) for o in report.observations] == [
+            ("write", len(value), 2 * _COUNT_CHUNK), ("read", len(value) + 5, 2 * _COUNT_CHUNK)]
+
+    @given(data=runs(max_runs=4), addr=st.integers(0, 2 * _COUNT_CHUNK),
+           ranges=st.lists(st.tuples(st.integers(-_COUNT_CHUNK, 3 * _COUNT_CHUNK),
+                                     st.one_of(st.integers(-8, 3 * _COUNT_CHUNK),
+                                               st.sampled_from(_EDGES))), max_size=4))
+    @example(data=bytes(1) + b"\x01" * 3 * _COUNT_CHUNK, addr=100,
+             ranges=[(0, _COUNT_CHUNK + 9), (5, 2 * _COUNT_CHUNK), (-50, 0), (9, -4)])
+    def test_hidden_nonzero_matches_a_per_byte_reference(self, data, addr, ranges):
+        # (offset from addr, length) pairs: ranges that overlap, are empty
+        # or inverted, or reach outside the read.
+        ranges = [(addr + off, addr + off + length) for off, length in ranges]
+        mask = bytearray(len(data))
+        for lo, hi in ranges:
+            lo, hi = max(lo - addr, 0), min(hi - addr, len(data))
+            if lo < hi:
+                mask[lo:hi] = b"\x01" * (hi - lo)
+        expected = sum(1 for hidden, byte in zip(mask, data) if hidden and byte)
+        assert hidden_nonzero(data, addr, ranges) == expected
+
+
+class SpoilsTheLastByte(VaultState):
+    """A broken runtime that restores each window, then sets the byte just
+    below `main`'s frame: the last byte of its callee's frame."""
+
+    def stop_protect(self, memory, pc):
+        refused = super().stop_protect(memory, pc)
+        memory.write_bytes(STACK_BASE - FRAME_METADATA_BYTES - 1, b"\x01")
+        return refused
+
+
+def test_a_breach_at_the_last_byte_of_a_512_kib_frame_names_that_byte():
+    frame = 512 * 1024
+    program = instrument(ProgramDesc(functions=(
+        FunctionDesc(name="holder", sensitivity=Sensitivity.ALL,
+                     locals=(VarDesc("secret", frame - FRAME_METADATA_BYTES),),
+                     body=(Assign("secret", b"\x5a" * 64), Call("lib"), Return())),
+        FunctionDesc(name="lib", body=(Return(),)),
+        FunctionDesc(name="main", body=(Call("holder"), Return())),
+    )), *parse_lists("lib(0)\n", "holder\n"))
+    report = run(program, load_image_map(image_map_for(program)), "main",
+                 vault_factory=SpoilsTheLastByte)
+    assert [(type(v), v.address, v.length, v.detail) for v in report.violations] == [
+        (IntegrityBreach, STACK_BASE - FRAME_METADATA_BYTES - frame, frame,
+         f"first mismatch at byte {frame - 1}")]
 
 
 class TestWriteSensitive:

@@ -88,9 +88,10 @@ class Reference:
     # statements --------------------------------------------------------
 
     def invoke(self, fn, args, depth):
-        variables, off = {}, 0
+        variables, slots, off = {}, [], 0
         for v in fn.params + fn.locals:
             variables.setdefault(v.name, (off, v.size))
+            slots.append((off, v.size))
             off += v.size
         size = off + FRAME_METADATA_BYTES
         top = self.stack_top - size
@@ -101,8 +102,8 @@ class Reference:
         saved_top, self.stack_top = self.stack_top, top
         self.write(top, bytes(size))
         self.last_frame[fn.name] = (top, variables)
-        for param, data in zip(fn.params, args):
-            self.write(top + variables[param.name][0], data[:param.size])
+        for (offset, size), data in zip(slots, args):  # by position, as declared
+            self.write(top + offset, data[:size])
         try:
             for stmt in fn.body:
                 self.steps += 1

@@ -471,6 +471,19 @@ class TestNamesDescribedTwice:
         report = run_native(program, load_image_map(image_map_for(program)), "main")
         assert [o.preview for o in report.observations] == ["00000000"]
 
+    def test_each_argument_fills_its_own_parameter_slot(self):
+        # Two parameters named `p`: the arguments go by position, each to
+        # its own slot, whatever the names say.
+        program = ProgramDesc(functions=(
+            FunctionDesc(name="main", locals=(var("a", 4), var("b", 4)),
+                         body=(Assign("a", bytes.fromhex("11111111")),
+                               Assign("b", bytes.fromhex("22222222")),
+                               Call("f", (ValueArg("a"), ValueArg("b"))), Return())),
+            FunctionDesc(name="f", params=(var("p", 4), var("p", 4)),
+                         body=(ReadProbe(FrameTarget("f", 0), 8), Return()))))
+        report = run_native(program, load_image_map(image_map_for(program)), "main")
+        assert [o.preview for o in report.observations] == ["1111111122222222"]
+
     def test_a_heap_alloc_target_resolves_to_its_first_declaration(self):
         program, u, s = build(fn_locals=(var("x", 8), var("x", 8, pointer=True)),
                               body=(HeapAlloc("x", 16), Return()))

@@ -65,6 +65,14 @@ class TestFrames:
         assert f2.top == f1.top
         assert m.read_bytes(f2.top, 32) == bytes(32)
 
+    def test_a_frame_that_grows_the_stack_is_zeroed_over_stale_bytes(self):
+        # The segment covers 4 KiB of stale bytes; the frame takes them and
+        # 100 bytes that growing the segment adds below them.
+        m = ProcessMemory()
+        m.write_bytes(STACK_BASE - 4096, b"\xaa" * 4096)
+        frame = m.push_frame(0, 4096 + 100)
+        assert m.read_bytes(frame.top, frame.size) == bytes(frame.size)
+
     def test_pop_leaves_stale_bytes_in_place(self):
         m = ProcessMemory()
         frame = m.push_frame(0, 32)
@@ -82,6 +90,27 @@ class TestFrames:
 
     def test_metadata_pad_is_part_of_the_frame(self):
         assert FRAME_METADATA_BYTES == 16
+
+
+class TestHolds:
+    @pytest.mark.parametrize("addr, data, held", [
+        (HEAP_BASE + 8, b"\x01\x02", True),
+        (HEAP_BASE + 8, b"\x01\x03", False),
+        (HEAP_BASE + 8192, bytes(4), True),        # past the heap segment
+        (HEAP_BASE + 8192, b"\x01", False),
+        (STACK_BASE - 4, b"\x03\x00\x00\x00", True),
+        (STACK_BASE - 4, b"\x04\x00\x00\x00", False),
+        (STACK_LIMIT, bytes(8), True),             # below the stack segment
+        (TEXT_BASE, bytes(4), True),
+        (TEXT_BASE, b"\x01", False),
+        (HEAP_BASE, b"", True),
+    ])
+    def test_holds_compares_with_what_a_read_returns(self, addr, data, held):
+        m = ProcessMemory()
+        m.write_bytes(HEAP_BASE + 8, b"\x01\x02")
+        m.write_bytes(STACK_BASE - 4, b"\x03")
+        assert m.holds(addr, data) is held
+        assert (m.read_bytes(addr, len(data)) == data) is held
 
 
 class TestHeap:

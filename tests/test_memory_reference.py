@@ -153,6 +153,10 @@ def _apply(m: ProcessMemory, ref: Reference, op) -> None:
             got = m.read_bytes(addr, length)
             assert type(got) is bytes
             assert got == ref.read(addr, length)
+            # The in-place comparison agrees, and tells one changed byte.
+            assert m.holds(addr, got)
+            if length:
+                assert not m.holds(addr, got[:-1] + bytes([got[-1] ^ 1]))
     elif kind == "dump":
         addr, length = op[1], op[2]
         dump = m.dump_pages()

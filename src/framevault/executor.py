@@ -4,17 +4,22 @@ protection runtime.
 Program-counter values are synthesized per statement from the executing
 function's image-map span, so the runtime sees the same unforgeable caller
 identity a hardware PC would give it. The executor also owns the ground
-truth for verdicts: at each window open it takes the window's bytes from
-`oracle.window_regions` and records, with its own reads, what must stay
-hidden and what must survive intact; the runtime's save buffer plays no
-part in that bookkeeping, so a runtime bug cannot mask itself.
+truth for verdicts; the runtime's save buffer plays no part in it, so a
+runtime bug cannot mask itself. At each window open the executor keeps a
+copy of the registrations the window opens over, takes from
+`oracle.window_regions` what closing must leave intact and the writable
+carve-outs, and snapshots those regions with its own reads. What the
+window must hide is derived from the kept registrations by
+`oracle.window_hidden` only when a leak scan first needs it, at most once
+per window: most windows see no non-zero untrusted read.
 
 Verdict bookkeeping works on byte intervals, never on single addresses:
-a window keeps its hidden bytes as (addr, length) pairs, and an untrusted
-read that sees non-zero bytes counts its secret bytes by clipping the
-ranges of every open window to the read, merging them, and counting
-non-zero bytes in each merged slice. What must survive is snapshotted
-once per registered frame or object and compared at close.
+a window's hidden bytes are (addr, length) pairs, and an untrusted read
+that sees non-zero bytes counts its secret bytes by clipping the ranges
+of every open window to the read, merging them, and counting non-zero
+bytes in each merged slice. What must survive is snapshotted once per
+registered frame or object and compared at close; a window with writable
+carve-outs also reads them just before it closes.
 
 Bytes are counted and compared where they lie, with no slice copies.
 `_nonzero` counts a span of up to _COUNT_SMALL bytes with `bytes.count`,
@@ -56,12 +61,12 @@ from typing import NamedTuple
 
 from .identity import FunctionSpan, IdentityTable, synthesize_image_map
 from .memory import _ZEROS, FRAME_METADATA_BYTES, MemoryFault, ProcessMemory, StackFrame
-from .oracle import subtract_intervals, window_regions
+from .oracle import subtract_intervals, window_hidden, window_regions
 from .program import (AbsoluteTarget, AddrOfArg, AddressRef, Assign, Call, DerefTarget,
                       FrameTarget, FunctionDesc, HeapAlloc, HeapTarget, PointeeRef,
                       ProgramDesc, ReadProbe, Return, RuntimeCall, VarRef, VarTarget,
                       WriteProbe, shown)
-from .runtime import SyscallStats, VaultException, VaultState
+from .runtime import RegisterEntry, SyscallStats, VaultException, VaultState
 
 MAX_CALL_DEPTH = 128
 MAX_STATEMENTS = 1_000_000
@@ -283,13 +288,22 @@ class _FrameCtx(NamedTuple):
     vars: dict[str, tuple[int, int]]  # name -> (offset from the frame top, size)
 
 
-class _Window(NamedTuple):
-    wid: int
-    hidden: list[tuple[int, int]]  # (addr, length) intervals the window must hide
-    # (addr, the bytes there at window open) of each frame and object;
-    # closing must leave them as they were, but for the carve-outs
-    integrity: list[tuple[int, bytes]]
-    carve_outs: list[tuple[int, int]]  # (addr, length) of the writable carve-outs
+class _Window:
+    """One open window and the registrations it opened over."""
+
+    __slots__ = ("wid", "entries", "integrity", "carve_outs", "hidden")
+
+    def __init__(self, wid: int, entries: list[RegisterEntry],
+                 integrity: list[tuple[int, bytes]], carve_outs: list[tuple[int, int]]):
+        self.wid = wid
+        self.entries = entries  # a copy of the slice, as it stood at open
+        # (addr, the bytes there at window open) of each frame and object;
+        # closing must leave them as they were, but for the carve-outs
+        self.integrity = integrity
+        self.carve_outs = carve_outs  # (addr, length) of the writable carve-outs
+        # (addr, length) intervals the window must hide, or None until a
+        # leak scan first needs them
+        self.hidden: list[tuple[int, int]] | None = None
 
 
 class _Halt(Exception):
@@ -490,6 +504,9 @@ def _read_probe(ex: Executor, ctx: _FrameCtx, stmt: ReadProbe) -> None:
                                        windows[-1].wid if windows else None, addr, length,
                                        nonzero, data[:16].hex()))
     if nonzero and windows:
+        for w in windows:
+            if w.hidden is None:
+                w.hidden = window_hidden(w.entries)
         secret = hidden_nonzero(data, addr, ((lo, lo + n) for w in windows for lo, n in w.hidden))
         if secret:
             ex.violations.append(Leak(
@@ -621,13 +638,13 @@ def _start_protect(ex: Executor, ctx: _FrameCtx, operand: tuple) -> VaultExcepti
     stmt, pc, key = operand
     ex.provenance_counts[key] += 1
     vault, read = ex.vault, ex.memory.read_bytes
-    hidden, regions, carve_outs = window_regions(vault.register_list, vault.watermark(),
-                                                 len(vault.register_list) - 1)
+    entries = vault.register_list[vault.watermark():]
+    regions, carve_outs = window_regions(entries)
     integrity = [(addr, read(addr, length)) for addr, length in regions]
     refused = vault.start_protect(ex.memory, pc)
     if refused is None:
         ex._wid += 1
-        ex.windows.append(_Window(ex._wid, hidden, integrity, carve_outs))
+        ex.windows.append(_Window(ex._wid, entries, integrity, carve_outs))
     return refused
 
 
@@ -635,8 +652,8 @@ def _stop_protect(ex: Executor, ctx: _FrameCtx, operand: tuple) -> VaultExceptio
     stmt, pc, key = operand
     ex.provenance_counts[key] += 1
     windows, read = ex.windows, ex.memory.read_bytes
-    carve_outs = windows[-1].carve_outs if windows else []
-    pre_close = [(addr, read(addr, length)) for addr, length in carve_outs]
+    carve_outs = windows[-1].carve_outs if windows else ()
+    pre_close = [(addr, read(addr, length)) for addr, length in carve_outs] if carve_outs else ()
     refused = ex.vault.stop_protect(ex.memory, pc)
     if refused is not None:
         return refused  # window still open; nothing was restored

@@ -2,9 +2,12 @@
 which bytes a protection window hides.
 
 `window_bytes` turns a RegisterList slice into the byte intervals a window
-clears, restores and leaves to the callee. The oracle below uses it, the
-executor's verdicts use `window_regions`, its first step, and the runtime
-under test uses neither.
+clears, restores and leaves to the callee. It joins two passes over the
+slice: `window_regions`, what closing must leave intact and the writable
+carve-outs, and `window_hidden`, what the window hides. The oracle below
+uses `window_bytes`. The executor's verdicts take `window_regions` when a
+window opens, and `window_hidden`, from a copy of the same slice, only
+when a leak scan first needs it. The runtime under test uses none of them.
 
 The oracle keeps the registration bookkeeping and identity/index
 verification of the real runtime but replaces the window save/restore
@@ -55,36 +58,47 @@ def window_bytes(entries: list[RegisterEntry], start: int,
     callee writes closing keeps; a read-only carve-out is restored with
     its frame. all=False frames contribute nothing themselves.
     """
-    hidden, regions, writable = window_regions(entries, start, end)
-    return hidden, subtract_intervals(regions, writable), writable
+    window = entries[start:end + 1]
+    regions, writable = window_regions(window)
+    return window_hidden(window), subtract_intervals(regions, writable), writable
 
 
-def window_regions(entries: list[RegisterEntry], start: int,
-                   end: int) -> tuple[list[Interval], list[Interval], list[Interval]]:
-    """`window_bytes` before the writable carve-outs are cut out of what
-    closing restores: (hidden, the all=True frames then the objects,
-    writable carve-outs)."""
+def window_regions(window: list[RegisterEntry]) -> tuple[list[Interval], list[Interval]]:
+    """What closing a window over these registrations must leave intact,
+    before its writable carve-outs are cut out (the all=True frames, then
+    the objects), and those writable carve-outs."""
     frames: list[Interval] = []
     objects: list[Interval] = []
-    hidden_objects: list[Interval] = []
-    carve_outs: list[Interval] = []
     writable: list[Interval] = []
-    for entry in entries[start:end + 1]:
+    for entry in window:
         kind = type(entry)
         if kind is StackEntry:
             if entry.all:
                 frames.append((entry.frame_top, entry.frame_base - entry.frame_top))
         elif kind is MemoryEntry:
             objects.append((entry.base, entry.length))
+        elif not entry.read_only:
+            writable.append((entry.base, entry.length))
+    return frames + objects, writable
+
+
+def window_hidden(window: list[RegisterEntry]) -> list[Interval]:
+    """What a window over these registrations hides: the all=True frames
+    minus every carve-out, then the writable objects."""
+    frames: list[Interval] = []
+    objects: list[Interval] = []
+    carve_outs: list[Interval] = []
+    for entry in window:
+        kind = type(entry)
+        if kind is StackEntry:
+            if entry.all:
+                frames.append((entry.frame_top, entry.frame_base - entry.frame_top))
+        elif kind is MemoryEntry:
             if not entry.read_only:
-                hidden_objects.append((entry.base, entry.length))
+                objects.append((entry.base, entry.length))
         else:
             carve_outs.append((entry.base, entry.length))
-            if not entry.read_only:
-                writable.append((entry.base, entry.length))
-    if not frames:  # nothing to cut carve-outs out of
-        return hidden_objects, objects, writable
-    return subtract_intervals(frames, carve_outs) + hidden_objects, frames + objects, writable
+    return subtract_intervals(frames, carve_outs) + objects
 
 
 class OracleVault(VaultState):

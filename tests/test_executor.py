@@ -360,6 +360,76 @@ class TestLeakDetection:
         assert report.stats.start_protect == 2
         assert [(l.window, l.function, l.secret_bytes) for l in leaks] == [(2, "lib1", 63)]
 
+    @staticmethod
+    def nested_chain(lib3_reads):
+        """main -> w1 -> lib1 -> w2 -> lib2 -> w3 -> lib3: three nested
+        windows. w1 hides its whole frame but a writable and a read-only
+        carve-out, w2 (fine-grained) only its `key`, w3 its whole frame.
+        lib3 runs `lib3_reads`; lib2 and lib1 each read their caller's
+        frame after the inner windows have opened and closed above theirs."""
+        w1_frame, w2_frame, w3_frame = (n + FRAME_METADATA_BYTES for n in (40, 24, 16))
+        return leaky_run((
+            FunctionDesc(name="w1",
+                         locals=(VarDesc("secret", 24),
+                                 VarDesc("age", 8, annotation=Annotation(
+                                     AnnotationKind.NOT_SENSITIVE)),
+                                 VarDesc("slot", 8, annotation=Annotation(
+                                     AnnotationKind.WRITE_SENSITIVE))),
+                         body=(Assign("secret", bytes(range(24))), Assign("age", b"\x07" * 8),
+                               Assign("slot", b"\x09" * 8), Call("lib1"), Return())),
+            FunctionDesc(name="lib1", body=(Call("w2"), ReadProbe(FrameTarget("w1", 0), w1_frame),
+                                            Return())),
+            FunctionDesc(name="w2", sensitivity=Sensitivity.FINEGRAINED,
+                         locals=(VarDesc("key", 16, annotation=Annotation(
+                                     AnnotationKind.SENSITIVE)),
+                                 VarDesc("note", 8)),
+                         body=(Assign("key", b"\x00\x5a" * 8), Assign("note", b"\xff" * 8),
+                               Call("lib2"), Return())),
+            FunctionDesc(name="lib2", body=(Call("w3"), ReadProbe(FrameTarget("w2", 0), w2_frame),
+                                            Return())),
+            FunctionDesc(name="w3", locals=(VarDesc("secret", 16),),
+                         body=(Assign("secret", b"\x33" * 16), Call("lib3"), Return())),
+            FunctionDesc(name="lib3", body=tuple(
+                ReadProbe(FrameTarget(fn, 0), size)
+                for fn, size in (("w1", w1_frame), ("w2", w2_frame), ("w3", w3_frame))
+                if fn in lib3_reads) + (Return(),)),
+            FunctionDesc(name="main", body=(Call("w1"), Return())),
+        ), "lib1(0)\nlib2(0)\nlib3(0)\n", "w1\nw3\n")
+
+    def test_each_window_hides_the_registrations_it_opened_over(self):
+        # Frame tops; each lib's 16-byte frame lies between two workers.
+        w1, w2, w3 = 0x7FFEFFFFFFB8, 0x7FFEFFFFFF80, 0x7FFEFFFFFF50
+        report, leaks = self.nested_chain(("w1", "w2", "w3"))
+        assert report.stats.start_protect == 3
+        assert [(l.window, l.function, l.address, l.length, l.secret_bytes) for l in leaks] == [
+            (3, "lib3", w1, 56, 23), (3, "lib3", w2, 40, 8), (3, "lib3", w3, 32, 16),
+            (2, "lib2", w2, 40, 8), (1, "lib1", w1, 56, 23)]
+        # With lib3 reading nothing, lib2's read is the first leak scan:
+        # window 3 has opened and closed above window 2 by then.
+        _, leaks = self.nested_chain(())
+        assert [(l.window, l.function, l.address, l.length, l.secret_bytes) for l in leaks] == [
+            (2, "lib2", w2, 40, 8), (1, "lib1", w1, 56, 23)]
+
+    def test_a_registration_made_inside_a_window_is_not_hidden_by_it(self):
+        # lib registers its own frame whole after victim's window opened,
+        # then reads it: the window hides only what was registered at open.
+        program = instrument(ProgramDesc(functions=(
+            FunctionDesc(name="victim", locals=(VarDesc("secret", 16),),
+                         body=(Assign("secret", b"\xaa" * 16), Call("lib"), Return())),
+            FunctionDesc(name="lib", locals=(VarDesc("own", 8),), body=(Return(),)),
+            FunctionDesc(name="main", body=(Call("victim"), Return())),
+        )), *parse_lists("lib(0)\n", "victim\n"))
+        lib_body = (Assign("own", b"\x11" * 8), RuntimeCall(call="register_stack", all=True),
+                    ReadProbe(FrameTarget("lib", 0), 8), Return())
+        program = dataclasses.replace(program, functions=tuple(
+            dataclasses.replace(fn, body=lib_body) if fn.name == "lib" else fn
+            for fn in program.functions))
+        report = run(program, load_image_map(image_map_for(program)), "main",
+                     vault_factory=SavesWithoutClearing)
+        [read] = [o for o in report.observations if o.kind == "read"]
+        assert (read.window, read.nonzero) == (1, 8)
+        assert not any(isinstance(v, Leak) for v in report.violations)
+
     def test_read_straddling_a_hidden_interval_counts_only_its_nonzero_bytes(self):
         report, leaks = leaky_run((
             FunctionDesc(name="victim", sensitivity=Sensitivity.FINEGRAINED,

@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from framevault.identity import load_image_map
 from framevault.memory import ProcessMemory, STACK_BASE
-from framevault.oracle import OracleVault, subtract_intervals, window_bytes
+from framevault.oracle import (OracleVault, subtract_intervals, window_bytes, window_hidden,
+                               window_regions)
 from framevault.runtime import (ExceptionKind, MemoryEntry, MemoryExceptionEntry, SaveBuffer,
                                 StackEntry, VaultState)
 
@@ -425,6 +426,23 @@ class TestDiagnostics:
         assert memory.read_bytes(frame.top, 32) == bytes(8) + CARVE_NEW + bytes(20)
 
 
+# Registrations over a few dozen addresses, so frames, objects and
+# carve-outs overlap; objects and carve-outs may be empty, frames may not.
+REGISTER_ENTRY = st.one_of(
+    st.builds(lambda top, length, all: StackEntry(0, top + length, top, all),
+              st.integers(0, 48), st.integers(1, 24), st.booleans()),
+    st.builds(lambda base, length, ro: MemoryEntry(0, base, length, ro),
+              st.integers(0, 64), st.integers(0, 16), st.booleans()),
+    st.builds(lambda base, length, ro: MemoryExceptionEntry(0, base, length, ro),
+              st.integers(0, 64), st.integers(0, 16), st.booleans()),
+)
+
+
+def covered(intervals):
+    """The addresses (addr, length) intervals cover."""
+    return {a for addr, length in intervals for a in range(addr, addr + length)}
+
+
 class TestWindowBytes:
     # A whole-frame registration [0x1000, 0x1100) with a 4-byte carve-out
     # at 0x1008, a writable and a read-only object, and an all=False frame.
@@ -460,6 +478,33 @@ class TestWindowBytes:
         assert hidden == [(0x5000, 32)]
         assert kept == [(0x5000, 32), (0x6000, 16)]
         assert carve_outs == [(0x1008, 4)]
+
+    @settings(max_examples=300)
+    @given(entries=st.lists(REGISTER_ENTRY, max_size=8), start=st.integers(0, 8),
+           end=st.integers(-1, 8))
+    def test_window_bytes_match_a_per_byte_reference(self, entries, start, end):
+        window = entries[start:end + 1]
+        frames = [(e.frame_top, e.frame_base - e.frame_top)
+                  for e in window if type(e) is StackEntry and e.all]
+        objects = [(e.base, e.length, e.read_only) for e in window if type(e) is MemoryEntry]
+        carve_outs = [(e.base, e.length, e.read_only)
+                      for e in window if type(e) is MemoryExceptionEntry]
+        writable = [(addr, length) for addr, length, ro in carve_outs if not ro]
+        # Hidden: all=True frames outside every carve-out, plus the writable
+        # objects. Kept: the frames and objects minus the writable carve-outs.
+        hidden_ref = ((covered(frames) - covered(c[:2] for c in carve_outs))
+                      | covered(o[:2] for o in objects if not o[2]))
+        kept_ref = (covered(frames) | covered(o[:2] for o in objects)) - covered(writable)
+
+        hidden, kept, carve = window_bytes(entries, start, end)
+        assert covered(hidden) == hidden_ref
+        assert covered(kept) == kept_ref
+        assert carve == writable
+        regions, regions_writable = window_regions(window)
+        assert regions == frames + [o[:2] for o in objects]
+        assert regions_writable == writable
+        assert window_hidden(window) == hidden
+        assert subtract_intervals(regions, regions_writable) == kept
 
 
 class TestOracleEquivalence:

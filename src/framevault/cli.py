@@ -19,9 +19,9 @@ from .fuzzer import (MAX_CHAIN, FuzzConfig, check_scenario, fuzz, scenario_from_
 from .identity import ImageMapError, load_image_map
 from .instrument import (AnnotationError, ListParseError, instrument, parse_lists,
                          provenance_listing)
-from .program import ProgramFormatError, emit, parse
+from .program import ProgramFormatError, emit, parse, to_json
 from .reporting import (campaign_to_dict, diff_to_dict, render_campaign, render_diff,
-                        render_report, report_to_dict, to_json)
+                        render_report, report_to_dict)
 
 _INPUT_ERRORS = (ProgramFormatError, ListParseError, AnnotationError,
                  ImageMapError, OSError, ValueError)

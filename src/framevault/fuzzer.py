@@ -38,7 +38,7 @@ from .program import (AddrOfArg, AddressRef, Annotation, AnnotationKind, Arg, As
                       Call, DerefTarget, FrameTarget, FunctionDesc, HeapAlloc,
                       HeapTarget, ProgramDesc, ProgramFormatError, ReadProbe, Return,
                       RuntimeCall, Sensitivity, Statement, ValueArg, VarDesc,
-                      VarTarget, WriteProbe, program_from_dict, program_to_dict)
+                      VarTarget, WriteProbe, program_from_dict, program_to_dict, to_json)
 from .runtime import ExceptionKind, VaultException
 
 # Largest max_chain a campaign accepts. The call tree grows exponentially
@@ -506,8 +506,9 @@ def fuzz(seed: int, config: FuzzConfig,
 # counterexample files
 
 # Every key a counterexample file carries, in file order, with its JSON
-# type; list items are strings. A file may hold other keys, such as the
-# `forged` list of older files; they are ignored.
+# type, which a value must have exactly (a bool is no int); list items are
+# strings. A file may hold other keys, such as the `forged` list of older
+# files; they are ignored.
 _SCENARIO_KEYS = {"index": int, "seed": int, "entry": str, "untrusted": list,
                   "sensitive": list, "image_map": str, "raw": dict, "program": dict}
 
@@ -515,7 +516,7 @@ _SCENARIO_KEYS = {"index": int, "seed": int, "entry": str, "untrusted": list,
 def scenario_to_json(scenario: Scenario) -> str:
     doc = {key: getattr(scenario, key) for key in _SCENARIO_KEYS}
     doc.update(raw=program_to_dict(scenario.raw), program=program_to_dict(scenario.program))
-    return json.dumps(doc, indent=2) + "\n"
+    return to_json(doc)
 
 
 def scenario_from_json(text: str) -> Scenario:
@@ -526,7 +527,7 @@ def scenario_from_json(text: str) -> Scenario:
         if key not in doc:
             raise ProgramFormatError(f"scenario: missing key {key!r}")
         value = doc[key]
-        if not isinstance(value, kind) or (
+        if type(value) is not kind or (
                 kind is list and not all(isinstance(item, str) for item in value)):
             what = "a list of strings" if kind is list else f"of type {kind.__name__}"
             raise ProgramFormatError(f"scenario: key {key!r} must be {what}")

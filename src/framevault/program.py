@@ -41,7 +41,8 @@ suffix gives the pointee size in bytes (otherwise ``pointee_size`` must).
 Every declared byte size (``size``, ``pointee_size``, the ``_N`` suffix, a
 ``heap_alloc`` size and a ``runtime_call`` ``len``) is at most
 MAX_OBJECT_BYTES, the 1 MiB stack; a ``runtime_call`` ``len`` is also at
-least 0. A document has at most MAX_FUNCTIONS functions, a body at most
+least 0. A field that holds an integer refuses JSON ``true`` and ``false``.
+A document has at most MAX_FUNCTIONS functions, a body at most
 MAX_BODY_STATEMENTS statements, and all bodies together at most
 MAX_PROGRAM_STATEMENTS.
 
@@ -54,6 +55,10 @@ makes the executor's name lookups hit by identity. Statements compare by
 value only; nothing may tell two equal statements apart by identity.
 Error messages echo an input value through `shown`, which cuts a long
 one to its start and its length.
+
+`to_json` is the one writer of every JSON document framevault writes:
+programs (`emit`), reports and counterexample files. Its bytes are
+those of ``json.dumps(doc, indent=2)`` and a newline.
 """
 
 from __future__ import annotations
@@ -62,6 +67,7 @@ import enum
 import json
 import re
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any
 
 from .memory import STACK_CAPACITY
@@ -417,7 +423,7 @@ def _target_from_dict(raw: Any, where: str, memo: dict) -> ProbeTarget:
     _require(isinstance(raw, dict), where, "probe target must be an object")
     kind = raw.get("kind")
     offset = raw.get("offset", 0)
-    _require(isinstance(offset, int), where, "offset must be an integer")
+    _require(type(offset) is int, where, "offset must be an integer")
     if kind == "var":
         _require(isinstance(raw.get("function"), str), where, "var target needs 'function'")
         _require(isinstance(raw.get("var"), str), where, "var target needs 'var'")
@@ -430,7 +436,7 @@ def _target_from_dict(raw: Any, where: str, memo: dict) -> ProbeTarget:
         _require(isinstance(raw.get("param"), str), where, "deref target needs 'param'")
         return DerefTarget(param=_name(memo, raw["param"]), offset=offset)
     if kind == "heap":
-        _require(isinstance(raw.get("index"), int), where, "heap target needs 'index'")
+        _require(type(raw.get("index")) is int, where, "heap target needs 'index'")
         return HeapTarget(index=raw["index"], offset=offset)
     if kind == "addr":
         addr = raw.get("addr")
@@ -505,7 +511,7 @@ def _stmt_from_dict(raw: Any, where: str, memo: dict) -> Statement:
         return Assign(var=_name(memo, raw["var"]), value=_unhex(raw.get("value"), where))
     if op == "heap_alloc":
         _require(isinstance(raw.get("var"), str), where, "heap_alloc needs 'var'")
-        _require(isinstance(raw.get("size"), int) and raw["size"] > 0,
+        _require(type(raw.get("size")) is int and raw["size"] > 0,
                  where, "heap_alloc needs positive 'size'")
         _check_cap(raw["size"], where, "heap_alloc 'size'")
         init = _unhex(raw["init"], where) if "init" in raw else None
@@ -523,7 +529,7 @@ def _stmt_from_dict(raw: Any, where: str, memo: dict) -> Statement:
                 raise ProgramFormatError(f"{where}.args[{i}]: needs 'var' or 'addr_of'")
         return Call(callee=_name(memo, raw["callee"]), args=tuple(args))
     if op == "read_probe":
-        _require(isinstance(raw.get("len"), int) and raw["len"] >= 0,
+        _require(type(raw.get("len")) is int and raw["len"] >= 0,
                  where, "read_probe needs non-negative 'len'")
         _require(raw["len"] <= MAX_PROBE_BYTES, where,
                  f"read_probe 'len' {raw['len']} exceeds the cap of {MAX_PROBE_BYTES} bytes")
@@ -541,7 +547,7 @@ def _stmt_from_dict(raw: Any, where: str, memo: dict) -> Statement:
         target = (_region_ref_from_dict(raw["target"], where, memo)
                   if "target" in raw else None)
         length = raw.get("len")
-        _require(length is None or (isinstance(length, int) and length >= 0),
+        _require(length is None or (type(length) is int and length >= 0),
                  where, "'len' must be a non-negative integer")
         _check_cap(length, where, "runtime_call 'len'")
         fields = (_name(memo, call), raw.get("all"), target, length, raw.get("read_only"),
@@ -566,7 +572,7 @@ def _var_to_dict(v: VarDesc) -> dict[str, Any]:
 def _var_from_dict(raw: Any, where: str, memo: dict) -> VarDesc:
     _require(isinstance(raw, dict), where, "variable must be an object")
     _require(isinstance(raw.get("name"), str), where, "variable needs 'name'")
-    _require(isinstance(raw.get("size"), int) and raw["size"] > 0,
+    _require(type(raw.get("size")) is int and raw["size"] > 0,
              where, "variable needs positive 'size'")
     _check_cap(raw["size"], where, "variable 'size'")
     annotation = None
@@ -574,7 +580,7 @@ def _var_from_dict(raw: Any, where: str, memo: dict) -> VarDesc:
         _require(isinstance(raw["annotation"], str), where, "annotation must be a string")
         annotation = parse_annotation(raw["annotation"], where)
     pointee = raw.get("pointee_size")
-    _require(pointee is None or (isinstance(pointee, int) and pointee > 0),
+    _require(pointee is None or (type(pointee) is int and pointee > 0),
              where, "pointee_size must be a positive integer")
     _check_cap(pointee, where, "'pointee_size'")
     return _shared(memo, VarDesc, _name(memo, raw["name"]), raw["size"],
@@ -662,9 +668,72 @@ def program_from_dict(raw: Any) -> ProgramDesc:
     return ProgramDesc(functions=fns, instrumented=bool(raw.get("instrumented", False)))
 
 
+def to_json(doc: Any) -> str:
+    """`doc` as `json.dumps(doc, indent=2) + "\n"` writes it, byte for
+    byte. `json.dumps` with an indent runs the pure-Python encoder; this
+    walk quotes strings with the C `encode_basestring_ascii`, writes each
+    key with its separator (and its value, when that is a string or an
+    integer) as one piece, and joins the pieces once. A document holds dicts with str keys, lists, tuples, str,
+    int, bool and None; any other value raises TypeError."""
+    parts: list[str] = []
+    _write(doc, parts, "\n")
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _write(value: Any, parts: list[str], newline: str) -> None:
+    """Append `value`'s pieces; `newline` is a newline and the indent of
+    the line `value` ends on."""
+    kind = type(value)
+    if kind is str:
+        parts.append(_quote(value))
+    elif kind is int:
+        parts.append(int.__repr__(value))
+    elif value is True:
+        parts.append("true")
+    elif value is False:
+        parts.append("false")
+    elif value is None:
+        parts.append("null")
+    elif kind is dict:
+        if not value:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key, item in value.items():
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            piece = separator + _quote(key) + ": "
+            # Most values are strings and integers; writing each in its key's
+            # piece halves the pieces, and with them `emit`'s peak memory.
+            if type(item) is str:
+                parts.append(piece + _quote(item))
+            elif type(item) is int:
+                parts.append(piece + int.__repr__(item))
+            else:
+                parts.append(piece)
+                _write(item, parts, inner)
+            separator = "," + inner
+        parts.append(newline + "}")
+    elif kind is list or kind is tuple:
+        if not value:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        separator = "[" + inner
+        for item in value:
+            parts.append(separator)
+            _write(item, parts, inner)
+            separator = "," + inner
+        parts.append(newline + "]")
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
 def emit(program: ProgramDesc) -> str:
     """Serialize deterministically; parse(emit(p)) is structurally p."""
-    return json.dumps(program_to_dict(program), indent=2) + "\n"
+    return to_json(program_to_dict(program))
 
 
 def parse(text: str) -> ProgramDesc:

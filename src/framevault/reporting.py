@@ -3,12 +3,12 @@
 Every rendering is deterministic for identical inputs: fixed field order,
 no timestamps, no environment-dependent content. Golden tests and CI
 diffing rely on byte-identical output, so changes here are breaking and
-must bump the version header.
+must bump the version header. The JSON forms are dicts; `program.to_json`
+writes them, byte-identical to ``json.dumps(doc, indent=2)``.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Any
 
 from .executor import ExecutionReport, IntegrityBreach, Leak, secret_bytes_observed
@@ -169,7 +169,3 @@ def campaign_to_dict(result: CampaignResult) -> dict[str, Any]:
         "findings": [{"index": f.index, "seed": f.seed, "problems": list(f.problems)}
                      for f in result.findings],
     }
-
-
-def to_json(doc: dict[str, Any]) -> str:
-    return json.dumps(doc, indent=2) + "\n"

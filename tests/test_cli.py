@@ -16,15 +16,15 @@ from framevault import cli
 from framevault.cli import main
 from framevault.executor import image_map_for
 from framevault.fuzzer import (MAX_CHAIN, FuzzConfig, check_scenario, generate_scenario,
-                               scenario_to_json)
+                               scenario_from_json, scenario_to_json)
 from framevault.memory import HEAP_BASE, HEAP_LIMIT
 from framevault.identity import MAX_IMAGE_MAP_LINES, ImageMapError, load_image_map
 from framevault.instrument import AnnotationError, instrument, parse_lists
 from framevault.program import (MAX_BODY_STATEMENTS, MAX_FUNCTIONS, MAX_OBJECT_BYTES,
                                 MAX_PROBE_BYTES, MAX_PROGRAM_STATEMENTS, AbsoluteTarget, Assign,
                                 Call, FrameTarget, FunctionDesc, ProgramDesc, ProgramFormatError,
-                                ReadProbe, Return, VarDesc, emit, parse)
-from framevault.reporting import REPORT_VERSION, report_to_dict, to_json
+                                ReadProbe, Return, VarDesc, emit, parse, to_json)
+from framevault.reporting import REPORT_VERSION, report_to_dict
 
 import test_executor
 from support import DEMO_DIR, PWDGEN_MAP, pwdgen_instrumented
@@ -367,6 +367,50 @@ PARSE_ERRORS = {
     "invalid JSON": (
         "not json", "invalid JSON: Expecting value: line 1 column 1 (char 0)"),
 }
+
+
+def with_local(var: dict) -> dict:
+    return {"functions": [{"name": "main", "locals": [var], "body": []}]}
+
+
+FRAME_TARGET = {"kind": "frame", "function": "main"}
+
+# JSON true and false where the formats ask for an integer, and the
+# message each field's check gives.
+BOOLEAN_INTEGERS = {
+    "variable size": (with_local({"name": "x", "size": True}),
+                      "functions[0].locals[0]: variable needs positive 'size'"),
+    "pointee_size": (with_local({"name": "p", "size": 8, "pointer": True, "pointee_size": True}),
+                     "functions[0].locals[0]: pointee_size must be a positive integer"),
+    "heap_alloc size": (one_statement({"op": "heap_alloc", "var": "h", "size": True}),
+                        "functions[0].body[0]: heap_alloc needs positive 'size'"),
+    "read_probe len": (one_statement({"op": "read_probe", "len": True, "target": FRAME_TARGET}),
+                       "functions[0].body[0]: read_probe needs non-negative 'len'"),
+    "target offset": (one_statement({"op": "read_probe", "len": 1,
+                                     "target": {**FRAME_TARGET, "offset": True}}),
+                      "functions[0].body[0]: offset must be an integer"),
+    "target index": (one_statement({"op": "read_probe", "len": 1,
+                                    "target": {"kind": "heap", "index": False}}),
+                     "functions[0].body[0]: heap target needs 'index'"),
+    "runtime_call len": (one_statement({**REGISTER_AT, "len": True}),
+                         "functions[0].body[0]: 'len' must be a non-negative integer"),
+    "scenario index": ({"index": True}, "scenario: key 'index' must be of type int"),
+    "scenario seed": ({"seed": False}, "scenario: key 'seed' must be of type int"),
+}
+
+
+class TestBooleansAreNotIntegers:
+    @pytest.mark.parametrize("case", BOOLEAN_INTEGERS)
+    def test_a_boolean_integer_field_is_refused(self, case):
+        doc, message = BOOLEAN_INTEGERS[case]
+        if case.startswith("scenario"):
+            scenario = json.loads(scenario_to_json(generate_scenario(23, 2, FuzzConfig())))
+            with pytest.raises(ProgramFormatError) as exc:
+                scenario_from_json(json.dumps({**scenario, **doc}))
+        else:
+            with pytest.raises(ProgramFormatError) as exc:
+                parse(json.dumps(doc))
+        assert str(exc.value) == message
 
 
 class TestParseErrors:

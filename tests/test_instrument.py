@@ -3,7 +3,10 @@ which programs are refused outright."""
 
 from __future__ import annotations
 
+import json
+
 import pytest
+from hypothesis import example, given, strategies as st
 
 from framevault.instrument import (
     AnnotationError,
@@ -48,6 +51,7 @@ from framevault.program import (
     parse_annotation,
     emit,
     parse,
+    to_json,
 )
 from framevault.executor import function_layout, image_map_for, run, run_native
 from framevault.fuzzer import FuzzConfig, generate_scenario
@@ -517,7 +521,35 @@ class TestListParsing:
             parse_lists("", "pwdgenerator(1)\n")
 
 
+# Strings mixing what JSON must escape (quote, backslash, control
+# characters) with non-ASCII and astral characters.
+_JSON_TEXT = st.text(st.sampled_from('"\\\x00\x1f\x7fa\u00e9\u2028\U0001f600') | st.characters())
+_JSON_SCALARS = (_JSON_TEXT | st.integers() | st.integers(min_value=2**64)
+                 | st.integers(max_value=-2**64) | st.booleans() | st.none())
+
+
+def _json_trees(depth: int):
+    """Documents of dicts, lists and tuples nested at most `depth` deep."""
+    if depth == 0:
+        return _JSON_SCALARS
+    children = _json_trees(depth - 1)
+    return (_JSON_SCALARS | st.lists(children, max_size=4)
+            | st.lists(children, max_size=4).map(tuple)
+            | st.dictionaries(_JSON_TEXT, children, max_size=4))
+
+
 class TestRoundTrip:
+    @given(_json_trees(6))
+    @example(["a", 1, [], {}, ()])
+    @example({})
+    def test_to_json_matches_json_dumps(self, doc):
+        assert to_json(doc) == json.dumps(doc, indent=2) + "\n"
+
+    @pytest.mark.parametrize("doc", [1.5, {"x": [0.5]}, {1: "a"}])
+    def test_to_json_refuses_what_no_document_holds(self, doc):
+        with pytest.raises(TypeError):
+            to_json(doc)
+
     def test_emit_parse_identity_on_the_walkthrough(self):
         program = pwdgen_instrumented()
         assert parse(emit(program)) == program

@@ -175,25 +175,20 @@ def hidden_nonzero(data: bytes, addr: int, ranges: Iterable[tuple[int, int]]) ->
 
 def function_layout(fn: FunctionDesc) -> tuple[dict[str, int], int]:
     """Variable offsets from the frame top (params then locals, declaration
-    order) and total frame size including the metadata pad. A name declared
-    twice resolves to its first declaration, as in `FunctionDesc.var`."""
+    order) and total frame size including the metadata pad."""
     layout, _, size = _layout(fn)
     return {name: off for name, (off, _) in layout.items()}, size
 
 
 def _layout(fn: FunctionDesc) -> tuple[dict[str, tuple[int, int]], tuple, int]:
     """`function_layout` as the plan keeps it: name -> (offset, size), the
-    (offset, size) of each parameter by position, and the frame size.
-    Arguments go by position, so a parameter name declared twice still
-    has a slot of its own for each argument."""
+    (offset, size) of each parameter by position, and the frame size."""
     layout: dict[str, tuple[int, int]] = {}
-    slots, off = [], 0
+    off = 0
     for v in fn.params + fn.locals:
-        slot = (off, v.size)
-        slots.append(slot)
-        layout.setdefault(v.name, slot)
+        layout[v.name] = (off, v.size)
         off += v.size
-    return layout, tuple(slots[:len(fn.params)]), off + FRAME_METADATA_BYTES
+    return layout, tuple(layout.values())[:len(fn.params)], off + FRAME_METADATA_BYTES
 
 
 def image_map_for(program: ProgramDesc) -> str:
@@ -239,8 +234,6 @@ def _compile(program: ProgramDesc, table: IdentityTable) -> _Plan:
         span = table.by_name(fn.name)
         if span is None:
             uncovered.append(fn.name)
-            continue
-        if fn.name in functions:  # the first description of a name wins
             continue
         handlers, native_handlers, operands = [], [], []
         for idx, stmt in enumerate(fn.body):

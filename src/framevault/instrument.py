@@ -24,10 +24,7 @@ epilogue. In a sensitive function:
 
 Every untrusted call is bracketed by ``start_protect`` and
 ``stop_protect``. `slot_exposed` is the one rule for which frame slots an
-untrusted callee can read; the fuzzer's generator asks it too. A function
-or variable name described twice, possible only in a program built in
-code, resolves to its first description, as `ProgramDesc.function` and
-`FunctionDesc.var` resolve it.
+untrusted callee can read; the fuzzer's generator asks it too.
 """
 
 from __future__ import annotations
@@ -120,15 +117,6 @@ def _pointee_size(var: VarDesc) -> int:
         f"use a size suffix or declare pointee_size")
 
 
-def _first_by_name(items) -> dict:
-    """Name -> item, the first of each name winning, as `ProgramDesc.function`
-    and `FunctionDesc.var` resolve a name described twice."""
-    by_name: dict = {}
-    for item in items:
-        by_name.setdefault(item.name, item)
-    return by_name
-
-
 def _validate(program: ProgramDesc, functions: dict[str, FunctionDesc],
               untrusted_names: set[str], sens: dict[str, Sensitivity],
               untrusted: frozenset[Prototype]) -> None:
@@ -149,7 +137,7 @@ def _validate(program: ProgramDesc, functions: dict[str, FunctionDesc],
                     raise AnnotationError(
                         f"{where}: pointer annotation on non-pointer variable {shown(v.name)}")
                 _pointee_size(v)
-        variables = _first_by_name(fn.variables())
+        variables = {v.name: v for v in fn.variables()}
         for i, stmt in enumerate(fn.body):
             problem = _statement_problem(stmt, fn_untrusted, variables, functions, untrusted)
             if problem is not None:
@@ -163,13 +151,11 @@ def _statement_problem(stmt: Statement, fn_untrusted: bool, variables: dict[str,
     kind = type(stmt)
     if kind is ReadProbe or kind is WriteProbe:
         return None if fn_untrusted else "probe outside an untrusted function"
-    if kind is Assign or kind is HeapAlloc:
+    if kind is HeapAlloc:
         target = variables.get(stmt.var)
         if target is None:
             return f"unknown variable {shown(stmt.var)}"
-        if kind is Assign and len(stmt.value) > target.size:
-            return f"value longer than {shown(stmt.var)}"
-        if kind is HeapAlloc and not target.pointer:
+        if not target.pointer:
             return f"heap_alloc into non-pointer {shown(stmt.var)}"
     elif kind is Call:
         if stmt.callee in RUNTIME_CALLS:
@@ -327,7 +313,7 @@ def instrument(program: ProgramDesc, untrusted: frozenset[Prototype],
         else:
             sens[fn.name] = Sensitivity.NONE
 
-    functions = _first_by_name(program.functions)
+    functions = {fn.name: fn for fn in program.functions}
     _validate(program, functions, untrusted_names, sens, untrusted)
 
     def is_untrusted_call(stmt: Call) -> bool:

@@ -41,10 +41,19 @@ suffix gives the pointee size in bytes (otherwise ``pointee_size`` must).
 Every declared byte size (``size``, ``pointee_size``, the ``_N`` suffix, a
 ``heap_alloc`` size and a ``runtime_call`` ``len``) is at most
 MAX_OBJECT_BYTES, the 1 MiB stack; a ``runtime_call`` ``len`` is also at
-least 0. A field that holds an integer refuses JSON ``true`` and ``false``.
-A document has at most MAX_FUNCTIONS functions, a body at most
-MAX_BODY_STATEMENTS statements, and all bodies together at most
-MAX_PROGRAM_STATEMENTS.
+least 0. A field that holds an integer refuses JSON ``true`` and ``false``;
+a field that holds a flag (``pointer``, ``all``, ``read_only``,
+``instrumented``) refuses anything but them; ``params``, ``locals``,
+``body`` and ``args`` refuse anything but a list. A document has at most
+MAX_FUNCTIONS functions, a body at most MAX_BODY_STATEMENTS statements,
+and all bodies together at most MAX_PROGRAM_STATEMENTS.
+
+Every description, parsed or built in code, keeps two rules: a program's
+function names are distinct, as are a function's params and locals; and
+an ``assign`` names one of its function's variables and fits in it.
+`ProgramDesc` and `FunctionDesc` refuse a description that breaks one
+when it is built; `parse` puts the document's place in front of their
+message. So other modules look names up in plain dicts.
 
 A parsed program is compact: within one document it holds one ``str`` per
 distinct name, call and provenance, and one instance per distinct
@@ -93,7 +102,12 @@ MAX_PROGRAM_STATEMENTS = 65_536
 
 
 class ProgramFormatError(ValueError):
-    """Structurally invalid program document."""
+    """Structurally invalid program document or description; `at` is the
+    fault's place in the description that refused it ("body[3]"), if any."""
+
+    def __init__(self, message: str, at: str = "") -> None:
+        super().__init__(f"{at}: {message}" if at else message)
+        self.at, self.message = at, message
 
 
 class Sensitivity(str, enum.Enum):
@@ -295,6 +309,20 @@ class FunctionDesc:
     def variables(self) -> tuple[VarDesc, ...]:
         return self.params + self.locals
 
+    def __post_init__(self) -> None:
+        sizes: dict[str, int] = {}
+        for v in self.params + self.locals:
+            if v.name in sizes:
+                raise ProgramFormatError(f"duplicate variable {shown(v.name)}")
+            sizes[v.name] = v.size
+        for i, stmt in enumerate(self.body):
+            if type(stmt) is Assign and len(stmt.value) > sizes.get(stmt.var, -1):
+                of = f"{shown(stmt.var)} of function {shown(self.name)}"
+                raise ProgramFormatError(
+                    f"assign of {len(stmt.value)} bytes to {of}, which holds "
+                    f"{sizes[stmt.var]} bytes" if stmt.var in sizes else
+                    f"assign to undeclared variable {of}", f"body[{i}]")
+
     def var(self, name: str) -> VarDesc | None:
         for v in self.variables():
             if v.name == name:
@@ -308,6 +336,13 @@ class FunctionDesc:
 class ProgramDesc:
     functions: tuple[FunctionDesc, ...] = ()
     instrumented: bool = False
+
+    def __post_init__(self) -> None:
+        names: set[str] = set()
+        for fn in self.functions:
+            if fn.name in names:
+                raise ProgramFormatError(f"duplicate function name {shown(fn.name)}")
+            names.add(fn.name)
 
     def function(self, name: str) -> FunctionDesc | None:
         for fn in self.functions:
@@ -385,6 +420,21 @@ def _unhex(text: Any, where: str) -> bytes:
 def _require(cond: bool, where: str, message: str) -> None:
     if not cond:
         raise ProgramFormatError(f"{where}: {message}")
+
+
+def _list(raw: dict, key: str, where: str) -> list:
+    """The list a field holds; an absent field is an empty list."""
+    value = raw.get(key, [])
+    _require(type(value) is list, where, f"{shown(key)} must be a list")
+    return value
+
+
+def _flag(raw: dict, key: str, where: str) -> bool | None:
+    """The JSON true or false a field holds, or None when it is absent."""
+    if key not in raw:
+        return None
+    _require(type(raw[key]) is bool, where, f"{shown(key)} must be true or false")
+    return raw[key]
 
 
 def _check_cap(size: int | None, where: str, what: str) -> None:
@@ -519,7 +569,7 @@ def _stmt_from_dict(raw: Any, where: str, memo: dict) -> Statement:
     if op == "call":
         _require(isinstance(raw.get("callee"), str), where, "call needs 'callee'")
         args: list[Arg] = []
-        for i, a in enumerate(raw.get("args", [])):
+        for i, a in enumerate(_list(raw, "args", where)):
             _require(isinstance(a, dict), f"{where}.args[{i}]", "argument must be an object")
             if "var" in a:
                 args.append(ValueArg(var=_name(memo, a["var"])))
@@ -550,8 +600,8 @@ def _stmt_from_dict(raw: Any, where: str, memo: dict) -> Statement:
         _require(length is None or (type(length) is int and length >= 0),
                  where, "'len' must be a non-negative integer")
         _check_cap(length, where, "runtime_call 'len'")
-        fields = (_name(memo, call), raw.get("all"), target, length, raw.get("read_only"),
-                  _name(memo, raw.get("provenance")))
+        fields = (_name(memo, call), _flag(raw, "all", where), target, length,
+                  _flag(raw, "read_only", where), _name(memo, raw.get("provenance")))
         if target is not None:
             return RuntimeCall(*fields)
         return _shared(memo, RuntimeCall, *fields)
@@ -584,7 +634,7 @@ def _var_from_dict(raw: Any, where: str, memo: dict) -> VarDesc:
              where, "pointee_size must be a positive integer")
     _check_cap(pointee, where, "'pointee_size'")
     return _shared(memo, VarDesc, _name(memo, raw["name"]), raw["size"],
-                   bool(raw.get("pointer", False)), pointee, annotation)
+                   _flag(raw, "pointer", where) is True, pointee, annotation)
 
 
 def function_to_dict(fn: FunctionDesc) -> dict[str, Any]:
@@ -613,31 +663,18 @@ def function_from_dict(raw: Any, where: str, memo: dict) -> FunctionDesc:
             raise ProgramFormatError(f"{where}: unknown sensitivity {shown(sens_text)}") from None
         _require(sensitivity is not Sensitivity.NONE, where, "sensitivity 'none' is implied; omit it")
     params = tuple(_var_from_dict(v, f"{where}.params[{i}]", memo)
-                   for i, v in enumerate(raw.get("params", [])))
+                   for i, v in enumerate(_list(raw, "params", where)))
     locals_ = tuple(_var_from_dict(v, f"{where}.locals[{i}]", memo)
-                    for i, v in enumerate(raw.get("locals", [])))
+                    for i, v in enumerate(_list(raw, "locals", where)))
     _check_count(_body_length(raw), where, "statements", MAX_BODY_STATEMENTS,
                  "MAX_BODY_STATEMENTS")
     body = tuple(_stmt_from_dict(s, f"{where}.body[{i}]", memo)
-                 for i, s in enumerate(raw.get("body", [])))
-    sizes: dict[str, int] = {}
-    for v in params + locals_:
-        if v.name in sizes:
-            raise ProgramFormatError(f"{where}: duplicate variable {shown(v.name)}")
-        sizes[v.name] = v.size
-    for i, stmt in enumerate(body):
-        if not isinstance(stmt, Assign):
-            continue
-        size = sizes.get(stmt.var)
-        if size is None:
-            raise ProgramFormatError(f"{where}.body[{i}]: assign to undeclared variable "
-                                     f"{shown(stmt.var)} of function {shown(name)}")
-        if len(stmt.value) > size:
-            raise ProgramFormatError(f"{where}.body[{i}]: assign of {len(stmt.value)} bytes to "
-                                     f"{shown(stmt.var)} of function {shown(name)}, which "
-                                     f"holds {size} bytes")
-    return FunctionDesc(name=name, params=params, locals=locals_, body=body,
-                        sensitivity=sensitivity)
+                 for i, s in enumerate(_list(raw, "body", where)))
+    try:
+        return FunctionDesc(name=name, params=params, locals=locals_, body=body,
+                            sensitivity=sensitivity)
+    except ProgramFormatError as exc:
+        raise ProgramFormatError(exc.message, f"{where}.{exc.at}" if exc.at else where) from None
 
 
 def program_to_dict(program: ProgramDesc) -> dict[str, Any]:
@@ -660,12 +697,7 @@ def program_from_dict(raw: Any) -> ProgramDesc:
                  MAX_PROGRAM_STATEMENTS, "MAX_PROGRAM_STATEMENTS")
     memo: dict = {}
     fns = tuple(function_from_dict(f, f"functions[{i}]", memo) for i, f in enumerate(functions))
-    names = set()
-    for fn in fns:
-        if fn.name in names:
-            raise ProgramFormatError(f"duplicate function name {shown(fn.name)}")
-        names.add(fn.name)
-    return ProgramDesc(functions=fns, instrumented=bool(raw.get("instrumented", False)))
+    return ProgramDesc(functions=fns, instrumented=_flag(raw, "instrumented", "program") is True)
 
 
 def to_json(doc: Any) -> str:

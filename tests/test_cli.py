@@ -366,6 +366,18 @@ PARSE_ERRORS = {
         "duplicate function name 'main'"),
     "invalid JSON": (
         "not json", "invalid JSON: Expecting value: line 1 column 1 (char 0)"),
+    "params not a list": (
+        {"functions": [{"name": "main", "params": 5, "body": []}]},
+        "functions[0]: 'params' must be a list"),
+    "locals not a list": (
+        {"functions": [{"name": "main", "locals": None, "body": []}]},
+        "functions[0]: 'locals' must be a list"),
+    "body not a list": (
+        {"functions": [{"name": "main", "body": None}]},
+        "functions[0]: 'body' must be a list"),
+    "args not a list": (
+        one_statement({"op": "call", "callee": "lib", "args": 5}),
+        "functions[0].body[0]: 'args' must be a list"),
 }
 
 
@@ -397,6 +409,57 @@ BOOLEAN_INTEGERS = {
     "scenario index": ({"index": True}, "scenario: key 'index' must be of type int"),
     "scenario seed": ({"seed": False}, "scenario: key 'seed' must be of type int"),
 }
+
+
+# Values other than JSON true and false where the format asks for one,
+# and the message each field's check gives.
+NON_BOOLEAN_FLAGS = {
+    "pointer": (with_local({"name": "p", "size": 8, "pointer": 1}),
+                "functions[0].locals[0]: 'pointer' must be true or false"),
+    "all": (one_statement({"op": "runtime_call", "call": "register_stack", "all": None}),
+            "functions[0].body[0]: 'all' must be true or false"),
+    "read_only": (one_statement({**REGISTER_AT, "target": {"var": "x"}, "read_only": "false"}),
+                  "functions[0].body[0]: 'read_only' must be true or false"),
+    "instrumented": ({"instrumented": "false", "functions": []},
+                     "program: 'instrumented' must be true or false"),
+}
+
+
+class TestFlagsAreBooleans:
+    @pytest.mark.parametrize("case", NON_BOOLEAN_FLAGS)
+    def test_a_non_boolean_flag_is_refused(self, case):
+        doc, message = NON_BOOLEAN_FLAGS[case]
+        with pytest.raises(ProgramFormatError) as exc:
+            parse(json.dumps(doc))
+        assert str(exc.value) == message
+
+    def test_a_string_read_only_exits_2_and_false_hides_the_secret(self, tmp_path, capsys):
+        """A lib reads main's 8-byte secret inside a window. The string
+        "false" is refused; JSON false registers the secret writable, so
+        the window hides it."""
+        register = {"op": "runtime_call", "call": "register_memory", "target": {"var": "s"},
+                    "len": 8, "read_only": "false"}
+        doc = {"instrumented": True, "functions": [
+            {"name": "main", "locals": [{"name": "s", "size": 8}], "body": [
+                {"op": "assign", "var": "s", "value": "11" * 8},
+                {"op": "runtime_call", "call": "register_stack", "all": False},
+                register, {"op": "runtime_call", "call": "start_protect"},
+                {"op": "call", "callee": "lib"}, {"op": "runtime_call", "call": "stop_protect"},
+                {"op": "runtime_call", "call": "unregister_stack"}, {"op": "return"}]},
+            {"name": "lib", "body": [
+                {"op": "read_probe", "target": {"kind": "var", "function": "main", "var": "s"},
+                 "len": 8}, {"op": "return"}]}]}
+        program_file, map_file = tmp_path / "p.json", tmp_path / "p.map"
+        program_file.write_text(json.dumps(doc))
+        map_file.write_text("main 0x401000 0x401100\nlib 0x401100 0x401200\n")
+        args = ["run", "--program", str(program_file), "--image-map", str(map_file)]
+        assert main(args) == 2
+        assert capsys.readouterr().err == (
+            "framevault: error: functions[0].body[2]: 'read_only' must be true or false\n")
+        register["read_only"] = False
+        program_file.write_text(json.dumps(doc))
+        assert main(args) == 0
+        assert "nonzero 0  bytes 0000000000000000\n" in capsys.readouterr().out
 
 
 class TestBooleansAreNotIntegers:

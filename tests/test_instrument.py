@@ -4,6 +4,7 @@ which programs are refused outright."""
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -39,6 +40,7 @@ from framevault.program import (
     HeapTarget,
     PointeeRef,
     ProgramDesc,
+    ProgramFormatError,
     ReadProbe,
     Return,
     RuntimeCall,
@@ -53,10 +55,9 @@ from framevault.program import (
     parse,
     to_json,
 )
-from framevault.executor import function_layout, image_map_for, run, run_native
-from framevault.fuzzer import FuzzConfig, generate_scenario
+from framevault.executor import image_map_for, run, run_native
+from framevault.fuzzer import FuzzConfig, generate_scenario, inject_forged
 from framevault.identity import load_image_map
-from framevault.memory import FRAME_METADATA_BYTES
 
 from support import pwdgen_instrumented
 
@@ -391,10 +392,10 @@ class TestRejections:
             instrument(program, u, s)
 
     def test_assign_longer_than_the_variable(self):
-        program, u, s = build(fn_locals=(var("x", 2),),
-                              body=(Assign("x", b"\x01\x02\x03"), Return()))
-        with pytest.raises(AnnotationError, match="longer than"):
-            instrument(program, u, s)
+        with pytest.raises(ProgramFormatError) as exc:
+            build(fn_locals=(var("x", 2),), body=(Assign("x", b"\x01\x02\x03"), Return()))
+        assert str(exc.value) == ("body[0]: assign of 3 bytes to 'x' of function 'work', "
+                                  "which holds 2 bytes")
 
     def test_annotated_pointer_local_never_assigned(self):
         program, u, s = build(
@@ -430,69 +431,107 @@ class TestRejections:
 
 
 class TestNamesDescribedTwice:
-    """Only a program built in code can describe a name twice (parse
-    refuses it). The first description wins, as in `ProgramDesc.function`
-    and the executor's plan."""
+    """A function name or a variable name described twice is refused when
+    the description is built, however it is built: `parse` refuses it the
+    same way, with its location in front."""
 
-    def helper_twice(self, first_arity, second_arity):
-        return tuple(FunctionDesc(name="helper", params=tuple(var(f"p{k}", 4)
-                                                              for k in range(arity)),
-                                  body=(Return(),))
-                     for arity in (first_arity, second_arity))
+    def test_a_function_name_described_twice_is_refused(self):
+        helper = FunctionDesc(name="helper", body=(Return(),))
+        with pytest.raises(ProgramFormatError) as exc:
+            build(body=(Call("helper"), Return()), extra_fns=(helper, helper))
+        assert str(exc.value) == "duplicate function name 'helper'"
 
-    def test_a_call_is_checked_and_bracketed_against_the_first_function(self):
-        program, _, s = build(body=(Call("helper"), Return()),
-                              extra_fns=self.helper_twice(0, 1))
-        untrusted, _ = parse_lists("helper(1)\n", "")
-        out = instrument(program, untrusted, s)
-        work = out.function("work")
-        assert [getattr(stmt, "call", type(stmt).__name__) for stmt in work.body] == [
-            "register_stack", "start_protect", "Call", "stop_protect",
-            "unregister_stack", "Return"]
+    @pytest.mark.parametrize("params,locals_", [
+        ((var("x", 4), var("x", 4)), ()),
+        ((var("x", 4),), (var("x", 8),)),
+        ((), (var("y", 4), var("x", 8), var("x", 2))),
+        ((), (var("x", 8), var("x", 8, pointer=True))),
+    ], ids=["two params", "a param and a local", "two locals", "a local and a pointer local"])
+    def test_a_variable_declared_twice_is_refused(self, params, locals_):
+        with pytest.raises(ProgramFormatError) as exc:
+            FunctionDesc(name="work", params=params, locals=locals_)
+        assert str(exc.value) == "duplicate variable 'x'"
 
-    def test_an_arity_that_only_the_first_function_has_is_refused(self):
-        program, u, s = build(body=(Call("helper"), Return()),
-                              extra_fns=self.helper_twice(1, 0))
-        with pytest.raises(AnnotationError, match="helper takes 1 arguments, got 0"):
-            instrument(program, u, s)
-
-    @pytest.mark.parametrize("sizes,refused", [((2, 8), True), ((8, 2), False)])
-    def test_a_variable_resolves_to_its_first_declaration(self, sizes, refused):
-        program, u, s = build(fn_locals=tuple(var("x", size) for size in sizes),
-                              body=(Assign("x", bytes(4)), Return()))
-        if refused:
-            with pytest.raises(AnnotationError, match="value longer than 'x'"):
-                instrument(program, u, s)
-        else:
-            instrument(program, u, s)
-
-    def test_the_executor_lays_a_variable_out_by_its_first_declaration(self):
-        program, _, _ = build(fn_locals=(var("x", 8), var("x", 2), var("y", 4)),
-                              body=(Assign("x", bytes.fromhex("01020304")),
-                                    ReadProbe(VarTarget("work", "y"), 4), Return()))
-        assert function_layout(program.function("work")) == ({"x": 0, "y": 10},
-                                                              14 + FRAME_METADATA_BYTES)
-        report = run_native(program, load_image_map(image_map_for(program)), "main")
-        assert [o.preview for o in report.observations] == ["00000000"]
+    def test_replace_refuses_a_name_described_twice(self):
+        program, _, _ = build(fn_locals=(var("x", 8),), body=(Return(),))
+        work = program.function("work")
+        with pytest.raises(ProgramFormatError, match="^duplicate variable 'x'$"):
+            replace(work, params=(var("x", 4),))
+        with pytest.raises(ProgramFormatError, match="^duplicate function name 'work'$"):
+            replace(program, functions=program.functions + (work,))
 
     def test_each_argument_fills_its_own_parameter_slot(self):
-        # Two parameters named `p`: the arguments go by position, each to
-        # its own slot, whatever the names say.
+        # The arguments go by position, each to its own slot.
         program = ProgramDesc(functions=(
             FunctionDesc(name="main", locals=(var("a", 4), var("b", 4)),
                          body=(Assign("a", bytes.fromhex("11111111")),
                                Assign("b", bytes.fromhex("22222222")),
-                               Call("f", (ValueArg("a"), ValueArg("b"))), Return())),
-            FunctionDesc(name="f", params=(var("p", 4), var("p", 4)),
+                               Call("f", (ValueArg("b"), ValueArg("a"))), Return())),
+            FunctionDesc(name="f", params=(var("p", 4), var("q", 4)),
                          body=(ReadProbe(FrameTarget("f", 0), 8), Return()))))
         report = run_native(program, load_image_map(image_map_for(program)), "main")
-        assert [o.preview for o in report.observations] == ["1111111122222222"]
+        assert [o.preview for o in report.observations] == ["2222222211111111"]
 
-    def test_a_heap_alloc_target_resolves_to_its_first_declaration(self):
-        program, u, s = build(fn_locals=(var("x", 8), var("x", 8, pointer=True)),
-                              body=(HeapAlloc("x", 16), Return()))
-        with pytest.raises(AnnotationError, match="heap_alloc into non-pointer 'x'"):
-            instrument(program, u, s)
+
+_NAMES = st.sampled_from("abc")
+
+
+class TestAssignsAtConstruction:
+    """An assign names a declared variable and fits in it; a description
+    that breaks either rule is refused when it is built."""
+
+    def test_an_assign_to_an_undeclared_variable_is_refused(self):
+        with pytest.raises(ProgramFormatError) as exc:
+            FunctionDesc(name="main", locals=(var("x", 4),),
+                         body=(Assign("x", b"\x01"), Assign("nope", b"\x01"), Return()))
+        assert str(exc.value) == "body[1]: assign to undeclared variable 'nope' of function 'main'"
+
+    def test_inject_forged_refuses_an_unfit_assign(self):
+        program = generate_scenario(5, 0, FuzzConfig()).program
+        (param, *_) = program.function("lib0").params
+        inject_forged(program, "lib0", Assign(param.name, bytes(param.size)), 0)
+        with pytest.raises(ProgramFormatError) as exc:
+            inject_forged(program, "lib0", Assign(param.name, bytes(param.size + 1)), 0)
+        assert str(exc.value) == (f"body[0]: assign of {param.size + 1} bytes to "
+                                  f"{param.name!r} of function 'lib0', which holds "
+                                  f"{param.size} bytes")
+
+    @given(st.lists(st.tuples(_NAMES, st.integers(1, 4)), max_size=3),
+           st.lists(st.tuples(_NAMES, st.integers(1, 4)), max_size=3),
+           st.lists(st.tuples(st.sampled_from("abcd"), st.binary(max_size=5)), max_size=4))
+    @example([("a", 2)], [("a", 2)], [])
+    @example([("a", 2)], [], [("a", b"\x01\x02\x03")])
+    @example([], [("b", 1)], [("a", b"")])
+    def test_construction_refuses_exactly_duplicates_and_unfit_assigns(self, params, locals_,
+                                                                       assigns):
+        variables = params + locals_
+        names = [name for name, _ in variables]
+        sizes = dict(variables)
+        unfit = [i for i, (name, value) in enumerate(assigns)
+                 if name not in sizes or len(value) > sizes[name]]
+        doc = {"functions": [{"name": "main",
+                              "params": [{"name": n, "size": k} for n, k in params],
+                              "locals": [{"name": n, "size": k} for n, k in locals_],
+                              "body": [{"op": "assign", "var": n, "value": value.hex()}
+                                       for n, value in assigns]}]}
+        try:
+            fn = FunctionDesc(name="main", params=tuple(var(n, k) for n, k in params),
+                              locals=tuple(var(n, k) for n, k in locals_),
+                              body=tuple(Assign(n, value) for n, value in assigns))
+        except ProgramFormatError as exc:
+            assert len(set(names)) < len(names) or unfit
+            refused = exc
+        else:
+            assert len(set(names)) == len(names) and not unfit
+            program = ProgramDesc(functions=(fn,))
+            assert parse(emit(program)) == program == parse(json.dumps(doc))
+            return
+        if refused.at:
+            assert refused.at == f"body[{unfit[0]}]" and len(set(names)) == len(names)
+        with pytest.raises(ProgramFormatError) as exc:
+            parse(json.dumps(doc))
+        assert str(exc.value) == (f"functions[0].{refused}" if refused.at
+                                  else f"functions[0]: {refused}")
 
 
 class TestListParsing:

@@ -498,15 +498,17 @@ class TestAssignsAtConstruction:
 
     @given(st.lists(st.tuples(_NAMES, st.integers(1, 4)), max_size=3),
            st.lists(st.tuples(_NAMES, st.integers(1, 4)), max_size=3),
-           st.lists(st.tuples(st.sampled_from("abcd"), st.binary(max_size=5)), max_size=4))
+           st.lists(st.tuples(st.sampled_from("abcd"), st.integers(0, 5).map(bytes)),
+                    max_size=4))
     @example([("a", 2)], [("a", 2)], [])
+    @example([("a", 2)], [], [("a", b"\x01\x02")])
     @example([("a", 2)], [], [("a", b"\x01\x02\x03")])
     @example([], [("b", 1)], [("a", b"")])
     def test_construction_refuses_exactly_duplicates_and_unfit_assigns(self, params, locals_,
                                                                        assigns):
-        variables = params + locals_
-        names = [name for name, _ in variables]
-        sizes = dict(variables)
+        names = [name for name, _ in params + locals_]
+        duplicated = len(set(names)) < len(names)
+        sizes = dict(params + locals_)
         unfit = [i for i, (name, value) in enumerate(assigns)
                  if name not in sizes or len(value) > sizes[name]]
         doc = {"functions": [{"name": "main",
@@ -519,19 +521,15 @@ class TestAssignsAtConstruction:
                               locals=tuple(var(n, k) for n, k in locals_),
                               body=tuple(Assign(n, value) for n, value in assigns))
         except ProgramFormatError as exc:
-            assert len(set(names)) < len(names) or unfit
-            refused = exc
+            assert exc.at == ("" if duplicated else f"body[{unfit[0]}]")
+            with pytest.raises(ProgramFormatError) as parsed:
+                parse(json.dumps(doc))
+            assert str(parsed.value) == (f"functions[0].{exc}" if exc.at
+                                         else f"functions[0]: {exc}")
         else:
-            assert len(set(names)) == len(names) and not unfit
+            assert not duplicated and not unfit
             program = ProgramDesc(functions=(fn,))
             assert parse(emit(program)) == program == parse(json.dumps(doc))
-            return
-        if refused.at:
-            assert refused.at == f"body[{unfit[0]}]" and len(set(names)) == len(names)
-        with pytest.raises(ProgramFormatError) as exc:
-            parse(json.dumps(doc))
-        assert str(exc.value) == (f"functions[0].{refused}" if refused.at
-                                  else f"functions[0]: {refused}")
 
 
 class TestListParsing:

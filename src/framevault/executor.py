@@ -121,7 +121,6 @@ class ExecutionReport:
     observations: list[Observation]
     stats: SyscallStats
     provenance_counts: dict[str, int]
-    diagnostics: list[str]
     final_digest: str
     halted: bool = False
 
@@ -242,7 +241,7 @@ def _compile(program: ProgramDesc, table: IdentityTable) -> _Plan:
                 # Interned: a plan holds one string per distinct key.
                 key = sys.intern(f"{stmt.call}/{stmt.provenance or 'forged'}")
                 keys.add(key)
-                handlers.append(_RUNTIME_ACTIONS.get(stmt.call, _unknown_call))
+                handlers.append(_RUNTIME_ACTIONS[stmt.call])
                 native_handlers.append(_nothing)  # a native run makes no runtime call
                 operands.append((stmt, pc, key))
                 continue
@@ -356,7 +355,6 @@ class Executor:
             observations=self.observations,
             stats=self.vault.stats if self.vault else SyscallStats(),
             provenance_counts={key: n for key, n in self.provenance_counts.items() if n},
-            diagnostics=list(self.vault.diagnostics) if self.vault else [],
             final_digest=self._digest(),
             halted=halted,
         )
@@ -620,11 +618,7 @@ def _register_region(ex: Executor, ctx: _FrameCtx, operand: tuple) -> VaultExcep
     else:
         ex.faults.append(f"{ctx.func.name}: {stmt.call} without a region")
         return None
-    try:
-        return getattr(ex.vault, stmt.call)(pc, base, length, bool(stmt.read_only))
-    except ValueError as exc:
-        ex.faults.append(f"{ctx.func.name}: {stmt.call}: {exc}")
-        return None
+    return getattr(ex.vault, stmt.call)(pc, base, length, bool(stmt.read_only))
 
 
 def _start_protect(ex: Executor, ctx: _FrameCtx, operand: tuple) -> VaultException | None:
@@ -684,11 +678,6 @@ def _unregister_stack(ex: Executor, ctx: _FrameCtx, operand: tuple) -> VaultExce
     stmt, pc, key = operand
     ex.provenance_counts[key] += 1
     return ex.vault.unregister_stack(ex.memory, pc)
-
-
-def _unknown_call(ex: Executor, ctx: _FrameCtx, operand: tuple) -> None:
-    """A runtime call no action exists for is counted and does nothing."""
-    ex.provenance_counts[operand[2]] += 1
 
 
 _RUNTIME_ACTIONS = {"register_stack": _register_stack, "register_memory": _register_region,

@@ -48,9 +48,10 @@ a field that holds a flag (``pointer``, ``all``, ``read_only``,
 MAX_FUNCTIONS functions, a body at most MAX_BODY_STATEMENTS statements,
 and all bodies together at most MAX_PROGRAM_STATEMENTS.
 
-Every description, parsed or built in code, keeps two rules: a program's
-function names are distinct, as are a function's params and locals; and
-an ``assign`` names one of its function's variables and fits in it.
+Every description, parsed or built in code, keeps three rules: a
+program's function names are distinct, as are a function's params and
+locals; an ``assign`` names one of its function's variables and fits in
+it; and a ``runtime_call`` names one of the six RUNTIME_CALLS.
 `ProgramDesc` and `FunctionDesc` refuse a description that breaks one
 when it is built; `parse` puts the document's place in front of their
 message. So other modules look names up in plain dicts.
@@ -316,12 +317,15 @@ class FunctionDesc:
                 raise ProgramFormatError(f"duplicate variable {shown(v.name)}")
             sizes[v.name] = v.size
         for i, stmt in enumerate(self.body):
-            if type(stmt) is Assign and len(stmt.value) > sizes.get(stmt.var, -1):
+            kind = type(stmt)
+            if kind is Assign and len(stmt.value) > sizes.get(stmt.var, -1):
                 of = f"{shown(stmt.var)} of function {shown(self.name)}"
                 raise ProgramFormatError(
                     f"assign of {len(stmt.value)} bytes to {of}, which holds "
                     f"{sizes[stmt.var]} bytes" if stmt.var in sizes else
                     f"assign to undeclared variable {of}", f"body[{i}]")
+            if kind is RuntimeCall and stmt.call not in RUNTIME_CALLS:
+                raise ProgramFormatError(f"unknown runtime call {shown(stmt.call)}", f"body[{i}]")
 
     def var(self, name: str) -> VarDesc | None:
         for v in self.variables():
@@ -591,16 +595,13 @@ def _stmt_from_dict(raw: Any, where: str, memo: dict) -> Statement:
     if op == "return":
         return _shared(memo, Return)
     if op == "runtime_call":
-        call = raw.get("call")
-        if call not in RUNTIME_CALLS:
-            raise ProgramFormatError(f"{where}: unknown runtime call {shown(call)}")
         target = (_region_ref_from_dict(raw["target"], where, memo)
                   if "target" in raw else None)
         length = raw.get("len")
         _require(length is None or (type(length) is int and length >= 0),
                  where, "'len' must be a non-negative integer")
         _check_cap(length, where, "runtime_call 'len'")
-        fields = (_name(memo, call), _flag(raw, "all", where), target, length,
+        fields = (_name(memo, raw.get("call")), _flag(raw, "all", where), target, length,
                   _flag(raw, "read_only", where), _name(memo, raw.get("provenance")))
         if target is not None:
             return RuntimeCall(*fields)

@@ -15,7 +15,7 @@ from .executor import ExecutionReport, IntegrityBreach, Leak, secret_bytes_obser
 from .fuzzer import CampaignResult
 from .runtime import SyscallStats, VaultException
 
-REPORT_VERSION = "framevault report v2"
+REPORT_VERSION = "framevault report v3"
 
 _SYSCALL_COLUMNS = ("register_stack", "register_memory", "register_memory_exception",
                     "unregister_stack", "start_protect", "stop_protect", "Total")
@@ -68,8 +68,6 @@ def render_report(report: ExecutionReport) -> str:
     lines.append(f"secret bytes observed: {secret_bytes_observed(report)}")
     lines.extend(stats_table(report.stats))
     lines.extend(_provenance_lines(report.provenance_counts))
-    lines.append(f"diagnostics: {len(report.diagnostics)}")
-    lines.extend(f"  {d}" for d in report.diagnostics)
     lines.append(f"final digest: {report.final_digest}")
     return "\n".join(lines) + "\n"
 
@@ -137,7 +135,6 @@ def report_to_dict(report: ExecutionReport) -> dict[str, Any]:
         "secret_bytes_observed": secret_bytes_observed(report),
         "stats": report.stats.as_dict(),
         "provenance": dict(report.provenance_counts),
-        "diagnostics": list(report.diagnostics),
         "final_digest": report.final_digest,
     }
 

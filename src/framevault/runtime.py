@@ -4,14 +4,15 @@ buffer (a stack of saved images), and the six runtime calls.
 Every call takes the explicit program-counter value of its caller and
 verifies the caller's identity against the identity table before touching
 any state, so a caller cannot act on another function's registrations.
-Verification failures are logged as exceptions and the offending call
-becomes a no-op; process memory is never mutated by a failed call. Each
-call returns the `VaultException` it logged, or None. No registration an
-open window covers can be removed, so a window restores what it saved:
-windows close innermost first, and each pops the images it pushed. A
-read-only registration, such as a `write_sensitive` slot, is restored
-even when it is a carve-out, so a callee's write to it is reverted in
-whole-frame and fine-grained mode alike.
+Each call is accepted and returns None, or is refused: it appends one
+`VaultException` to `exception_log`, returns it, and changes no
+registration, window, saved image or byte of process memory. An open
+window freezes the registrations it covers: none below its watermark can
+be removed or attached to, so a window restores what it saved. Windows
+close innermost first, and each pops the images it pushed. A read-only
+registration, such as a `write_sensitive` slot, is restored even when it
+is a carve-out, so a callee's write to it is reverted in whole-frame and
+fine-grained mode alike.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ class ExceptionKind(str, enum.Enum):
     INDEX_MISMATCH = "IndexMismatch"
     REGION_OUT_OF_FRAME = "RegionOutOfFrame"
     UNKNOWN_CALLER = "UnknownCaller"
+    INVALID_REGION = "InvalidRegion"
 
 
 @dataclass(frozen=True)
@@ -145,7 +147,6 @@ class VaultState:
         self.protect_list: list[ProtectEntry] = []
         self.save_buffer = SaveBuffer()
         self.exception_log: list[VaultException] = []
-        self.diagnostics: list[str] = []
         self._calls = dict.fromkeys(RUNTIME_CALLS, 0)
         self._bytes_cleared = 0
 
@@ -173,7 +174,9 @@ class VaultState:
 
     def _latest_frame(self, syscall: str, caller_pc: int,
                       missing: str) -> tuple[int, StackEntry] | VaultException:
-        """The index and entry of the latest frame registration; the caller must own it."""
+        """The index and entry of the latest frame registration. The caller
+        must own it, and it must not lie below the open window's watermark:
+        the window has frozen it."""
         fid = self._resolve(syscall, caller_pc)
         if isinstance(fid, VaultException):
             return fid
@@ -186,6 +189,11 @@ class VaultState:
                                       f"caller {self.identity.name_of(fid)} does not own the "
                                       f"latest frame registration "
                                       f"({self.identity.name_of(last.owner)})")
+                watermark = self.watermark()
+                if idx < watermark:
+                    return self._flag(ExceptionKind.INDEX_MISMATCH, syscall, caller_pc,
+                                      f"frame registration {idx} lies below the open "
+                                      f"window's watermark {watermark}")
                 return idx, last
         return self._flag(ExceptionKind.IDENTITY_MISMATCH, syscall, caller_pc, missing)
 
@@ -207,7 +215,8 @@ class VaultState:
         if isinstance(fid, VaultException):
             return fid
         if not (frame_top < frame_base and in_stack(frame_top, frame_base - frame_top)):
-            raise ValueError(f"invalid frame bounds [{frame_top:#x}, {frame_base:#x})")
+            return self._flag(ExceptionKind.INVALID_REGION, "register_stack", caller_pc,
+                              f"invalid frame bounds [{frame_top:#x}, {frame_base:#x})")
         self.register_list.append(StackEntry(fid, frame_base, frame_top, all))
         return None
 
@@ -218,7 +227,8 @@ class VaultState:
             return found
         _, last = found
         if length < 0:
-            raise ValueError("negative region length")
+            return self._flag(ExceptionKind.INVALID_REGION, syscall, caller_pc,
+                              "negative region length")
         if syscall == "register_memory_exception":
             if not (last.frame_top <= base and base + length <= last.frame_base):
                 return self._flag(ExceptionKind.REGION_OUT_OF_FRAME, syscall, caller_pc,
@@ -226,7 +236,8 @@ class VaultState:
             self.register_list.append(MemoryExceptionEntry(last.owner, base, length, read_only))
         else:
             if not (in_stack(base, length) or in_heap(base, length)):
-                raise ValueError(f"region {base:#x}+{length} outside stack and heap")
+                return self._flag(ExceptionKind.INVALID_REGION, syscall, caller_pc,
+                                  f"region {base:#x}+{length} outside stack and heap")
             self.register_list.append(MemoryEntry(last.owner, base, length, read_only))
         return None
 
@@ -252,11 +263,6 @@ class VaultState:
         if isinstance(found, VaultException):
             return found
         idx, last = found
-        watermark = self.watermark()
-        if idx < watermark:
-            return self._flag(ExceptionKind.INDEX_MISMATCH, "unregister_stack", caller_pc,
-                              f"frame registration {idx} lies below the open window's "
-                              f"watermark {watermark}")
         del self.register_list[idx:]
         self._clear(memory, last.frame_top, last.frame_base - last.frame_top)
         return None
@@ -345,20 +351,15 @@ class VaultState:
         """
         images: list[int] = []  # where each saved image goes back, in push order
         carve_outs: list[tuple[int, bytes]] = []
-        framed = False
         for entry in self.register_list[start:end + 1]:
             kind = type(entry)
             if kind is StackEntry:
-                framed = True
                 if entry.all:
                     images.append(entry.frame_top)
             elif kind is MemoryEntry:
                 images.append(entry.base)
-            else:
-                if not framed:
-                    self.diagnostics.append("carve-out with no enclosing frame in window")
-                if not entry.read_only:
-                    carve_outs.append((entry.base, memory.read_bytes(entry.base, entry.length)))
+            elif not entry.read_only:
+                carve_outs.append((entry.base, memory.read_bytes(entry.base, entry.length)))
         pop, write = self.save_buffer.pop, memory.write_bytes
         for addr in reversed(images):
             write(addr, pop())

@@ -20,11 +20,11 @@ from framevault.memory import (FRAME_METADATA_BYTES, HEAP_CAPACITY, STACK_BASE,
                                STACK_CAPACITY, TEXT_BASE, ProcessMemory)
 from framevault.program import (AbsoluteTarget, AddressRef, Assign, Call, DerefTarget,
                                 FrameTarget, FunctionDesc, HeapAlloc, HeapTarget, PointeeRef,
-                                ProgramDesc, ReadProbe, Return, RuntimeCall, ValueArg, VarDesc,
-                                VarRef, VarTarget, WriteProbe)
+                                ProgramDesc, ProgramFormatError, ReadProbe, Return, RuntimeCall,
+                                ValueArg, VarDesc, VarRef, VarTarget, WriteProbe)
 from framevault.oracle import OracleVault
 from framevault.reporting import render_report, report_to_dict
-from framevault.runtime import VaultState
+from framevault.runtime import ExceptionKind, VaultState
 
 from support import pwdgen_instrumented, pwdgen_table
 
@@ -231,16 +231,19 @@ class TestRegions:
         assert faults_of(self.FRAME, RuntimeCall(call="register_memory_exception")) == [
             "main: register_memory_exception without a region"]
 
-    def test_register_value_error_becomes_a_fault(self):
+    def test_a_region_outside_stack_and_heap_is_refused(self):
         call = RuntimeCall(call="register_memory", target=AddressRef(0x50), length=8)
-        assert faults_of(self.FRAME, call) == [
-            "main: register_memory: region 0x50+8 outside stack and heap"]
+        report = run_main(self.FRAME, call)
+        assert report.faults == []
+        assert [(v.kind, v.syscall, v.detail) for v in report.violations] == [
+            (ExceptionKind.INVALID_REGION, "register_memory",
+             "region 0x50+8 outside stack and heap")]
 
 
-def test_a_hand_built_call_outside_the_six_is_counted_and_does_nothing():
-    report = run_main(RuntimeCall(call="reboot"))
-    assert report.provenance_counts == {"reboot/forged": 1}
-    assert (report.faults, report.violations, report.stats.total) == ([], [], 0)
+def test_a_hand_built_call_outside_the_six_is_refused_when_built():
+    with pytest.raises(ProgramFormatError) as err:
+        FunctionDesc(name="main", body=(Return(), RuntimeCall(call="reboot")))
+    assert str(err.value) == "body[1]: unknown runtime call 'reboot'"
 
 
 class RestoresNothing(VaultState):

@@ -365,7 +365,6 @@ class TestUnregister:
         # A second window opens at the same watermark, not below it.
         vault.start_protect(memory, VPC)
         assert [w.register_index for w in vault.protect_list] == [1, 1]
-        assert vault.diagnostics == []
 
     def test_unregister_and_register_again_leave_the_window_unclosable(self):
         memory, vault = make_state()
@@ -384,7 +383,6 @@ class TestUnregister:
              "RegisterList grew from 1 to 2 inside the window")]
         assert len(vault.register_list) == 2 and len(vault.protect_list) == 1
         assert memory.read_bytes(frame.top, 32) == b"\x33" * 4 + bytes(28)  # still hidden
-        assert vault.diagnostics == []
 
 
 class TestSaveBuffer:
@@ -409,21 +407,27 @@ class TestSaveBuffer:
         assert buf.bytes_released == 16 and buf.all_consumed()
 
 
-class TestDiagnostics:
-    def test_carve_out_opened_alone_has_no_enclosing_frame(self):
-        memory, vault = make_state()
+class TestAttachUnderAWindow:
+    @pytest.mark.parametrize("vault_cls", [VaultState, OracleVault])
+    @pytest.mark.parametrize("call", ["register_memory", "register_memory_exception"])
+    def test_attaching_to_a_frame_below_the_watermark_is_refused(self, vault_cls, call):
+        # Accepted, the carve-out would open an inner window with no frame.
+        memory, vault = make_state(vault_cls)
         frame = memory.push_frame(0, 32)
         memory.write_bytes(frame.top, FRAME_PATTERN[:32])
         vault.register_stack(VPC, all=True, frame_base=frame.base, frame_top=frame.top)
         vault.start_protect(memory, VPC)
-        # The inner window covers the carve-out and nothing else.
-        vault.register_memory_exception(VPC, frame.top + 8, 4, False)
-        vault.start_protect(memory, VPC)
-        memory.write_bytes(frame.top + 8, CARVE_NEW)
-        vault.stop_protect(memory, VPC)
-        assert vault.exception_log == []
-        assert vault.diagnostics == ["carve-out with no enclosing frame in window"]
-        assert memory.read_bytes(frame.top, 32) == bytes(8) + CARVE_NEW + bytes(20)
+        before = memory.content_signature()
+        refused = getattr(vault, call)(VPC, frame.top + 8, 4, False)
+        assert vault.exception_log == [refused]
+        assert (refused.kind, refused.syscall, refused.detail) == (
+            ExceptionKind.INDEX_MISMATCH, call,
+            "frame registration 0 lies below the open window's watermark 1")
+        assert len(vault.register_list) == 1
+        assert memory.content_signature() == before
+        assert vault.stop_protect(memory, VPC) is None
+        assert vault.protect_list == [] and vault.save_buffer.all_consumed()
+        assert memory.read_bytes(frame.top, 32) == FRAME_PATTERN[:32]
 
 
 # Registrations over a few dozen addresses, so frames, objects and
@@ -555,7 +559,7 @@ class TestOracleEquivalence:
             assert memory.read_bytes(frame.top, 64) == bytes(8) + b"\x11" * 8 + bytes(48)
             memory.write_bytes(frame.top + 8, b"\x22" * 8)
             vault.stop_protect(memory, VPC)
-            assert vault.exception_log == [] and vault.diagnostics == []
+            assert vault.exception_log == []
             assert memory.read_bytes(frame.top, 64) == b"\x11" * 8 + b"\x22" * 8 + b"\x11" * 48
             images.append(memory.content_signature())
         assert images[0] == images[1]
@@ -573,7 +577,7 @@ class TestOracleEquivalence:
             assert memory.read_bytes(frame.top, 64) == bytes(64)
             memory.write_bytes(frame.top + 16, b"\x22" * 8)
             vault.stop_protect(memory, VPC)
-            assert vault.exception_log == [] and vault.diagnostics == []
+            assert vault.exception_log == []
             assert memory.read_bytes(frame.top, 64) == b"\x11" * 16 + b"\x22" * 8 + b"\x11" * 40
             images.append(memory.content_signature())
         assert images[0] == images[1]

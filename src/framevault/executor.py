@@ -418,13 +418,18 @@ def _enter(ex: Executor, fn: _Function, args) -> tuple[_FrameCtx, Iterator] | No
     try:
         frame = ex.memory.push_frame(fn.span.fid, fn.frame_size)
     except MemoryFault as exc:
-        ex.faults.append(f"cannot enter {fn.desc.name}: {exc}")
+        ex.faults.append(f"cannot enter {shown(fn.desc.name, False)}: {exc}")
         return None
     ctx = _FrameCtx(fn.desc, frame, fn.vars)
     ex._frame_history[fn.desc.name] = ctx
     for (offset, size), data in zip(fn.params, args):
         ex.memory.write_bytes(frame.top + offset, data[:size])
     return ctx, zip(fn.native_handlers if ex.vault is None else fn.handlers, fn.operands)
+
+
+def _fault(ex: Executor, ctx: _FrameCtx, message: str) -> None:
+    """Record a fault of the running function, whose name is shown bounded."""
+    ex.faults.append(f"{shown(ctx.func.name, False)}: {message}")
 
 
 # ----------------------------------------------------------------------
@@ -443,12 +448,12 @@ def _assign(ex: Executor, ctx: _FrameCtx, stmt: Assign) -> None:
 def _heap_alloc(ex: Executor, ctx: _FrameCtx, stmt: HeapAlloc) -> None:
     var = ctx.vars.get(stmt.var)
     if var is None:
-        ex.faults.append(f"{ctx.func.name}: heap_alloc into unknown variable {stmt.var!r}")
+        _fault(ex, ctx, f"heap_alloc into unknown variable {shown(stmt.var)}")
         return
     try:
         obj = ex.memory.heap_alloc(stmt.size)
     except MemoryFault as exc:
-        ex.faults.append(f"{ctx.func.name}: {exc}")
+        _fault(ex, ctx, str(exc))
         return
     ex.memory.write_bytes(ctx.frame.top + var[0], obj.base.to_bytes(8, "little")[:var[1]])
     if stmt.init:
@@ -458,16 +463,16 @@ def _heap_alloc(ex: Executor, ctx: _FrameCtx, stmt: HeapAlloc) -> None:
 def _call(ex: Executor, ctx: _FrameCtx, stmt: Call) -> tuple[_FrameCtx, Iterator] | None:
     callee = ex.functions.get(stmt.callee)
     if callee is None:
-        ex.faults.append(f"{ctx.func.name}: call to unknown function {stmt.callee!r}")
+        _fault(ex, ctx, f"call to unknown function {shown(stmt.callee)}")
         return None
     if len(ex._callers) + 1 >= MAX_CALL_DEPTH:  # the caller's depth is its callers' count
-        ex.faults.append(f"{ctx.func.name}: call depth limit at {stmt.callee}")
+        _fault(ex, ctx, f"call depth limit at {shown(stmt.callee, False)}")
         return None
     arg_values: list[bytes] = []
     for arg in stmt.args:
         var = ctx.vars.get(arg.var)
         if var is None:
-            ex.faults.append(f"{ctx.func.name}: unknown argument variable {arg.var!r}")
+            _fault(ex, ctx, f"unknown argument variable {shown(arg.var)}")
             return None
         addr, size = ctx.frame.top + var[0], var[1]
         if isinstance(arg, AddrOfArg):
@@ -485,7 +490,7 @@ def _read_probe(ex: Executor, ctx: _FrameCtx, stmt: ReadProbe) -> None:
     try:
         data = ex.memory.read_bytes(addr, length)
     except MemoryFault as exc:
-        ex.faults.append(f"{ctx.func.name}: probe {exc}")
+        _fault(ex, ctx, f"probe {exc}")
         return
     # A short read is counted inline, as _nonzero would: the call would
     # cost more than the count.
@@ -514,7 +519,7 @@ def _write_probe(ex: Executor, ctx: _FrameCtx, stmt: WriteProbe) -> None:
     try:
         ex.memory.write_bytes(addr, value)
     except MemoryFault as exc:
-        ex.faults.append(f"{ctx.func.name}: probe {exc}")
+        _fault(ex, ctx, f"probe {exc}")
         return
     windows = ex.windows
     length = len(value)
@@ -539,7 +544,7 @@ def _absolute(ex: Executor, ctx: _FrameCtx, target: AbsoluteTarget) -> int:
 def _deref(ex: Executor, ctx: _FrameCtx, target: DerefTarget) -> int | None:
     var = ctx.vars.get(target.param)
     if var is None:
-        ex.faults.append(f"{ctx.func.name}: deref of unknown variable {target.param!r}")
+        _fault(ex, ctx, f"deref of unknown variable {shown(target.param)}")
         return None
     raw = ex.memory.read_bytes(ctx.frame.top + var[0], 8)
     return int.from_bytes(raw, "little") + target.offset
@@ -548,7 +553,7 @@ def _deref(ex: Executor, ctx: _FrameCtx, target: DerefTarget) -> int | None:
 def _heap(ex: Executor, ctx: _FrameCtx, target: HeapTarget) -> int | None:
     objects = ex.memory.heap_objects
     if not 0 <= target.index < len(objects):
-        ex.faults.append(f"{ctx.func.name}: heap object {target.index} does not exist")
+        _fault(ex, ctx, f"heap object {target.index} does not exist")
         return None
     return objects[target.index].base + target.offset
 
@@ -559,7 +564,7 @@ def _victim(ex: Executor, ctx: _FrameCtx, function: str) -> _FrameCtx | None:
     after a return."""
     victim = ex._frame_history.get(function)
     if victim is None:
-        ex.faults.append(f"{ctx.func.name}: no frame known for {function!r}")
+        _fault(ex, ctx, f"no frame known for {shown(function)}")
     return victim
 
 
@@ -574,7 +579,7 @@ def _var(ex: Executor, ctx: _FrameCtx, target: VarTarget) -> int | None:
         return None
     var = victim.vars.get(target.var)
     if var is None:
-        ex.faults.append(f"{ctx.func.name}: {target.function} has no variable {target.var!r}")
+        _fault(ex, ctx, f"{shown(target.function, False)} has no variable {shown(target.var)}")
         return None
     return victim.frame.top + var[0] + target.offset
 
@@ -603,20 +608,20 @@ def _register_region(ex: Executor, ctx: _FrameCtx, operand: tuple) -> VaultExcep
     if isinstance(ref, VarRef):
         var = ctx.vars.get(ref.var)
         if var is None:
-            ex.faults.append(f"{ctx.func.name}: {stmt.call} names unknown variable {ref.var!r}")
+            _fault(ex, ctx, f"{stmt.call} names unknown variable {shown(ref.var)}")
             return None
         base, length = ctx.frame.top + var[0], (var[1] if stmt.length is None else stmt.length)
     elif isinstance(ref, PointeeRef):
         var = ctx.vars.get(ref.var)
         if var is None or stmt.length is None:
-            ex.faults.append(f"{ctx.func.name}: {stmt.call} has unresolvable pointee region")
+            _fault(ex, ctx, f"{stmt.call} has unresolvable pointee region")
             return None
         raw = ex.memory.read_bytes(ctx.frame.top + var[0], 8)
         base, length = int.from_bytes(raw, "little"), stmt.length
     elif isinstance(ref, AddressRef):
         base, length = ref.addr, stmt.length or 0
     else:
-        ex.faults.append(f"{ctx.func.name}: {stmt.call} without a region")
+        _fault(ex, ctx, f"{stmt.call} without a region")
         return None
     return getattr(ex.vault, stmt.call)(pc, base, length, bool(stmt.read_only))
 

@@ -51,7 +51,9 @@ and all bodies together at most MAX_PROGRAM_STATEMENTS.
 Every description, parsed or built in code, keeps three rules: a
 program's function names are distinct, as are a function's params and
 locals; an ``assign`` names one of its function's variables and fits in
-it; and a ``runtime_call`` names one of the six RUNTIME_CALLS.
+it; and a ``runtime_call`` names one of the six RUNTIME_CALLS, with a
+``provenance`` that is absent (a forged call) or a non-empty string other
+than ``forged`` (the insertion rule that made it).
 `ProgramDesc` and `FunctionDesc` refuse a description that breaks one
 when it is built; `parse` puts the document's place in front of their
 message. So other modules look names up in plain dicts.
@@ -282,7 +284,8 @@ RegionRef = VarRef | PointeeRef | AddressRef
 @dataclass(frozen=True, slots=True)
 class RuntimeCall:
     """An inserted protection call. `provenance` names the insertion rule
-    that produced it; hand-built (forged) calls leave it None."""
+    that produced it; hand-built (forged) calls leave it None. No rule is
+    named "" or "forged", the key a forged call is counted under."""
 
     call: str
     all: bool | None = None
@@ -324,8 +327,15 @@ class FunctionDesc:
                     f"assign of {len(stmt.value)} bytes to {of}, which holds "
                     f"{sizes[stmt.var]} bytes" if stmt.var in sizes else
                     f"assign to undeclared variable {of}", f"body[{i}]")
-            if kind is RuntimeCall and stmt.call not in RUNTIME_CALLS:
-                raise ProgramFormatError(f"unknown runtime call {shown(stmt.call)}", f"body[{i}]")
+            elif kind is RuntimeCall:
+                if stmt.call not in RUNTIME_CALLS:
+                    raise ProgramFormatError(f"unknown runtime call {shown(stmt.call)}",
+                                             f"body[{i}]")
+                provenance = stmt.provenance
+                if provenance is not None and (type(provenance) is not str
+                                               or provenance in ("", "forged")):
+                    raise ProgramFormatError("'provenance' must be a non-empty string other "
+                                             "than 'forged'", f"body[{i}]")
 
     def var(self, name: str) -> VarDesc | None:
         for v in self.variables():

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 from .identity import IdentityTable
 from .memory import ProcessMemory, in_heap, in_stack
-from .program import RUNTIME_CALLS
+from .program import RUNTIME_CALLS, shown
 
 
 class ExceptionKind(str, enum.Enum):
@@ -172,6 +172,10 @@ class VaultState:
                               f"pc {caller_pc:#x} not inside any function span")
         return fid
 
+    def _name(self, fid: int) -> str:
+        """A function's name as an exception detail shows it: bounded."""
+        return shown(self.identity.name_of(fid), False)
+
     def _latest_frame(self, syscall: str, caller_pc: int,
                       missing: str) -> tuple[int, StackEntry] | VaultException:
         """The index and entry of the latest frame registration. The caller
@@ -186,9 +190,8 @@ class VaultState:
             if type(last) is StackEntry:
                 if last.owner != fid:
                     return self._flag(ExceptionKind.IDENTITY_MISMATCH, syscall, caller_pc,
-                                      f"caller {self.identity.name_of(fid)} does not own the "
-                                      f"latest frame registration "
-                                      f"({self.identity.name_of(last.owner)})")
+                                      f"caller {self._name(fid)} does not own the latest "
+                                      f"frame registration ({self._name(last.owner)})")
                 watermark = self.watermark()
                 if idx < watermark:
                     return self._flag(ExceptionKind.INDEX_MISMATCH, syscall, caller_pc,
@@ -329,8 +332,8 @@ class VaultState:
         top = self.protect_list[-1]
         if top.caller != fid:
             return self._flag(ExceptionKind.IDENTITY_MISMATCH, "stop_protect", caller_pc,
-                              f"window opened by {self.identity.name_of(top.caller)}, "
-                              f"closed by {self.identity.name_of(fid)}")
+                              f"window opened by {self._name(top.caller)}, "
+                              f"closed by {self._name(fid)}")
         if len(self.register_list) != top.register_index:
             return self._flag(ExceptionKind.INDEX_MISMATCH, "stop_protect", caller_pc,
                               f"RegisterList grew from {top.register_index} to "

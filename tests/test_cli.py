@@ -378,6 +378,13 @@ PARSE_ERRORS = {
     "args not a list": (
         one_statement({"op": "call", "callee": "lib", "args": 5}),
         "functions[0].body[0]: 'args' must be a list"),
+    "unknown runtime call": (
+        one_statement({"op": "runtime_call", "call": "reboot"}),
+        "functions[0].body[0]: unknown runtime call 'reboot'"),
+    **{f"provenance {value!r}": (
+        one_statement({"op": "runtime_call", "call": "start_protect", "provenance": value}),
+        "functions[0].body[0]: 'provenance' must be a non-empty string other than 'forged'")
+       for value in ("", False, "forged")},
 }
 
 
@@ -592,6 +599,29 @@ class TestLongNames:
                      "--untrusted-list", str(untrusted)]) == 2
         err = capsys.readouterr().err
         assert len(err.encode()) <= 300 and err == f"framevault: error: {message}\n"
+
+    @pytest.mark.parametrize("doc,image_map,fault", [
+        (one_statement({"op": "call", "callee": LONG}), "main 0x401000 0x401100\n",
+         f"main: call to unknown function {LONG_QUOTED}"),
+        ({"functions": [{"name": "main", "body": [{"op": "call", "callee": LONG}]},
+                        {"name": LONG, "body": [{"op": "read_probe", "len": 8, "target": {
+                            "kind": "addr", "addr": "0x50"}}]}]},
+         f"main 0x401000 0x401100\n{LONG} 0x401100 0x401200\n",
+         f"{LONG_SHOWN}: probe read outside mapped regions: 0x50+8"),
+        ({"functions": [{"name": "main", "body": [{"op": "call", "callee": LONG}]},
+                        {"name": LONG, "body": [{"op": "call", "callee": LONG}]}]},
+         f"main 0x401000 0x401100\n{LONG} 0x401100 0x401200\n",
+         f"{LONG_SHOWN}: call depth limit at {LONG_SHOWN}"),
+    ], ids=["unknown callee", "faulting function", "depth limit"])
+    def test_a_report_fault_line_shows_a_long_name_short(self, tmp_path, capsys, doc,
+                                                        image_map, fault):
+        program_file, map_file = tmp_path / "long.json", tmp_path / "long.map"
+        program_file.write_text(json.dumps(doc))
+        map_file.write_text(image_map)
+        assert main(["native", "--program", str(program_file),
+                     "--image-map", str(map_file)]) == 1
+        out = capsys.readouterr().out
+        assert len(out.encode()) < 1024 and f"faults: 1\n  {fault}\n" in out
 
 
 LIB = {"name": "lib", "params": [{"name": "a", "size": 8}], "body": [{"op": "return"}]}

@@ -34,6 +34,7 @@ from framevault.program import (
     Call,
     FunctionDesc,
     ProgramDesc,
+    ProgramFormatError,
     ReadProbe,
     Return,
     RuntimeCall,
@@ -306,6 +307,20 @@ class TestSerialization:
         assert "forged" not in doc
         doc["forged"] = ["spoof_stop_protect"]
         assert scenario_from_json(json.dumps(doc)).forged == ("unregister_stack",)
+
+    @pytest.mark.parametrize("provenance", ["", False, "forged"])
+    def test_a_provenance_that_reads_as_forged_is_refused(self, provenance):
+        # Accepted, the call would be counted as forged while the scenario
+        # lists no forgery, and the clean run would be due its refusals.
+        doc = json.loads(scenario_to_json(generate_scenario(3, 0, FuzzConfig())))
+        start = doc["program"]["functions"][1]["body"][8]
+        assert start == {"op": "runtime_call", "call": "start_protect",
+                         "provenance": "untrusted-call"}
+        start["provenance"] = provenance
+        with pytest.raises(ProgramFormatError) as err:
+            scenario_from_json(json.dumps(doc))
+        assert str(err.value) == ("functions[1].body[8]: 'provenance' must be a non-empty "
+                                  "string other than 'forged'")
 
     def test_restored_scenario_checks_identically(self):
         scenario = generate_scenario(29, 3, FuzzConfig())

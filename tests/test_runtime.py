@@ -313,6 +313,21 @@ class TestDetection:
         assert [e.kind for e in vault.exception_log] == [ExceptionKind.UNKNOWN_CALLER] * 3
         assert vault.register_list == [] and vault.protect_list == []
 
+    def test_an_exception_detail_shows_a_long_name_short(self):
+        name = "n" * 1_000_000
+        memory = ProcessMemory()
+        vault = VaultState(load_image_map(f"{name} 0x401000 0x401100\n"
+                                          f"intruder 0x401100 0x401200\n"))
+        frame = memory.push_frame(0, 32)
+        vault.register_stack(VPC, all=True, frame_base=frame.base, frame_top=frame.top)
+        vault.start_protect(memory, VPC)
+        vault.register_memory(IPC, frame.top, 8, False)
+        vault.stop_protect(memory, IPC)
+        shown = f"{'n' * 60}... (1000000 characters)"
+        assert [e.detail for e in vault.exception_log] == [
+            f"caller intruder does not own the latest frame registration ({shown})",
+            f"window opened by {shown}, closed by intruder"]
+
     def test_every_invocation_is_counted_even_when_rejected(self):
         memory, vault = make_state()
         obj = memory.heap_alloc(16)
@@ -428,6 +443,110 @@ class TestAttachUnderAWindow:
         assert vault.stop_protect(memory, VPC) is None
         assert vault.protect_list == [] and vault.save_buffer.all_consumed()
         assert memory.read_bytes(frame.top, 32) == FRAME_PATTERN[:32]
+
+
+def contract_setup():
+    """A victim frame, an intruder frame and a heap object, each holding
+    its own non-zero pattern, and a vault with nothing registered."""
+    memory = ProcessMemory()
+    victim, intruder = memory.push_frame(0, 64), memory.push_frame(1, 32)
+    heap = memory.heap_alloc(32)
+    memory.write_bytes(victim.top, FRAME_PATTERN)
+    memory.write_bytes(intruder.top, bytes(range(0x60, 0x80)))
+    memory.write_bytes(heap.base, HEAP_PATTERN)
+    return memory, VaultState(load_image_map(MAP)), victim, intruder, heap
+
+
+def contract_actions():
+    """(call, operands) for the six calls over small operand sets: the
+    owner, a forger and an unknown pc, and regions that fit, leave the
+    frame, leave stack and heap, are inverted or have a negative length,
+    so that every refusal the runtime has can be reached."""
+    _, _, victim, intruder, heap = contract_setup()
+    return [
+        ("register_stack", (VPC, True, victim.base, victim.top)),
+        ("register_stack", (VPC, False, victim.base, victim.top)),
+        ("register_stack", (IPC, True, intruder.base, intruder.top)),
+        ("register_stack", (VPC, True, victim.top, victim.base)),
+        ("register_memory", (VPC, heap.base, 32, False)),
+        ("register_memory", (VPC, victim.top, 8, True)),
+        ("register_memory", (VPC, heap.base, -1, False)),
+        ("register_memory", (VPC, 0x50, 8, False)),
+        ("register_memory", (IPC, heap.base, 16, False)),
+        ("register_memory_exception", (VPC, victim.top + 8, 4, False)),
+        ("register_memory_exception", (VPC, heap.base, 4, False)),
+        ("register_memory_exception", (VPC, victim.top + 8, -1, False)),
+        ("register_memory_exception", (IPC, intruder.top, 8, False)),
+        *((call, (pc,)) for call in ("start_protect", "stop_protect", "unregister_stack")
+          for pc in (VPC, IPC)),
+        ("start_protect", (BAD_PC,)),
+    ]
+
+
+def contract_call(memory, vault, call, operands):
+    if call in ("start_protect", "stop_protect", "unregister_stack"):
+        operands = (memory, *operands)
+    return getattr(vault, call)(*operands)
+
+
+def check_refusal_contract(depth: int):
+    """Breadth-first search over every sequence of up to `depth` calls of
+    `contract_actions` from `contract_setup`, one path per distinct state.
+    At every step the call must not raise, and must either return None and
+    log nothing, or log one exception and return it while the register
+    and protect lists, the saved images and memory stay as they were.
+    Returns the number of distinct states and the (kind, syscall) pairs
+    of the refusals seen."""
+    actions = contract_actions()
+
+    def replay(path):
+        memory, vault, *_ = contract_setup()
+        for i in path:
+            contract_call(memory, vault, *actions[i])
+        return memory, vault
+
+    def state(memory, vault):
+        return (repr(vault.register_list), tuple(vault.protect_list),
+                tuple(vault.save_buffer.images), tuple(memory.content_signature().items()))
+
+    seen, frontier, refusals = {state(*replay(()))}, [()], set()
+    for _ in range(depth):
+        grown = []
+        for path in frontier:
+            for i, action in enumerate(actions):
+                memory, vault = replay(path)
+                before, logged = state(memory, vault), len(vault.exception_log)
+                where = [actions[j] for j in path] + [action]
+                result = contract_call(memory, vault, *action)
+                after = state(memory, vault)
+                if result is None:
+                    assert len(vault.exception_log) == logged, where
+                else:
+                    assert vault.exception_log[logged:] == [result], where
+                    assert vault.exception_log[-1] is result, where
+                    assert result.syscall == action[0] and after == before, where
+                    refusals.add((result.kind, result.syscall))
+                if after not in seen:
+                    seen.add(after)
+                    grown.append(path + (i,))
+        frontier = grown
+    return len(seen), refusals
+
+
+class TestRefusalContract:
+    def test_every_call_is_accepted_or_one_logged_refusal(self):
+        _, refusals = check_refusal_contract(3)
+        IDENTITY, INDEX = ExceptionKind.IDENTITY_MISMATCH, ExceptionKind.INDEX_MISMATCH
+        INVALID = ExceptionKind.INVALID_REGION
+        assert refusals == {
+            (IDENTITY, "register_memory"), (IDENTITY, "register_memory_exception"),
+            (IDENTITY, "unregister_stack"), (IDENTITY, "stop_protect"),
+            (INDEX, "register_memory"), (INDEX, "register_memory_exception"),
+            (INDEX, "unregister_stack"), (INDEX, "stop_protect"),
+            (INVALID, "register_stack"), (INVALID, "register_memory"),
+            (INVALID, "register_memory_exception"),
+            (ExceptionKind.REGION_OUT_OF_FRAME, "register_memory_exception"),
+            (ExceptionKind.UNKNOWN_CALLER, "start_protect")}
 
 
 # Registrations over a few dozen addresses, so frames, objects and

@@ -284,8 +284,7 @@ RegionRef = VarRef | PointeeRef | AddressRef
 @dataclass(frozen=True, slots=True)
 class RuntimeCall:
     """An inserted protection call. `provenance` names the insertion rule
-    that produced it; hand-built (forged) calls leave it None. No rule is
-    named "" or "forged", the key a forged call is counted under."""
+    that produced it; hand-built (forged) calls leave it None."""
 
     call: str
     all: bool | None = None

@@ -423,26 +423,26 @@ class TestSaveBuffer:
 
 
 class TestAttachUnderAWindow:
-    @pytest.mark.parametrize("vault_cls", [VaultState, OracleVault])
-    @pytest.mark.parametrize("call", ["register_memory", "register_memory_exception"])
-    def test_attaching_to_a_frame_below_the_watermark_is_refused(self, vault_cls, call):
+    def test_attaching_to_a_frame_below_the_watermark_is_refused(self):
         # Accepted, the carve-out would open an inner window with no frame.
-        memory, vault = make_state(vault_cls)
-        frame = memory.push_frame(0, 32)
-        memory.write_bytes(frame.top, FRAME_PATTERN[:32])
-        vault.register_stack(VPC, all=True, frame_base=frame.base, frame_top=frame.top)
-        vault.start_protect(memory, VPC)
-        before = memory.content_signature()
-        refused = getattr(vault, call)(VPC, frame.top + 8, 4, False)
-        assert vault.exception_log == [refused]
-        assert (refused.kind, refused.syscall, refused.detail) == (
-            ExceptionKind.INDEX_MISMATCH, call,
-            "frame registration 0 lies below the open window's watermark 1")
-        assert len(vault.register_list) == 1
-        assert memory.content_signature() == before
-        assert vault.stop_protect(memory, VPC) is None
-        assert vault.protect_list == [] and vault.save_buffer.all_consumed()
-        assert memory.read_bytes(frame.top, 32) == FRAME_PATTERN[:32]
+        for vault_cls in (VaultState, OracleVault):
+            for call in ("register_memory", "register_memory_exception"):
+                memory, vault = make_state(vault_cls)
+                frame = memory.push_frame(0, 32)
+                memory.write_bytes(frame.top, FRAME_PATTERN[:32])
+                vault.register_stack(VPC, all=True, frame_base=frame.base, frame_top=frame.top)
+                vault.start_protect(memory, VPC)
+                before = memory.content_signature()
+                refused = getattr(vault, call)(VPC, frame.top + 8, 4, False)
+                assert vault.exception_log == [refused]
+                assert (refused.kind, refused.syscall, refused.detail) == (
+                    ExceptionKind.INDEX_MISMATCH, call,
+                    "frame registration 0 lies below the open window's watermark 1")
+                assert len(vault.register_list) == 1
+                assert memory.content_signature() == before
+                assert vault.stop_protect(memory, VPC) is None
+                assert vault.protect_list == [] and vault.save_buffer.all_consumed()
+                assert memory.read_bytes(frame.top, 32) == FRAME_PATTERN[:32]
 
 
 def contract_setup():

@@ -7,12 +7,14 @@ any state, so a caller cannot act on another function's registrations.
 Each call is accepted and returns None, or is refused: it appends one
 `VaultException` to `exception_log`, returns it, and changes no
 registration, window, saved image or byte of process memory. An open
-window freezes the registrations it covers: none below its watermark can
-be removed or attached to, so a window restores what it saved. Windows
-close innermost first, and each pops the images it pushed. A read-only
-registration, such as a `write_sensitive` slot, is restored even when it
-is a carve-out, so a callee's write to it is reverted in whole-frame and
-fine-grained mode alike.
+window freezes the frame registrations it covers: none below its
+watermark can be removed or take a carve-out, so a window restores what
+it saved and opens over no carve-out without its frame. An object
+registered while a window is open lies above the watermark, and the
+next window hides it. Windows close innermost first, and each pops the
+images it pushed. A read-only registration, such as a `write_sensitive`
+slot, is restored even when it is a carve-out, so a callee's write to it
+is reverted in whole-frame and fine-grained mode alike.
 """
 
 from __future__ import annotations
@@ -178,9 +180,7 @@ class VaultState:
 
     def _latest_frame(self, syscall: str, caller_pc: int,
                       missing: str) -> tuple[int, StackEntry] | VaultException:
-        """The index and entry of the latest frame registration. The caller
-        must own it, and it must not lie below the open window's watermark:
-        the window has frozen it."""
+        """The index and entry of the latest frame registration; the caller must own it."""
         fid = self._resolve(syscall, caller_pc)
         if isinstance(fid, VaultException):
             return fid
@@ -192,17 +192,22 @@ class VaultState:
                     return self._flag(ExceptionKind.IDENTITY_MISMATCH, syscall, caller_pc,
                                       f"caller {self._name(fid)} does not own the latest "
                                       f"frame registration ({self._name(last.owner)})")
-                watermark = self.watermark()
-                if idx < watermark:
-                    return self._flag(ExceptionKind.INDEX_MISMATCH, syscall, caller_pc,
-                                      f"frame registration {idx} lies below the open "
-                                      f"window's watermark {watermark}")
                 return idx, last
         return self._flag(ExceptionKind.IDENTITY_MISMATCH, syscall, caller_pc, missing)
 
     def watermark(self) -> int:
         """RegisterList length when the innermost open window opened, else 0."""
         return self.protect_list[-1].register_index if self.protect_list else 0
+
+    def _frozen(self, syscall: str, caller_pc: int, idx: int) -> VaultException | None:
+        """Refuse a call on frame registration idx if it lies below the open
+        window's watermark: the window has frozen it."""
+        watermark = self.watermark()
+        if idx < watermark:
+            return self._flag(ExceptionKind.INDEX_MISMATCH, syscall, caller_pc,
+                              f"frame registration {idx} lies below the open window's "
+                              f"watermark {watermark}")
+        return None
 
     def _clear(self, memory: ProcessMemory, addr: int, length: int) -> None:
         memory.clear_region(addr, length)
@@ -228,11 +233,14 @@ class VaultState:
         found = self._latest_frame(syscall, caller_pc, "no frame registration to attach to")
         if isinstance(found, VaultException):
             return found
-        _, last = found
+        idx, last = found
+        carve_out = syscall == "register_memory_exception"
+        if carve_out and (frozen := self._frozen(syscall, caller_pc, idx)):
+            return frozen
         if length < 0:
             return self._flag(ExceptionKind.INVALID_REGION, syscall, caller_pc,
                               "negative region length")
-        if syscall == "register_memory_exception":
+        if carve_out:
             if not (last.frame_top <= base and base + length <= last.frame_base):
                 return self._flag(ExceptionKind.REGION_OUT_OF_FRAME, syscall, caller_pc,
                                   f"region {base:#x}+{length} lies outside the caller frame")
@@ -266,6 +274,8 @@ class VaultState:
         if isinstance(found, VaultException):
             return found
         idx, last = found
+        if frozen := self._frozen("unregister_stack", caller_pc, idx):
+            return frozen
         del self.register_list[idx:]
         self._clear(memory, last.frame_top, last.frame_base - last.frame_top)
         return None

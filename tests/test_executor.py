@@ -160,6 +160,34 @@ class TestSpoofing:
         # The window stayed up, so the probe that follows still reads zeros.
         assert secret_bytes_observed(report) == 0
 
+    @pytest.mark.parametrize("vault_factory", [VaultState, OracleVault])
+    def test_an_object_registered_under_a_forged_window_is_hidden_from_the_next_callee(
+            self, vault_factory):
+        # lib1 leaves a forged window open over victim's frame. The heap
+        # block victim allocates afterwards is registered above that
+        # window's watermark, so the window victim opens for lib2 hides it.
+        pointer = VarDesc("id", 8, pointer=True, pointee_size=64,
+                          annotation=Annotation(AnnotationKind.SENSITIVE_POINTER, 64))
+        program = instrument(ProgramDesc(functions=(
+            FunctionDesc(name="victim", locals=(pointer,),
+                         body=(Call("lib1"), HeapAlloc("id", 64, init=bytes(range(1, 65))),
+                               Call("lib2"), Return())),
+            FunctionDesc(name="lib1", body=(Return(),)),
+            FunctionDesc(name="lib2", body=(ReadProbe(HeapTarget(0), 64), Return())),
+            FunctionDesc(name="main", body=(Call("victim"), Return())),
+        )), *parse_lists("lib1(0)\nlib2(0)\n", "victim\n"))
+        program = dataclasses.replace(program, functions=tuple(
+            dataclasses.replace(fn, body=(RuntimeCall(call="start_protect"),) + fn.body)
+            if fn.name == "lib1" else fn
+            for fn in program.functions))
+        report = run(program, load_image_map(image_map_for(program)), "main",
+                     vault_factory=vault_factory)
+        [read] = [o for o in report.observations if o.kind == "read"]
+        assert read.function == "lib2" and read.nonzero == 0
+        assert report.stats.register_memory == 1
+        assert (ExceptionKind.INDEX_MISMATCH, "register_memory") not in {
+            (v.kind, v.syscall) for v in report.violations if isinstance(v, VaultException)}
+
 
 class TestRegionLength:
     def test_zero_length_carve_out_of_a_variable_covers_nothing(self):

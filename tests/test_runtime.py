@@ -423,26 +423,42 @@ class TestSaveBuffer:
 
 
 class TestAttachUnderAWindow:
-    def test_attaching_to_a_frame_below_the_watermark_is_refused(self):
+    def test_a_carve_out_of_a_frame_below_the_watermark_is_refused(self):
         # Accepted, the carve-out would open an inner window with no frame.
         for vault_cls in (VaultState, OracleVault):
-            for call in ("register_memory", "register_memory_exception"):
-                memory, vault = make_state(vault_cls)
-                frame = memory.push_frame(0, 32)
-                memory.write_bytes(frame.top, FRAME_PATTERN[:32])
-                vault.register_stack(VPC, all=True, frame_base=frame.base, frame_top=frame.top)
-                vault.start_protect(memory, VPC)
-                before = memory.content_signature()
-                refused = getattr(vault, call)(VPC, frame.top + 8, 4, False)
-                assert vault.exception_log == [refused]
-                assert (refused.kind, refused.syscall, refused.detail) == (
-                    ExceptionKind.INDEX_MISMATCH, call,
-                    "frame registration 0 lies below the open window's watermark 1")
-                assert len(vault.register_list) == 1
-                assert memory.content_signature() == before
-                assert vault.stop_protect(memory, VPC) is None
-                assert vault.protect_list == [] and vault.save_buffer.all_consumed()
-                assert memory.read_bytes(frame.top, 32) == FRAME_PATTERN[:32]
+            memory, vault = make_state(vault_cls)
+            frame = memory.push_frame(0, 32)
+            memory.write_bytes(frame.top, FRAME_PATTERN[:32])
+            vault.register_stack(VPC, all=True, frame_base=frame.base, frame_top=frame.top)
+            vault.start_protect(memory, VPC)
+            before = memory.content_signature()
+            refused = vault.register_memory_exception(VPC, frame.top + 8, 4, False)
+            assert vault.exception_log == [refused]
+            assert (refused.kind, refused.syscall, refused.detail) == (
+                ExceptionKind.INDEX_MISMATCH, "register_memory_exception",
+                "frame registration 0 lies below the open window's watermark 1")
+            assert len(vault.register_list) == 1
+            assert memory.content_signature() == before
+            assert vault.stop_protect(memory, VPC) is None
+            assert vault.protect_list == [] and vault.save_buffer.all_consumed()
+            assert memory.read_bytes(frame.top, 32) == FRAME_PATTERN[:32]
+
+    def test_an_object_of_a_frame_below_the_watermark_is_accepted_and_hidden_next(self):
+        # It lies above the watermark, so the window it was registered
+        # under no longer closes, and the next window hides it.
+        for vault_cls in (VaultState, OracleVault):
+            memory, vault = make_state(vault_cls)
+            frame = memory.push_frame(0, 32)
+            obj = memory.heap_alloc(16)
+            memory.write_bytes(obj.base, HEAP_PATTERN[:16])
+            vault.register_stack(VPC, all=True, frame_base=frame.base, frame_top=frame.top)
+            vault.start_protect(memory, VPC)
+            assert vault.register_memory(VPC, obj.base, 16, False) is None
+            assert len(vault.register_list) == 2
+            assert vault.stop_protect(memory, VPC).kind is ExceptionKind.INDEX_MISMATCH
+            assert memory.read_bytes(obj.base, 16) == HEAP_PATTERN[:16]
+            assert vault.start_protect(memory, VPC) is None
+            assert memory.read_bytes(obj.base, 16) == bytes(16)
 
 
 def contract_setup():
@@ -541,7 +557,7 @@ class TestRefusalContract:
         assert refusals == {
             (IDENTITY, "register_memory"), (IDENTITY, "register_memory_exception"),
             (IDENTITY, "unregister_stack"), (IDENTITY, "stop_protect"),
-            (INDEX, "register_memory"), (INDEX, "register_memory_exception"),
+            (INDEX, "register_memory_exception"),
             (INDEX, "unregister_stack"), (INDEX, "stop_protect"),
             (INVALID, "register_stack"), (INVALID, "register_memory"),
             (INVALID, "register_memory_exception"),

@@ -443,23 +443,6 @@ class TestAttachUnderAWindow:
             assert vault.protect_list == [] and vault.save_buffer.all_consumed()
             assert memory.read_bytes(frame.top, 32) == FRAME_PATTERN[:32]
 
-    def test_an_object_of_a_frame_below_the_watermark_is_accepted_and_hidden_next(self):
-        # It lies above the watermark, so the window it was registered
-        # under no longer closes, and the next window hides it.
-        for vault_cls in (VaultState, OracleVault):
-            memory, vault = make_state(vault_cls)
-            frame = memory.push_frame(0, 32)
-            obj = memory.heap_alloc(16)
-            memory.write_bytes(obj.base, HEAP_PATTERN[:16])
-            vault.register_stack(VPC, all=True, frame_base=frame.base, frame_top=frame.top)
-            vault.start_protect(memory, VPC)
-            assert vault.register_memory(VPC, obj.base, 16, False) is None
-            assert len(vault.register_list) == 2
-            assert vault.stop_protect(memory, VPC).kind is ExceptionKind.INDEX_MISMATCH
-            assert memory.read_bytes(obj.base, 16) == HEAP_PATTERN[:16]
-            assert vault.start_protect(memory, VPC) is None
-            assert memory.read_bytes(obj.base, 16) == bytes(16)
-
 
 def contract_setup():
     """A victim frame, an intruder frame and a heap object, each holding

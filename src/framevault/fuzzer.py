@@ -4,11 +4,20 @@ Each scenario is a small annotated program: a chain of secret-holding
 functions calling library functions that probe memory however they like.
 The scenario is instrumented, executed twice (real runtime and the
 page-dump oracle), and checked against every protection invariant. In
-adversarial mode one forged runtime call from `FORGERIES`, which names a
-forgery of each of the six calls, is spliced into a library body and the
-refusals the table expects are asserted instead. A forged call is one
-that carries no provenance, so a scenario's forgeries are read off its
-program and never stored beside it.
+adversarial mode one forged runtime call from `FORGERIES`, a forgery of
+each of the six calls, is spliced into a library body. A forged call is
+one that carries no provenance, so a scenario's forgeries are read off
+its program and never stored beside it.
+
+`check_scenario` judges any number of forged calls at any depth. Every
+run must have no Leak or IntegrityBreach and end as the page-dump oracle
+does. Each refusal is traced by its caller pc to the forged or the
+inserted calls compiled there; a pc of neither or of both is a problem.
+A refused call changes nothing, so if every forged call that ran was
+refused (an unforged run included), the run must look unforged: no
+fault, no refused inserted call, no window, registration or saved image
+left over. Otherwise a forged call was accepted, its faults are its own,
+and the run must refuse some call or end with nothing left over.
 
 Generation is deterministic: scenario i of seed s is always the same
 program, independent of the campaign size. Every random choice goes
@@ -27,7 +36,6 @@ import json
 import random
 import time
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
 
 from .executor import ExecutionReport, Executor, image_map_for
 from .identity import load_image_map
@@ -39,7 +47,7 @@ from .program import (AddrOfArg, AddressRef, Annotation, AnnotationKind, Arg, As
                       HeapTarget, ProgramDesc, ProgramFormatError, ReadProbe, Return,
                       RuntimeCall, Sensitivity, Statement, ValueArg, VarDesc,
                       VarTarget, WriteProbe, program_from_dict, program_to_dict, to_json)
-from .runtime import ExceptionKind, VaultException
+from .runtime import VaultException
 
 # Largest max_chain a campaign accepts. The call tree grows exponentially
 # with the chain: a worker that calls its lib twice, through a lib that
@@ -53,31 +61,17 @@ MAX_LOCALS = 4
 MINIMIZE_BUDGET = 200
 
 
-class Forgery(NamedTuple):
-    statement: RuntimeCall                # spliced into a library body
-    refusals: tuple[ExceptionKind, ...]   # what the runtime must log for it
-    leaves_window_open: bool
-
-
-_IDENTITY, _INDEX = ExceptionKind.IDENTITY_MISMATCH, ExceptionKind.INDEX_MISMATCH
-
-# One forged call per runtime call, in the adversarial campaign's rotation
-# order. Most fail at the forged call itself and nowhere else. A forged
-# StackEntry is caught twice: the victim's stop_protect sees the grown
-# RegisterList (IndexMismatch), then the victim's unregister_stack finds
-# the attacker's entry on top (IdentityMismatch). So is a forged window:
-# the victim's stop_protect finds it on top (IdentityMismatch), then the
-# victim's unregister_stack finds its frame below its watermark (IndexMismatch).
+# One forged call per runtime call, in the adversarial campaign's rotation order.
 FORGERIES = {
-    "register_memory": Forgery(RuntimeCall("register_memory", target=AddressRef(HEAP_BASE),
-                                           length=16, read_only=False), (_IDENTITY,), False),
-    "stop_protect": Forgery(RuntimeCall("stop_protect"), (_IDENTITY,), False),
-    "unregister_stack": Forgery(RuntimeCall("unregister_stack"), (_IDENTITY,), False),
-    "register_stack": Forgery(RuntimeCall("register_stack", all=True), (_INDEX, _IDENTITY), True),
-    "register_memory_exception": Forgery(
-        RuntimeCall("register_memory_exception", target=AddressRef(HEAP_BASE), length=16,
-                    read_only=False), (_IDENTITY,), False),
-    "start_protect": Forgery(RuntimeCall("start_protect"), (_INDEX, _IDENTITY), True),
+    "register_memory": RuntimeCall("register_memory", target=AddressRef(HEAP_BASE),
+                                   length=16, read_only=False),
+    "stop_protect": RuntimeCall("stop_protect"),
+    "unregister_stack": RuntimeCall("unregister_stack"),
+    "register_stack": RuntimeCall("register_stack", all=True),
+    "register_memory_exception": RuntimeCall("register_memory_exception",
+                                             target=AddressRef(HEAP_BASE), length=16,
+                                             read_only=False),
+    "start_protect": RuntimeCall("start_protect"),
 }
 
 
@@ -367,8 +361,7 @@ def generate_scenario(seed: int, index: int, config: FuzzConfig) -> Scenario:
         forgery = list(FORGERIES.values())[index % len(FORGERIES)]
         lib = program.function("lib0")
         assert lib is not None
-        program = inject_forged(program, "lib0", forgery.statement,
-                                rng.randint(0, forgery_slots(lib)[-1]))
+        program = inject_forged(program, "lib0", forgery, rng.randint(0, forgery_slots(lib)[-1]))
     return Scenario(index=index, seed=seed, raw=raw, program=program,
                     image_map=image_map_for(raw), entry="main",
                     untrusted=untrusted, sensitive=sensitive)
@@ -384,35 +377,39 @@ def check_scenario(scenario: Scenario) -> tuple[ExecutionReport, list[str]]:
     report = ex.run(scenario.entry)
     vault = ex.vault
     assert vault is not None
-    problems = [f"fault: {f}" for f in report.faults]
+    forged_runs = sum(n for key, n in report.provenance_counts.items() if key.endswith("/forged"))
+    prefix = "adversarial scenario broke protection" if forged_runs else "violation"
+    problems = [f"{prefix}: {v}" for v in report.violations if not isinstance(v, VaultException)]
 
-    exceptions = list(vault.exception_log)
-    others = [v for v in report.violations if not isinstance(v, VaultException)]
-    # Only a forged call that ran can be refused, once per run.
-    forgeries = [FORGERIES[key.partition("/")[0]]
-                 for key, count in report.provenance_counts.items()
-                 if key.endswith("/forged") for _ in range(count)]
-    if forgeries:
-        expected = sorted(k for forgery in forgeries for k in forgery.refusals)
-        actual = sorted(v.kind for v in exceptions)
-        if actual != expected:
-            problems.append(f"expected detections {expected}, got "
-                            f"{[(v.kind, v.detail) for v in exceptions]}")
-        for v in others:
-            problems.append(f"adversarial scenario broke protection: {v}")
-    else:
-        for v in report.violations:
-            problems.append(f"violation: {v}")
+    sources: dict[int, set[bool]] = {}  # pc -> whether the runtime calls there are forged
+    if vault.exception_log:
+        for fn in ex.functions.values():
+            for operand in fn.operands:
+                if type(operand) is tuple:  # a runtime call: (statement, pc, key)
+                    sources.setdefault(operand[1], set()).add(operand[0].provenance is None)
+    forged_refusals, refused = 0, []
+    for v in vault.exception_log:
+        source = sources.get(v.caller_pc, ())
+        if len(source) != 1:
+            problems.append(f"cannot attribute refusal at pc {v.caller_pc:#x} to forged "
+                            f"or inserted calls alone: {v}")
+        elif True in source:
+            forged_refusals += 1
+        else:
+            refused.append(f"{prefix}: {v}")
 
-    if not any(forgery.leaves_window_open for forgery in forgeries):
-        if vault.protect_list:
-            problems.append(f"{len(vault.protect_list)} windows never closed")
-        if vault.register_list:
-            problems.append(f"{len(vault.register_list)} registrations never removed")
-        if not vault.save_buffer.all_consumed():
-            problems.append("save buffer holds unconsumed images")
-        if vault.save_buffer.bytes_released != vault.save_buffer.bytes_produced:
-            problems.append("save buffer released != produced")
+    buffer = vault.save_buffer
+    leftovers = [text for text, left in (
+        (f"{len(vault.protect_list)} windows never closed", vault.protect_list),
+        (f"{len(vault.register_list)} registrations never removed", vault.register_list),
+        ("save buffer holds unconsumed images", not buffer.all_consumed()),
+        ("save buffer released != produced", buffer.bytes_released != buffer.bytes_produced))
+        if left]
+    if forged_refusals == forged_runs:
+        problems = [f"fault: {f}" for f in report.faults] + problems + refused + leftovers
+    elif leftovers and not vault.exception_log:
+        problems.append("a forged call was accepted and no call refused, leaving: "
+                        + "; ".join(leftovers))
 
     oracle = Executor(scenario.program, table, vault_factory=OracleVault)
     oracle.run(scenario.entry)

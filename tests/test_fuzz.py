@@ -136,9 +136,11 @@ class TestFindings:
             assert finding.minimized is not None
 
 
-# One window per lib call, and a forgery that leaves no window open.
+# One window per lib call, a forgery the runtime refuses, and a forged
+# window it accepts.
 ONE_WINDOW = generate_scenario(7, 0, FuzzConfig(max_chain=1))
 ADVERSARIAL = generate_scenario(7, 0, FuzzConfig(adversarial=True))
+FORGED_WINDOW = generate_scenario(7, 5, FuzzConfig(adversarial=True))
 
 
 def _mutate_runtime(monkeypatch, name, mutant):
@@ -184,12 +186,21 @@ def _close_logs_an_extra_exception(original, vault, memory, start, end):
                                               "stop_protect", 0, "mutant"))
 
 
+def _unregister_refuses(original, vault, memory, pc):
+    return vault._flag(ExceptionKind.INDEX_MISMATCH, "unregister_stack", pc, "mutant")
+
+
+def _refuse_silently(original, vault, kind, syscall, pc, detail):
+    return VaultException(kind, syscall, pc, detail)
+
+
 class TestEveryProblemCanFire:
     """Each problem check_scenario reports appears under a runtime broken
     in the matching way; `alone` marks a problem no other check repeats."""
 
     def test_both_scenarios_pass_unbroken(self):
         assert check_scenario(ONE_WINDOW)[1] == check_scenario(ADVERSARIAL)[1] == []
+        assert check_scenario(FORGED_WINDOW)[1] == []
 
     @pytest.mark.parametrize("name, mutant, problem, alone", [
         ("stop_protect", _stop_keeps_its_window, "1 windows never closed", False),
@@ -215,9 +226,43 @@ class TestEveryProblemCanFire:
     def test_unexpected_detection(self, monkeypatch):
         _mutate_runtime(monkeypatch, "_close_window", _close_logs_an_extra_exception)
         _, problems = check_scenario(ADVERSARIAL)
-        assert problems[0].startswith("expected detections [<ExceptionKind.IDENTITY_MISMATCH")
-        assert problems[0].endswith("(<ExceptionKind.INDEX_MISMATCH: 'IndexMismatch'>, "
-                                    "'mutant')]")
+        assert problems == [
+            "cannot attribute refusal at pc 0x0 to forged or inserted calls alone: "
+            "VaultException(kind=<ExceptionKind.INDEX_MISMATCH: 'IndexMismatch'>, "
+            "syscall='stop_protect', caller_pc=0, detail='mutant')",
+            "exception log differs from page-dump oracle"]
+
+    @pytest.mark.parametrize("scenario, name, mutant, problem", [
+        # The forged register_memory is refused, so the victim's own
+        # unregister_stack must not be.
+        (ADVERSARIAL, "unregister_stack", _unregister_refuses,
+         "adversarial scenario broke protection: VaultException(kind=<ExceptionKind."
+         "INDEX_MISMATCH: 'IndexMismatch'>, syscall='unregister_stack', caller_pc=4198662, "
+         "detail='mutant')"),
+        # The forged window is accepted, and refusals that log nothing leave
+        # it and the victim's window open with no refusal to show for it.
+        (FORGED_WINDOW, "_flag", _refuse_silently,
+         "a forged call was accepted and no call refused, leaving: 2 windows never closed; "
+         "2 registrations never removed; save buffer holds unconsumed images; save buffer "
+         "released != produced"),
+    ], ids=["inserted call refused", "accepted forgery unrefused"])
+    def test_forged_run_mutant(self, monkeypatch, scenario, name, mutant, problem):
+        _mutate_runtime(monkeypatch, name, mutant)
+        _, problems = check_scenario(scenario)
+        assert problem in problems
+
+    def test_a_pc_shared_by_a_forged_and_an_inserted_call(self):
+        # A one-byte span gives every statement of worker0 the same pc, so
+        # the refusal of its forged stop_protect cannot be told from one of
+        # its inserted calls.
+        program = inject_forged(ONE_WINDOW.program, "worker0", RuntimeCall("stop_protect"), 0)
+        image_map = ONE_WINDOW.image_map.replace("worker0 0x401100 0x401200",
+                                                 "worker0 0x401100 0x401101")
+        _, problems = check_scenario(replace(ONE_WINDOW, program=program, image_map=image_map))
+        assert problems == [
+            "cannot attribute refusal at pc 0x401100 to forged or inserted calls alone: "
+            "VaultException(kind=<ExceptionKind.IDENTITY_MISMATCH: 'IdentityMismatch'>, "
+            "syscall='stop_protect', caller_pc=4198656, detail='no protection window is open')"]
 
     def test_broken_protection(self, runtime_saves_without_clearing):
         _, problems = check_scenario(generate_scenario(7, 2, FuzzConfig(adversarial=True)))
@@ -226,34 +271,124 @@ class TestEveryProblemCanFire:
                             "detail='untrusted read observed protected bytes')"]
 
 
-def single_forgery_failures(seed: int, count: int) -> tuple[int, list[tuple]]:
-    """Place each table call, plus register_stack with all=False, at every
-    slot generate_scenario may draw in lib0 of adversarial scenarios
-    0..count-1 of seed. Returns the number of placements and an
-    (index, call, slot, problems) tuple for each placement with a problem."""
-    calls = [f.statement for f in FORGERIES.values()]
-    calls.append(RuntimeCall("register_stack", all=False))
-    config = FuzzConfig(adversarial=True)
+# Every forged call a placement walk puts in a library: the campaign's six,
+# plus a frame registration without whole-frame protection.
+FORGED_CALLS = (*FORGERIES.values(), RuntimeCall("register_stack", all=False))
+
+_IDENTITY, _INDEX = ExceptionKind.IDENTITY_MISMATCH, ExceptionKind.INDEX_MISMATCH
+
+# The sorted kinds a correct runtime logs for one forged call that runs in
+# lib0 at depth 1. Most are refused at the forged call itself. A forged
+# StackEntry is accepted and caught twice: the victim's stop_protect sees the
+# grown RegisterList (IndexMismatch), then the victim's unregister_stack
+# finds the forger's entry on top (IdentityMismatch). So is a forged window:
+# the victim's stop_protect finds it on top (IdentityMismatch), then the
+# victim's unregister_stack finds its frame below its watermark (IndexMismatch).
+K1_REFUSALS = {
+    "register_memory": (_IDENTITY,),
+    "stop_protect": (_IDENTITY,),
+    "unregister_stack": (_IDENTITY,),
+    "register_stack": (_IDENTITY, _INDEX),
+    "register_memory_exception": (_IDENTITY,),
+    "start_protect": (_IDENTITY, _INDEX),
+}
+
+
+def forged_placements(scenario: Scenario, lib: str, k: int):
+    """Yield (slots, calls, placed scenario) for every way to put k = 1 or
+    2 calls of FORGED_CALLS into `lib` at slots generate_scenario may draw,
+    the second call after the first."""
+    base = instrument(scenario.raw, *parse_lists("\n".join(scenario.untrusted),
+                                                 "\n".join(scenario.sensitive)))
+    fn = base.function(lib)
+    assert fn is not None
+    for pos in forgery_slots(fn):
+        for call in FORGED_CALLS:
+            one = inject_forged(base, lib, call, pos)
+            if k == 1:
+                yield (pos,), (call,), replace(scenario, program=one)
+                continue
+            for later in forgery_slots(one.function(lib))[pos + 1:]:
+                for second in FORGED_CALLS:
+                    yield ((pos, later), (call, second),
+                           replace(scenario, program=inject_forged(one, lib, second, later)))
+
+
+def placement_failures(seed: int, count: int, config: FuzzConfig, k: int,
+                       every_lib: bool = False,
+                       refusals: dict | None = None) -> tuple[int, list[tuple]]:
+    """Check each `forged_placements` in lib0, or with every_lib in every
+    library, of scenarios 0..count-1 of seed. With `refusals`, a placement
+    also fails unless its sorted refusal kinds are its first call's row.
+    Returns the number of placements and a (seed, index, lib, slots, calls,
+    problems) tuple for each placement with a problem."""
     placements, failures = 0, []
     for index in range(count):
         scenario = generate_scenario(seed, index, config)
-        base = instrument(scenario.raw, *parse_lists("\n".join(scenario.untrusted),
-                                                     "\n".join(scenario.sensitive)))
-        lib = base.function("lib0")
-        assert lib is not None
-        for call in calls:
-            for pos in forgery_slots(lib):
-                placed = replace(scenario, program=inject_forged(base, "lib0", call, pos))
-                assert placed.forged == (call.call,)
-                _, problems = check_scenario(placed)
+        libs = [u.partition("(")[0] for u in scenario.untrusted] if every_lib else ["lib0"]
+        for lib in libs:
+            for slots, calls, placed in forged_placements(scenario, lib, k):
+                assert placed.forged == tuple(call.call for call in calls)
+                report, problems = check_scenario(placed)
+                if refusals is not None:
+                    kinds = tuple(sorted(v.kind for v in report.violations
+                                         if isinstance(v, VaultException)))
+                    if kinds != refusals[calls[0].call]:
+                        problems.append(f"refusals {kinds}, expected {refusals[calls[0].call]}")
                 if problems:
-                    failures.append((index, call, pos, problems))
+                    failures.append((seed, index, lib, slots, calls, problems))
                 placements += 1
     return placements, failures
 
 
+def single_forgery_failures(seed: int, count: int) -> tuple[int, list[tuple]]:
+    """Each call of FORGED_CALLS at every slot of lib0 in adversarial
+    scenarios 0..count-1 of seed, refused as K1_REFUSALS says."""
+    return placement_failures(seed, count, FuzzConfig(adversarial=True), 1,
+                              refusals=K1_REFUSALS)
+
+
 def test_every_single_forgery_placement_is_detected():
     assert single_forgery_failures(7, 40) == (931, [])
+
+
+def test_every_pair_of_forged_calls_in_lib0_passes():
+    assert placement_failures(7, 5, FuzzConfig(adversarial=True), 2) == (1715, [])
+
+
+# Placements of a forged register_stack(all=True) whose run reports a Leak
+# of bytes an untrusted lib wrote itself (ROADMAP item 9): the forged frame
+# registration outlives its frame inside a window that can no longer close,
+# so `window_hidden` keeps hiding addresses later frames reuse. The unforged
+# runs read the same bytes and report no Leak. (seed, index, lib, slot).
+KNOWN_FALSE_LEAKS = [(0, 12, "lib0", slot) for slot in range(3)] \
+    + [(102, 21, "lib0", slot) for slot in range(5)] \
+    + [(103, 90, "lib1", slot) for slot in range(3)]
+
+
+def _known_false_leak(failure: tuple) -> bool:
+    seed, index, lib, slots, calls, problems = failure
+    return (len(slots) == 1 and (seed, index, lib, slots[0]) in KNOWN_FALSE_LEAKS
+            and calls == (FORGERIES["register_stack"],)
+            and all(p.startswith("adversarial scenario broke protection: Leak(")
+                    for p in problems))
+
+
+def false_leak_mismatches(seed: int, failures: list[tuple]) -> list[tuple]:
+    """The failures of a k = 1 walk of seed other than KNOWN_FALSE_LEAKS
+    placements failing with Leaks alone, then each listed placement of seed
+    that did not fail so."""
+    excused = [f[:3] + (f[3][0],) for f in failures if _known_false_leak(f)]
+    return [f for f in failures if not _known_false_leak(f)] \
+        + [key for key in KNOWN_FALSE_LEAKS if key[0] == seed and key not in excused]
+
+
+def test_single_forgeries_in_every_lib_fail_only_as_known_false_leaks():
+    placements, failures = placement_failures(0, 20, FuzzConfig(max_chain=3), 1,
+                                              every_lib=True)
+    assert placements == 1134
+    assert [f[:4] for f in failures] == [(0, 12, "lib0", (slot,)) for slot in range(3)]
+    assert false_leak_mismatches(0, failures) == []
 
 
 def test_a_forged_call_after_return_expects_no_refusal():
@@ -268,9 +403,6 @@ def test_a_forged_call_after_return_expects_no_refusal():
     assert check_scenario(placed)[1] == []
 
 
-@pytest.mark.xfail(strict=True, reason="check_scenario concatenates FORGERIES rows, "
-                   "but a forged window lib0 opens and closes itself is refused "
-                   "nowhere (ROADMAP item 3)")
 def test_a_forged_window_that_closes_itself_expects_no_refusal():
     scenario = generate_scenario(7, 0, FuzzConfig(adversarial=True))
     program = instrument(scenario.raw, *parse_lists("\n".join(scenario.untrusted),

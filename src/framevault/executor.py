@@ -62,7 +62,7 @@ from typing import NamedTuple
 from .identity import FunctionSpan, IdentityTable, synthesize_image_map
 from .memory import _ZEROS, FRAME_METADATA_BYTES, MemoryFault, ProcessMemory, StackFrame
 from .oracle import subtract_intervals, window_hidden, window_regions
-from .program import (AbsoluteTarget, AddrOfArg, AddressRef, Assign, Call, DerefTarget,
+from .program import (AbsoluteTarget, AddrOfArg, Assign, Call, DerefTarget,
                       FrameTarget, FunctionDesc, HeapAlloc, HeapTarget, PointeeRef,
                       ProgramDesc, ReadProbe, Return, RuntimeCall, VarRef, VarTarget,
                       WriteProbe, shown)
@@ -446,10 +446,7 @@ def _assign(ex: Executor, ctx: _FrameCtx, stmt: Assign) -> None:
 
 
 def _heap_alloc(ex: Executor, ctx: _FrameCtx, stmt: HeapAlloc) -> None:
-    var = ctx.vars.get(stmt.var)
-    if var is None:
-        _fault(ex, ctx, f"heap_alloc into unknown variable {shown(stmt.var)}")
-        return
+    var = ctx.vars[stmt.var]
     try:
         obj = ex.memory.heap_alloc(stmt.size)
     except MemoryFault as exc:
@@ -470,10 +467,7 @@ def _call(ex: Executor, ctx: _FrameCtx, stmt: Call) -> tuple[_FrameCtx, Iterator
         return None
     arg_values: list[bytes] = []
     for arg in stmt.args:
-        var = ctx.vars.get(arg.var)
-        if var is None:
-            _fault(ex, ctx, f"unknown argument variable {shown(arg.var)}")
-            return None
+        var = ctx.vars[arg.var]
         addr, size = ctx.frame.top + var[0], var[1]
         if isinstance(arg, AddrOfArg):
             arg_values.append(addr.to_bytes(8, "little"))
@@ -541,12 +535,8 @@ def _absolute(ex: Executor, ctx: _FrameCtx, target: AbsoluteTarget) -> int:
     return target.addr
 
 
-def _deref(ex: Executor, ctx: _FrameCtx, target: DerefTarget) -> int | None:
-    var = ctx.vars.get(target.param)
-    if var is None:
-        _fault(ex, ctx, f"deref of unknown variable {shown(target.param)}")
-        return None
-    raw = ex.memory.read_bytes(ctx.frame.top + var[0], 8)
+def _deref(ex: Executor, ctx: _FrameCtx, target: DerefTarget) -> int:
+    raw = ex.memory.read_bytes(ctx.frame.top + ctx.vars[target.param][0], 8)
     return int.from_bytes(raw, "little") + target.offset
 
 
@@ -606,23 +596,13 @@ def _register_region(ex: Executor, ctx: _FrameCtx, operand: tuple) -> VaultExcep
     ex.provenance_counts[key] += 1
     ref = stmt.target
     if isinstance(ref, VarRef):
-        var = ctx.vars.get(ref.var)
-        if var is None:
-            _fault(ex, ctx, f"{stmt.call} names unknown variable {shown(ref.var)}")
-            return None
+        var = ctx.vars[ref.var]
         base, length = ctx.frame.top + var[0], (var[1] if stmt.length is None else stmt.length)
     elif isinstance(ref, PointeeRef):
-        var = ctx.vars.get(ref.var)
-        if var is None or stmt.length is None:
-            _fault(ex, ctx, f"{stmt.call} has unresolvable pointee region")
-            return None
-        raw = ex.memory.read_bytes(ctx.frame.top + var[0], 8)
+        raw = ex.memory.read_bytes(ctx.frame.top + ctx.vars[ref.var][0], 8)
         base, length = int.from_bytes(raw, "little"), stmt.length
-    elif isinstance(ref, AddressRef):
+    else:  # an AddressRef
         base, length = ref.addr, stmt.length or 0
-    else:
-        _fault(ex, ctx, f"{stmt.call} without a region")
-        return None
     return getattr(ex.vault, stmt.call)(pc, base, length, bool(stmt.read_only))
 
 

@@ -152,17 +152,11 @@ def _statement_problem(stmt: Statement, fn_untrusted: bool, variables: dict[str,
     if kind is ReadProbe or kind is WriteProbe:
         return None if fn_untrusted else "probe outside an untrusted function"
     if kind is HeapAlloc:
-        target = variables.get(stmt.var)
-        if target is None:
-            return f"unknown variable {shown(stmt.var)}"
-        if not target.pointer:
+        if not variables[stmt.var].pointer:
             return f"heap_alloc into non-pointer {shown(stmt.var)}"
     elif kind is Call:
         if stmt.callee in RUNTIME_CALLS:
             return f"{shown(stmt.callee)} is a reserved name"
-        for arg in stmt.args:
-            if arg.var not in variables:
-                return f"unknown argument variable {shown(arg.var)}"
         callee = functions.get(stmt.callee)
         if callee is not None:
             if len(stmt.args) != callee.arity:

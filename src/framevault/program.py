@@ -50,13 +50,16 @@ and all bodies together at most MAX_PROGRAM_STATEMENTS.
 
 Every description, parsed or built in code, keeps three rules: a
 program's function names are distinct, as are a function's params and
-locals; an ``assign`` names one of its function's variables and fits in
-it; and a ``runtime_call`` names one of the six RUNTIME_CALLS, with a
-``provenance`` that is absent (a forged call) or a non-empty string other
-than ``forged`` (the insertion rule that made it).
-`ProgramDesc` and `FunctionDesc` refuse a description that breaks one
-when it is built; `parse` puts the document's place in front of their
-message. So other modules look names up in plain dicts.
+locals; every variable a statement names in its own function (an
+argument, a ``deref`` param, a region, an ``assign`` or ``heap_alloc``
+var) is a str declared there, and an ``assign`` fits in it; and a
+``runtime_call`` names one of the six RUNTIME_CALLS, carries its region
+if it registers one (a pointee with a ``len``), and has a ``provenance``
+that is absent (a forged call) or a non-empty string other than
+``forged`` (the insertion rule that made it). `ProgramDesc` and
+`FunctionDesc` refuse a description that breaks one when it is built;
+`parse` puts the document's place in front of their message. So other
+modules look names up in plain dicts.
 
 A parsed program is compact: within one document it holds one ``str`` per
 distinct name, call and provenance, and one instance per distinct
@@ -320,12 +323,12 @@ class FunctionDesc:
             sizes[v.name] = v.size
         for i, stmt in enumerate(self.body):
             kind = type(stmt)
-            if kind is Assign and len(stmt.value) > sizes.get(stmt.var, -1):
-                of = f"{shown(stmt.var)} of function {shown(self.name)}"
-                raise ProgramFormatError(
-                    f"assign of {len(stmt.value)} bytes to {of}, which holds "
-                    f"{sizes[stmt.var]} bytes" if stmt.var in sizes else
-                    f"assign to undeclared variable {of}", f"body[{i}]")
+            if kind is Assign or kind is HeapAlloc:
+                names, what = (stmt.var,), "assign to" if kind is Assign else "heap_alloc into"
+            elif kind is Call:
+                names, what = [arg.var for arg in stmt.args], "argument of"
+            elif (kind is ReadProbe or kind is WriteProbe) and type(stmt.target) is DerefTarget:
+                names, what = (stmt.target.param,), "deref of"
             elif kind is RuntimeCall:
                 if stmt.call not in RUNTIME_CALLS:
                     raise ProgramFormatError(f"unknown runtime call {shown(stmt.call)}",
@@ -335,6 +338,26 @@ class FunctionDesc:
                                                or provenance in ("", "forged")):
                     raise ProgramFormatError("'provenance' must be a non-empty string other "
                                              "than 'forged'", f"body[{i}]")
+                region = type(stmt.target)
+                if stmt.call not in ("register_memory", "register_memory_exception") \
+                        or region is AddressRef:
+                    continue
+                if region is not VarRef and region is not PointeeRef:
+                    raise ProgramFormatError(f"{stmt.call} needs a region", f"body[{i}]")
+                if region is PointeeRef and stmt.length is None:
+                    raise ProgramFormatError(f"{stmt.call} of a pointee needs 'len'", f"body[{i}]")
+                names, what = (stmt.target.var,), f"{stmt.call} of"
+            else:
+                continue
+            for name in names:
+                # A name that is no str is declared nowhere and may not hash.
+                if type(name) is not str or name not in sizes:
+                    raise ProgramFormatError(f"{what} undeclared variable {shown(name)} of "
+                                             f"function {shown(self.name)}", f"body[{i}]")
+            if kind is Assign and len(stmt.value) > sizes[stmt.var]:
+                raise ProgramFormatError(
+                    f"assign of {len(stmt.value)} bytes to {shown(stmt.var)} of function "
+                    f"{shown(self.name)}, which holds {sizes[stmt.var]} bytes", f"body[{i}]")
 
     def var(self, name: str) -> VarDesc | None:
         for v in self.variables():

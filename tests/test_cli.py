@@ -3,12 +3,15 @@ files shipping in demos/pwdgenerator."""
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import pathlib
 import re
 import shlex
 import subprocess
 import sys
+import traceback
 
 import pytest
 
@@ -325,6 +328,26 @@ def one_statement(stmt: dict) -> dict:
 
 REGISTER_AT = {"op": "runtime_call", "call": "register_memory", "len": 4}
 
+# Variable names that are not strings, where a statement names a variable
+# of its own function, and the message each gives. Each is refused when
+# the description is built, before any name is looked up.
+NON_STRING_NAMES = {
+    "argument var a list": (
+        one_statement({"op": "call", "callee": "lib", "args": [{"var": ["x"]}]}),
+        "functions[0].body[0]: argument of undeclared variable ['x'] of function 'main'"),
+    "argument addr_of an object": (
+        one_statement({"op": "call", "callee": "lib", "args": [{"addr_of": {}}]}),
+        "functions[0].body[0]: argument of undeclared variable {} of function 'main'"),
+    "region var a list": (
+        one_statement({**REGISTER_AT, "target": {"var": ["x", 1]}}),
+        "functions[0].body[0]: register_memory of undeclared variable ['x', 1] of "
+        "function 'main'"),
+    "region pointee_of an object": (
+        one_statement({**REGISTER_AT, "target": {"pointee_of": {"a": 1}}}),
+        "functions[0].body[0]: register_memory of undeclared variable {'a': 1} of "
+        "function 'main'"),
+}
+
 PARSE_ERRORS = {
     "expected hex string": (
         one_statement({"op": "assign", "var": "x", "value": 5}),
@@ -385,6 +408,7 @@ PARSE_ERRORS = {
         one_statement({"op": "runtime_call", "call": "start_protect", "provenance": value}),
         "functions[0].body[0]: 'provenance' must be a non-empty string other than 'forged'")
        for value in ("", False, "forged")},
+    **NON_STRING_NAMES,
 }
 
 
@@ -498,6 +522,70 @@ class TestParseErrors:
         assert capsys.readouterr().err == f"framevault: error: {message}\n"
 
 
+# The values a one-field walk puts in place of each field: tier-1 walks
+# WALK_VALUES, the CI job adds MORE_WALK_VALUES.
+WALK_VALUES = (None, True, 7, [], ["x"], {})
+MORE_WALK_VALUES = (-1, 1.5, "", "zz", {"a": 1})
+
+
+def _fields(doc, path=()):
+    """The path of every value below the document's root."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) \
+        if isinstance(doc, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _fields(value, path + (key,))
+
+
+def _changed(doc, path, value):
+    """A copy of `doc` with the field at `path` set to `value`."""
+    copy = json.loads(json.dumps(doc))
+    node = copy
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return copy
+
+
+def walk_crashes(directory: pathlib.Path, values) -> tuple[int, list]:
+    """Change one field of the pwdgenerator documents at a time to each of
+    `values`: `instrument` and `native` the raw program, `run` the
+    instrumented one. Returns the number of runs and a (command, path,
+    value, what happened) for each run that raised, with the exception and
+    the line that raised it, or exited other than 0, 1 or 2. Output and error text are dropped; files go to `directory`."""
+    raw = json.loads(pathlib.Path(DEMO_PROGRAM).read_text())
+    instrumented = json.loads(emit(pwdgen_instrumented()))
+    program_file, out = directory / "walk.json", str(directory / "walk.out")
+    commands = ((raw, ["instrument", "--untrusted-list", DEMO_UNTRUSTED,
+                       "--sensitive-list", DEMO_SENSITIVE]),
+                (raw, ["native", "--image-map", DEMO_MAP]),
+                (instrumented, ["run", "--image-map", DEMO_MAP]))
+    runs, crashes = 0, []
+    with open(os.devnull, "w") as sink, \
+            contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        for doc, (command, *flags) in commands:
+            for path in _fields(doc):
+                for value in values:
+                    program_file.write_text(json.dumps(_changed(doc, path, value)))
+                    runs += 1
+                    try:
+                        code = main([command, "--program", str(program_file), *flags,
+                                     "-o", out])
+                    except Exception as exc:  # recorded with where it was raised
+                        where = traceback.extract_tb(exc.__traceback__)[-1]
+                        crashes.append((command, path, value,
+                                        f"{exc!r} at {where.filename}:{where.lineno}"))
+                    else:
+                        if code not in (0, 1, 2):
+                            crashes.append((command, path, value, f"exit {code}"))
+    return runs, crashes
+
+
+def test_no_one_field_change_of_the_demo_makes_a_command_raise(tmp_path):
+    runs, crashes = walk_crashes(tmp_path, WALK_VALUES)
+    assert (runs, crashes) == (1578, [])
+
+
 class TestLongValues:
     """An error message shows at most SHOWN_CHARS characters of the value
     it echoes, then the value's length, however long the value is."""
@@ -555,7 +643,8 @@ LONG_NAME_PROGRAMS = {
         f"function 'main' body[0]: {LONG_SHOWN} takes 0 arguments, got 1"),
     "unknown variable": (
         one_statement({"op": "heap_alloc", "var": LONG, "size": 16}),
-        f"function 'main' body[0]: unknown variable {LONG_QUOTED}"),
+        f"functions[0].body[0]: heap_alloc into undeclared variable {LONG_QUOTED} of "
+        f"function 'main'"),
     "function name": (
         {"functions": [{"name": LONG, "body": [
             {"op": "read_probe", "len": 1, "target": {"kind": "addr", "addr": "0x401000"}}]}]},
@@ -630,22 +719,24 @@ VALIDATION_ERRORS = {
     "heap_alloc into an unknown variable": (
         {"functions": [{"name": "main", "body": [
             {"op": "heap_alloc", "var": "p", "size": 16}]}]},
-        "function 'main' body[0]: unknown variable 'p'"),
+        "functions[0].body[0]: heap_alloc into undeclared variable 'p' of function 'main'"),
     "unknown argument variable": (
         {"functions": [{"name": "main", "body": [
             {"op": "call", "callee": "lib", "args": [{"var": "q"}]}]}, LIB]},
-        "function 'main' body[0]: unknown argument variable 'q'"),
+        "functions[0].body[0]: argument of undeclared variable 'q' of function 'main'"),
     "unresolvable pointee size": (
         {"functions": [{"name": "main", "sensitivity": "sensitive", "locals": [
             {"name": "p", "size": 8, "pointer": True, "annotation": "sensitive_pointer"}],
             "body": [{"op": "heap_alloc", "var": "p", "size": 16}]}]},
         "pointer variable 'p': pointee size not resolvable; use a size suffix or "
         "declare pointee_size"),
+    **NON_STRING_NAMES,
 }
 
 
 class TestValidationErrors:
-    """Descriptions that parse but cannot be instrumented exit 2."""
+    """Descriptions that `instrument` refuses, when it parses them or when
+    it checks them against the lists, exit 2."""
 
     @pytest.mark.parametrize("case", VALIDATION_ERRORS)
     def test_instrument_exits_2_with_the_message(self, tmp_path, capsys, case):

@@ -1,27 +1,32 @@
 """The executor's fault paths, each pinned to its exact message, its call
 stack (independent of Python's), the integrity verdict from detection
 through both report renderings, and a forged window that must not expose
-a later window's secret."""
+a later window's secret. A name a statement gives in its own function is
+resolved when the function is built, so those cases are refusals of the
+description, not faults of a run."""
 
 from __future__ import annotations
 
 import dataclasses
+import json
 import sys
 from collections import Counter
 
 import pytest
 
 from framevault import executor
+from framevault.cli import main
 from framevault.executor import (IntegrityBreach, image_map_for, run, run_native,
                                  secret_bytes_observed)
 from framevault.identity import load_image_map
 from framevault.instrument import instrument, parse_lists
 from framevault.memory import (FRAME_METADATA_BYTES, HEAP_CAPACITY, STACK_BASE,
                                STACK_CAPACITY, TEXT_BASE, ProcessMemory)
-from framevault.program import (AbsoluteTarget, AddressRef, Assign, Call, DerefTarget,
-                                FrameTarget, FunctionDesc, HeapAlloc, HeapTarget, PointeeRef,
-                                ProgramDesc, ProgramFormatError, ReadProbe, Return, RuntimeCall,
-                                ValueArg, VarDesc, VarRef, VarTarget, WriteProbe)
+from framevault.program import (AbsoluteTarget, AddressRef, AddrOfArg, Assign, Call,
+                                DerefTarget, FrameTarget, FunctionDesc, HeapAlloc, HeapTarget,
+                                PointeeRef, ProgramDesc, ProgramFormatError, ReadProbe, Return,
+                                RuntimeCall, ValueArg, VarDesc, VarRef, VarTarget, WriteProbe,
+                                _stmt_to_dict, parse)
 from framevault.oracle import OracleVault
 from framevault.reporting import render_report, report_to_dict
 from framevault.runtime import ExceptionKind, VaultState
@@ -39,6 +44,28 @@ def run_main(*body, locals=(), others=(), runner=run):
 
 def faults_of(*body, **kwargs):
     return run_main(*body, **kwargs).faults
+
+
+def assert_refused(tmp_path, capsys, message, *body, locals=()):
+    """A `main` whose `body` ends in a statement that names no region or a
+    variable `main` does not declare is refused three ways: built in code,
+    at that statement; parsed, with the document's location in front; and
+    by `framevault run`, with exit 2."""
+    at = f"body[{len(body) - 1}]"
+    with pytest.raises(ProgramFormatError) as built:
+        FunctionDesc(name="main", locals=tuple(locals), body=body + (Return(),))
+    assert (built.value.at, built.value.message) == (at, message)
+    doc = {"instrumented": True, "functions": [{
+        "name": "main", "locals": [{"name": v.name, "size": v.size} for v in locals],
+        "body": [_stmt_to_dict(stmt) for stmt in body + (Return(),)]}]}
+    with pytest.raises(ProgramFormatError) as parsed:
+        parse(json.dumps(doc))
+    assert str(parsed.value) == f"functions[0].{at}: {message}"
+    program_file, map_file = tmp_path / "refused.json", tmp_path / "refused.map"
+    program_file.write_text(json.dumps(doc))
+    map_file.write_text("main 0x401000 0x401100\n")
+    assert main(["run", "--program", str(program_file), "--image-map", str(map_file)]) == 2
+    assert capsys.readouterr().err == f"framevault: error: functions[0].{at}: {message}\n"
 
 
 class TestEnterAndBudget:
@@ -150,9 +177,10 @@ class TestImageMapCoverage:
 
 
 class TestHeapAlloc:
-    def test_into_an_unknown_variable(self):
-        assert faults_of(HeapAlloc("ghost", 16)) == [
-            "main: heap_alloc into unknown variable 'ghost'"]
+    def test_into_an_unknown_variable(self, tmp_path, capsys):
+        assert_refused(tmp_path, capsys,
+                       "heap_alloc into undeclared variable 'ghost' of function 'main'",
+                       HeapAlloc("ghost", 16))
 
     def test_beyond_the_heap_capacity(self):
         size = HEAP_CAPACITY + 1
@@ -161,14 +189,16 @@ class TestHeapAlloc:
 
 
 class TestNames:
-    def test_unknown_argument_variable(self):
-        lib = FunctionDesc(name="lib", params=(VarDesc("a", 8),), body=(Return(),))
-        assert faults_of(Call("lib", (ValueArg("ghost"),)), others=(lib,)) == [
-            "main: unknown argument variable 'ghost'"]
+    def test_unknown_argument_variable(self, tmp_path, capsys):
+        assert_refused(tmp_path, capsys,
+                       "argument of undeclared variable 'ghost' of function 'main'",
+                       Call("lib", (ValueArg("x"), AddrOfArg("ghost"))),
+                       locals=(VarDesc("x", 8),))
 
-    def test_deref_of_an_unknown_variable(self):
-        assert faults_of(ReadProbe(DerefTarget("ghost"), 4)) == [
-            "main: deref of unknown variable 'ghost'"]
+    def test_deref_of_an_unknown_variable(self, tmp_path, capsys):
+        assert_refused(tmp_path, capsys,
+                       "deref of undeclared variable 'ghost' of function 'main'",
+                       ReadProbe(DerefTarget("ghost"), 4))
 
     def test_heap_object_that_does_not_exist(self):
         assert faults_of(ReadProbe(HeapTarget(3), 4)) == [
@@ -216,20 +246,22 @@ class TestProbes:
 class TestRegions:
     FRAME = RuntimeCall(call="register_stack", all=False)
 
-    def test_variable_region_names_an_unknown_variable(self):
-        assert faults_of(self.FRAME, RuntimeCall(call="register_memory",
-                                                 target=VarRef("ghost"))) == [
-            "main: register_memory names unknown variable 'ghost'"]
+    def test_variable_region_names_an_unknown_variable(self, tmp_path, capsys):
+        assert_refused(tmp_path, capsys,
+                       "register_memory of undeclared variable 'ghost' of function 'main'",
+                       self.FRAME, RuntimeCall(call="register_memory", target=VarRef("ghost")))
 
-    @pytest.mark.parametrize("var, length", [("ghost", 8), ("p", None)])
-    def test_unresolvable_pointee_region(self, var, length):
+    @pytest.mark.parametrize("var, length, message", [
+        ("ghost", 8, "register_memory of undeclared variable 'ghost' of function 'main'"),
+        ("p", None, "register_memory of a pointee needs 'len'"),
+    ], ids=["ghost-8", "p-None"])
+    def test_unresolvable_pointee_region(self, tmp_path, capsys, var, length, message):
         call = RuntimeCall(call="register_memory", target=PointeeRef(var), length=length)
-        assert faults_of(self.FRAME, call, locals=(VarDesc("p", 8),)) == [
-            "main: register_memory has unresolvable pointee region"]
+        assert_refused(tmp_path, capsys, message, self.FRAME, call, locals=(VarDesc("p", 8),))
 
-    def test_call_without_a_region(self):
-        assert faults_of(self.FRAME, RuntimeCall(call="register_memory_exception")) == [
-            "main: register_memory_exception without a region"]
+    def test_call_without_a_region(self, tmp_path, capsys):
+        assert_refused(tmp_path, capsys, "register_memory_exception needs a region",
+                       self.FRAME, RuntimeCall(call="register_memory_exception"))
 
     def test_a_region_outside_stack_and_heap_is_refused(self):
         call = RuntimeCall(call="register_memory", target=AddressRef(0x50), length=8)

@@ -123,8 +123,6 @@ class Reference:
         if isinstance(stmt, Assign):
             self.write(top + variables[stmt.var][0], stmt.value)
         elif isinstance(stmt, HeapAlloc):
-            if stmt.var not in variables:
-                raise _Fault(f"heap_alloc into unknown variable {stmt.var!r}")
             base = self.heap_next
             if base + stmt.size > HEAP_LIMIT:
                 raise _Fault(f"allocation of {stmt.size} bytes exceeds heap capacity")
@@ -141,8 +139,6 @@ class Reference:
                 raise _Fault(f"call depth limit at {stmt.callee}")
             args = []
             for arg in stmt.args:
-                if arg.var not in variables:
-                    raise _Fault(f"unknown argument variable {arg.var!r}")
                 off, size = variables[arg.var]
                 args.append((top + off).to_bytes(8, "little") if isinstance(arg, AddrOfArg)
                             else self.read(top + off, size))
@@ -165,8 +161,6 @@ class Reference:
         if isinstance(target, AbsoluteTarget):
             return target.addr
         if isinstance(target, DerefTarget):
-            if target.param not in variables:
-                raise _Fault(f"deref of unknown variable {target.param!r}")
             pointer = self.read(top + variables[target.param][0], 8)
             return int.from_bytes(pointer, "little") + target.offset
         if isinstance(target, HeapTarget):

@@ -475,10 +475,35 @@ class TestNamesDescribedTwice:
 
 _NAMES = st.sampled_from("abc")
 
+# What a statement may give where it names a variable of its own function:
+# declared names, an undeclared one, and values that are no string.
+_STATEMENT_NAMES = st.sampled_from(["a", "b", "c", "d", ["a"], {}, 7, None])
+
+
+def _statement(kind, name, n):
+    """A statement of `kind` that names `name`, built in code and as the
+    document describes it; `n` is an assign's length or a region's."""
+    if kind == "assign":
+        return Assign(name, bytes(n)), {"op": "assign", "var": name, "value": "00" * n}
+    if kind == "heap_alloc":
+        return HeapAlloc(name, 8), {"op": "heap_alloc", "var": name, "size": 8}
+    if kind in ("var", "addr_of"):
+        arg = ValueArg(name) if kind == "var" else AddrOfArg(name)
+        return Call("f", (arg,)), {"op": "call", "callee": "f", "args": [{kind: name}]}
+    if kind == "deref":
+        return (ReadProbe(DerefTarget(name), 1),
+                {"op": "read_probe", "target": {"kind": "deref", "param": name}, "len": 1})
+    call, ref = (("register_memory", VarRef) if kind == "region" else
+                 ("register_memory_exception", PointeeRef))
+    return (RuntimeCall(call, target=ref(name), length=n),
+            {"op": "runtime_call", "call": call,
+             "target": {"var" if ref is VarRef else "pointee_of": name}, "len": n})
+
 
 class TestAssignsAtConstruction:
-    """An assign names a declared variable and fits in it; a description
-    that breaks either rule is refused when it is built."""
+    """Every variable a statement names in its own function is declared,
+    and an assign fits in it; a description that breaks either rule is
+    refused when it is built."""
 
     def test_an_assign_to_an_undeclared_variable_is_refused(self):
         with pytest.raises(ProgramFormatError) as exc:
@@ -498,34 +523,48 @@ class TestAssignsAtConstruction:
 
     @given(st.lists(st.tuples(_NAMES, st.integers(1, 4)), max_size=3),
            st.lists(st.tuples(_NAMES, st.integers(1, 4)), max_size=3),
-           st.lists(st.tuples(st.sampled_from("abcd"), st.integers(0, 5).map(bytes)),
-                    max_size=4))
+           st.lists(st.tuples(st.sampled_from(["assign", "heap_alloc", "var", "addr_of",
+                                               "deref", "region", "pointee"]),
+                              _STATEMENT_NAMES, st.integers(0, 5)), max_size=4))
     @example([("a", 2)], [("a", 2)], [])
-    @example([("a", 2)], [], [("a", b"\x01\x02")])
-    @example([("a", 2)], [], [("a", b"\x01\x02\x03")])
-    @example([], [("b", 1)], [("a", b"")])
-    def test_construction_refuses_exactly_duplicates_and_unfit_assigns(self, params, locals_,
-                                                                       assigns):
+    @example([("a", 2)], [], [("assign", "a", 2)])
+    @example([("a", 2)], [], [("assign", "a", 3)])
+    @example([], [("b", 1)], [("assign", "a", 0)])
+    @example([("a", 8)], [], [("heap_alloc", "a", 0), ("heap_alloc", "b", 0)])
+    @example([("a", 8)], [], [("var", "a", 0), ("addr_of", ["a"], 0)])
+    @example([("a", 8)], [], [("deref", "d", 0), ("deref", 7, 0)])
+    @example([("a", 8)], [], [("region", "a", 4), ("pointee", {}, 4)])
+    def test_construction_refuses_exactly_duplicates_and_unresolved_names(self, params,
+                                                                          locals_, statements):
         names = [name for name, _ in params + locals_]
         duplicated = len(set(names)) < len(names)
         sizes = dict(params + locals_)
-        unfit = [i for i, (name, value) in enumerate(assigns)
-                 if name not in sizes or len(value) > sizes[name]]
+        unfit = [i for i, (kind, name, n) in enumerate(statements)
+                 if type(name) is not str or name not in sizes
+                 or kind == "assign" and n > sizes[name]]
+        # The format itself requires a str where an assign, a heap_alloc or
+        # a deref names its variable, so parse refuses such a statement
+        # before the function is built.
+        format_refused = [i for i, (kind, name, _) in enumerate(statements)
+                          if type(name) is not str and kind in ("assign", "heap_alloc", "deref")]
+        built = [_statement(*stmt) for stmt in statements]
         doc = {"functions": [{"name": "main",
                               "params": [{"name": n, "size": k} for n, k in params],
                               "locals": [{"name": n, "size": k} for n, k in locals_],
-                              "body": [{"op": "assign", "var": n, "value": value.hex()}
-                                       for n, value in assigns]}]}
+                              "body": [raw for _, raw in built]}]}
         try:
             fn = FunctionDesc(name="main", params=tuple(var(n, k) for n, k in params),
                               locals=tuple(var(n, k) for n, k in locals_),
-                              body=tuple(Assign(n, value) for n, value in assigns))
+                              body=tuple(stmt for stmt, _ in built))
         except ProgramFormatError as exc:
             assert exc.at == ("" if duplicated else f"body[{unfit[0]}]")
             with pytest.raises(ProgramFormatError) as parsed:
                 parse(json.dumps(doc))
-            assert str(parsed.value) == (f"functions[0].{exc}" if exc.at
-                                         else f"functions[0]: {exc}")
+            if format_refused:
+                assert str(parsed.value).startswith(f"functions[0].body[{format_refused[0]}]: ")
+            else:
+                assert str(parsed.value) == (f"functions[0].{exc}" if exc.at
+                                             else f"functions[0]: {exc}")
         else:
             assert not duplicated and not unfit
             program = ProgramDesc(functions=(fn,))

@@ -610,7 +610,8 @@ def _start_protect(ex: Executor, ctx: _FrameCtx, operand: tuple) -> VaultExcepti
     stmt, pc, key = operand
     ex.provenance_counts[key] += 1
     vault, read = ex.vault, ex.memory.read_bytes
-    entries = vault.register_list[vault.watermark():]
+    protect_list = vault.protect_list
+    entries = vault.register_list[protect_list[-1].register_index if protect_list else 0:]
     regions, carve_outs = window_regions(entries)
     integrity = [(addr, read(addr, length)) for addr, length in regions]
     refused = vault.start_protect(ex.memory, pc)
@@ -631,23 +632,30 @@ def _stop_protect(ex: Executor, ctx: _FrameCtx, operand: tuple) -> VaultExceptio
         return refused  # window still open; nothing was restored
     window = windows.pop()
     # Each region is compared whole in place; only one that changed is read
-    # back and compared piece by piece, without the writable carve-outs its
-    # callee may change.
+    # back and compared piece by piece.
     holds = ex.memory.holds
-    for snapshots, holes in ((window.integrity, window.carve_outs), (pre_close, ())):
-        for addr, snapshot in snapshots:
-            if holds(addr, snapshot):
-                continue
-            actual = read(addr, len(snapshot))
-            view = memoryview(actual)
-            for lo, length in subtract_intervals([(addr, len(snapshot))], holes):
-                off = lo - addr
-                if not snapshot.startswith(view[off:off + length], off):
-                    ex.violations.append(IntegrityBreach(
-                        window=window.wid, address=lo, length=length,
-                        detail=f"first mismatch at byte "
-                               f"{_first_mismatch(view[off:off + length], snapshot, off)}"))
+    for addr, snapshot in window.integrity:
+        if not holds(addr, snapshot):
+            _breaches(ex, window.wid, addr, snapshot, window.carve_outs)
+    for addr, snapshot in pre_close:
+        if not holds(addr, snapshot):
+            _breaches(ex, window.wid, addr, snapshot, ())
     return None
+
+
+def _breaches(ex: Executor, wid: int, addr: int, snapshot: bytes,
+              holes: list[tuple[int, int]]) -> None:
+    """Log an IntegrityBreach for each piece of the region at addr, outside
+    `holes` (the writable carve-outs its callee may change), whose bytes
+    differ from the snapshot."""
+    view = memoryview(ex.memory.read_bytes(addr, len(snapshot)))
+    for lo, length in subtract_intervals([(addr, len(snapshot))], holes):
+        off = lo - addr
+        if not snapshot.startswith(view[off:off + length], off):
+            ex.violations.append(IntegrityBreach(
+                window=wid, address=lo, length=length,
+                detail=f"first mismatch at byte "
+                       f"{_first_mismatch(view[off:off + length], snapshot, off)}"))
 
 
 def _first_mismatch(actual: memoryview, snapshot: bytes, off: int) -> int:

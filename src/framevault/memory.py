@@ -172,6 +172,11 @@ class ProcessMemory:
         """Overwrite a stack or heap region with zeros."""
         if length < 0:
             raise ValueError("negative clear length")
+        stack = self._stack
+        off = addr - STACK_BASE + len(stack)
+        if off >= 0 and addr + length <= STACK_BASE:  # the stack segment holds them
+            stack[off:off + length] = _ZEROS[:length]
+            return
         # A clear longer than _ZEROS fits no region; write_bytes faults on it.
         self.write_bytes(addr, _ZEROS[:length] if length <= len(_ZEROS) else bytes(length))
 

@@ -48,11 +48,12 @@ a field that holds a flag (``pointer``, ``all``, ``read_only``,
 MAX_FUNCTIONS functions, a body at most MAX_BODY_STATEMENTS statements,
 and all bodies together at most MAX_PROGRAM_STATEMENTS.
 
-Every description, parsed or built in code, keeps three rules: a
-program's function names are distinct, as are a function's params and
-locals; every variable a statement names in its own function (an
-argument, a ``deref`` param, a region, an ``assign`` or ``heap_alloc``
-var) is a str declared there, and an ``assign`` fits in it; and a
+Every description, parsed or built in code, keeps three rules: every
+function, variable and callee name is a str, and a program's function
+names are distinct, as are a function's params and locals; every
+variable a statement names in its own function (an argument, a ``deref``
+param, a region, an ``assign`` or ``heap_alloc`` var) is a str declared
+there, and an ``assign`` fits in it; and a
 ``runtime_call`` names one of the six RUNTIME_CALLS, carries its region
 if it registers one (a pointee with a ``len``), and has a ``provenance``
 that is absent (a forged call) or a non-empty string other than
@@ -316,8 +317,14 @@ class FunctionDesc:
         return self.params + self.locals
 
     def __post_init__(self) -> None:
+        # A name that is no str is refused before it is looked up: it may
+        # not hash.
+        if type(self.name) is not str:
+            raise ProgramFormatError(f"function name {shown(self.name)} is not a string")
         sizes: dict[str, int] = {}
         for v in self.params + self.locals:
+            if type(v.name) is not str:
+                raise ProgramFormatError(f"variable name {shown(v.name)} is not a string")
             if v.name in sizes:
                 raise ProgramFormatError(f"duplicate variable {shown(v.name)}")
             sizes[v.name] = v.size
@@ -326,6 +333,9 @@ class FunctionDesc:
             if kind is Assign or kind is HeapAlloc:
                 names, what = (stmt.var,), "assign to" if kind is Assign else "heap_alloc into"
             elif kind is Call:
+                if type(stmt.callee) is not str:
+                    raise ProgramFormatError(f"callee {shown(stmt.callee)} is not a string",
+                                             f"body[{i}]")
                 names, what = [arg.var for arg in stmt.args], "argument of"
             elif (kind is ReadProbe or kind is WriteProbe) and type(stmt.target) is DerefTarget:
                 names, what = (stmt.target.param,), "deref of"
@@ -350,7 +360,6 @@ class FunctionDesc:
             else:
                 continue
             for name in names:
-                # A name that is no str is declared nowhere and may not hash.
                 if type(name) is not str or name not in sizes:
                     raise ProgramFormatError(f"{what} undeclared variable {shown(name)} of "
                                              f"function {shown(self.name)}", f"body[{i}]")

@@ -8,23 +8,25 @@ Each call is accepted and returns None, or is refused: it appends one
 `VaultException` to `exception_log`, returns it, and changes no
 registration, window, saved image or byte of process memory. An open
 window freezes the frame registrations it covers: none below its
-watermark can be removed or take a carve-out, so a window restores what
-it saved and opens over no carve-out without its frame. An object
-registered while a window is open lies above the watermark, and the
-next window hides it. Windows close innermost first, and each pops the
-images it pushed. A read-only registration, such as a `write_sensitive`
-slot, is restored even when it is a carve-out, so a callee's write to it
-is reverted in whole-frame and fine-grained mode alike.
+watermark can be removed or take a carve-out, so a window records at
+open what its close restores (where each saved image goes back, and the
+writable carve-outs), that record still holds at close, and no window
+opens over a carve-out without its frame. An object registered while a
+window is open lies above the watermark, and the next window hides it.
+Windows close innermost first, and each pops the images it pushed. A
+read-only registration, such as a `write_sensitive` slot, is restored
+even when it is a carve-out, so a callee's write to it is reverted in
+whole-frame and fine-grained mode alike.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .identity import IdentityTable
-from .memory import ProcessMemory, in_heap, in_stack
+from .memory import STACK_BASE, STACK_LIMIT, ProcessMemory, in_heap, in_stack
 from .program import RUNTIME_CALLS, shown
 
 
@@ -46,7 +48,7 @@ class VaultException:
     detail: str
 
 
-@dataclass
+@dataclass(slots=True)
 class StackEntry:
     """Frame registration. With all=True the whole frame is saved and
     cleared around untrusted calls; with all=False only separately
@@ -58,7 +60,7 @@ class StackEntry:
     all: bool
 
 
-@dataclass
+@dataclass(slots=True)
 class MemoryEntry:
     """Object registration (on-frame variable or heap object). Read-only
     objects are saved but stay visible during the protection window."""
@@ -69,7 +71,7 @@ class MemoryEntry:
     read_only: bool
 
 
-@dataclass
+@dataclass(slots=True)
 class MemoryExceptionEntry:
     """Carve-out inside a fully protected frame: the region is saved when
     the window opens and copied back once the frames are cleared, so the
@@ -151,6 +153,10 @@ class VaultState:
         self.exception_log: list[VaultException] = []
         self._calls = dict.fromkeys(RUNTIME_CALLS, 0)
         self._bytes_cleared = 0
+        # The close plan of each open window, recorded when it opens,
+        # innermost last: where each image it keeps goes back, in push
+        # order, and its writable carve-outs.
+        self._close_plans: list[tuple[list[int], Sequence[MemoryExceptionEntry]]] = []
 
     @property
     def stats(self) -> SyscallStats:
@@ -166,13 +172,11 @@ class VaultState:
         self.exception_log.append(exc := VaultException(kind, syscall, caller_pc, detail))
         return exc
 
-    def _resolve(self, syscall: str, caller_pc: int) -> int | VaultException:
-        self._calls[syscall] += 1  # each of the six calls passes here exactly once
-        fid = self.identity.resolve(caller_pc)
-        if fid is None:
-            return self._flag(ExceptionKind.UNKNOWN_CALLER, syscall, caller_pc,
-                              f"pc {caller_pc:#x} not inside any function span")
-        return fid
+    def _unknown_caller(self, syscall: str, caller_pc: int) -> VaultException:
+        """Refuse a call whose pc lies in no function span. Each of the six
+        calls counts itself and resolves its caller before anything else."""
+        return self._flag(ExceptionKind.UNKNOWN_CALLER, syscall, caller_pc,
+                          f"pc {caller_pc:#x} not inside any function span")
 
     def _name(self, fid: int) -> str:
         """A function's name as an exception detail shows it: bounded."""
@@ -181,9 +185,10 @@ class VaultState:
     def _latest_frame(self, syscall: str, caller_pc: int,
                       missing: str) -> tuple[int, StackEntry] | VaultException:
         """The index and entry of the latest frame registration; the caller must own it."""
-        fid = self._resolve(syscall, caller_pc)
-        if isinstance(fid, VaultException):
-            return fid
+        self._calls[syscall] += 1
+        fid = self.identity.resolve(caller_pc)
+        if fid is None:
+            return self._unknown_caller(syscall, caller_pc)
         register_list = self.register_list
         for idx in range(len(register_list) - 1, -1, -1):
             last = register_list[idx]
@@ -195,23 +200,12 @@ class VaultState:
                 return idx, last
         return self._flag(ExceptionKind.IDENTITY_MISMATCH, syscall, caller_pc, missing)
 
-    def watermark(self) -> int:
-        """RegisterList length when the innermost open window opened, else 0."""
-        return self.protect_list[-1].register_index if self.protect_list else 0
-
-    def _frozen(self, syscall: str, caller_pc: int, idx: int) -> VaultException | None:
-        """Refuse a call on frame registration idx if it lies below the open
-        window's watermark: the window has frozen it."""
-        watermark = self.watermark()
-        if idx < watermark:
-            return self._flag(ExceptionKind.INDEX_MISMATCH, syscall, caller_pc,
-                              f"frame registration {idx} lies below the open window's "
-                              f"watermark {watermark}")
-        return None
-
-    def _clear(self, memory: ProcessMemory, addr: int, length: int) -> None:
-        memory.clear_region(addr, length)
-        self._bytes_cleared += length
+    def _frozen(self, syscall: str, caller_pc: int, idx: int) -> VaultException:
+        """Refuse a call on frame registration idx, which lies below the
+        open window's watermark: the window has frozen it."""
+        return self._flag(ExceptionKind.INDEX_MISMATCH, syscall, caller_pc,
+                          f"frame registration {idx} lies below the open window's "
+                          f"watermark {self.protect_list[-1].register_index}")
 
     # ------------------------------------------------------------------
     # registration calls
@@ -219,51 +213,53 @@ class VaultState:
     def register_stack(self, caller_pc: int, all: bool,
                        frame_base: int, frame_top: int) -> VaultException | None:
         """Record the caller's own frame; all selects whole-frame protection."""
-        fid = self._resolve("register_stack", caller_pc)
-        if isinstance(fid, VaultException):
-            return fid
-        if not (frame_top < frame_base and in_stack(frame_top, frame_base - frame_top)):
+        self._calls["register_stack"] += 1
+        fid = self.identity.resolve(caller_pc)
+        if fid is None:
+            return self._unknown_caller("register_stack", caller_pc)
+        if not STACK_LIMIT <= frame_top < frame_base <= STACK_BASE:
             return self._flag(ExceptionKind.INVALID_REGION, "register_stack", caller_pc,
                               f"invalid frame bounds [{frame_top:#x}, {frame_base:#x})")
         self.register_list.append(StackEntry(fid, frame_base, frame_top, all))
-        return None
-
-    def _register_object(self, syscall: str, caller_pc: int, base: int,
-                         length: int, read_only: bool) -> VaultException | None:
-        found = self._latest_frame(syscall, caller_pc, "no frame registration to attach to")
-        if isinstance(found, VaultException):
-            return found
-        idx, last = found
-        carve_out = syscall == "register_memory_exception"
-        if carve_out and (frozen := self._frozen(syscall, caller_pc, idx)):
-            return frozen
-        if length < 0:
-            return self._flag(ExceptionKind.INVALID_REGION, syscall, caller_pc,
-                              "negative region length")
-        if carve_out:
-            if not (last.frame_top <= base and base + length <= last.frame_base):
-                return self._flag(ExceptionKind.REGION_OUT_OF_FRAME, syscall, caller_pc,
-                                  f"region {base:#x}+{length} lies outside the caller frame")
-            self.register_list.append(MemoryExceptionEntry(last.owner, base, length, read_only))
-        else:
-            if not (in_stack(base, length) or in_heap(base, length)):
-                return self._flag(ExceptionKind.INVALID_REGION, syscall, caller_pc,
-                                  f"region {base:#x}+{length} outside stack and heap")
-            self.register_list.append(MemoryEntry(last.owner, base, length, read_only))
         return None
 
     def register_memory(self, caller_pc: int, base: int, length: int,
                         read_only: bool) -> VaultException | None:
         """Record a memory object (frame variable or heap block) for
         save/clear/restore handling around untrusted calls."""
-        return self._register_object("register_memory", caller_pc, base, length, read_only)
+        found = self._latest_frame("register_memory", caller_pc,
+                                   "no frame registration to attach to")
+        if isinstance(found, VaultException):
+            return found
+        if length < 0:
+            return self._flag(ExceptionKind.INVALID_REGION, "register_memory", caller_pc,
+                              "negative region length")
+        if not (in_stack(base, length) or in_heap(base, length)):
+            return self._flag(ExceptionKind.INVALID_REGION, "register_memory", caller_pc,
+                              f"region {base:#x}+{length} outside stack and heap")
+        self.register_list.append(MemoryEntry(found[1].owner, base, length, read_only))
+        return None
 
     def register_memory_exception(self, caller_pc: int, base: int, length: int,
                                   read_only: bool) -> VaultException | None:
         """Record a carve-out that stays usable inside a fully protected
-        frame. The region must lie within the caller's registered frame."""
-        return self._register_object("register_memory_exception", caller_pc, base, length,
-                                     read_only)
+        frame. The region must lie within the caller's registered frame,
+        and that frame above the open window's watermark."""
+        syscall = "register_memory_exception"
+        found = self._latest_frame(syscall, caller_pc, "no frame registration to attach to")
+        if isinstance(found, VaultException):
+            return found
+        idx, last = found
+        if self.protect_list and idx < self.protect_list[-1].register_index:
+            return self._frozen(syscall, caller_pc, idx)
+        if length < 0:
+            return self._flag(ExceptionKind.INVALID_REGION, syscall, caller_pc,
+                              "negative region length")
+        if not (last.frame_top <= base and base + length <= last.frame_base):
+            return self._flag(ExceptionKind.REGION_OUT_OF_FRAME, syscall, caller_pc,
+                              f"region {base:#x}+{length} lies outside the caller frame")
+        self.register_list.append(MemoryExceptionEntry(last.owner, base, length, read_only))
+        return None
 
     def unregister_stack(self, memory: ProcessMemory, caller_pc: int) -> VaultException | None:
         """Drop the latest frame registration and everything after it,
@@ -274,10 +270,12 @@ class VaultState:
         if isinstance(found, VaultException):
             return found
         idx, last = found
-        if frozen := self._frozen("unregister_stack", caller_pc, idx):
-            return frozen
+        if self.protect_list and idx < self.protect_list[-1].register_index:
+            return self._frozen("unregister_stack", caller_pc, idx)
         del self.register_list[idx:]
-        self._clear(memory, last.frame_top, last.frame_base - last.frame_top)
+        length = last.frame_base - last.frame_top
+        memory.clear_region(last.frame_top, length)
+        self._bytes_cleared += length
         return None
 
     # ------------------------------------------------------------------
@@ -286,22 +284,28 @@ class VaultState:
     def start_protect(self, memory: ProcessMemory, caller_pc: int) -> VaultException | None:
         """Open a protection window covering every registration made since
         the enclosing window opened (or since the beginning)."""
-        fid = self._resolve("start_protect", caller_pc)
-        if isinstance(fid, VaultException):
-            return fid
-        self._open_window(memory, self.watermark(), len(self.register_list) - 1)
-        self.protect_list.append(ProtectEntry(fid, len(self.register_list)))
+        self._calls["start_protect"] += 1
+        fid = self.identity.resolve(caller_pc)
+        if fid is None:
+            return self._unknown_caller("start_protect", caller_pc)
+        protect_list, count = self.protect_list, len(self.register_list)
+        self._open_window(memory, protect_list[-1].register_index if protect_list else 0,
+                          count - 1)
+        protect_list.append(ProtectEntry(fid, count))
         return None
 
     def _open_window(self, memory: ProcessMemory, start: int, end: int) -> None:
         """Push an image of every all=True frame and object in [start, end]
-        in registration order, then of every carve-out. Then hide in fixed
-        phases: zero the frames, pop the carve-outs back into place, and
-        zero the writable objects last, so a carve-out never shows a byte
-        that an object hides.
+        in registration order, then of every carve-out, and record what
+        closing restores: where each of the first images goes back, and
+        the writable carve-outs. Then hide in fixed phases: zero the
+        frames, pop the carve-outs back into place, and zero the writable
+        objects last, so a carve-out never shows a byte that an object
+        hides.
         """
         push, read = self.save_buffer.push, memory.read_bytes
-        frames: list[StackEntry] = []
+        images: list[int] = []  # where each image closing pops goes back
+        frames: list[StackEntry] = []  # the all=True ones
         objects: list[MemoryEntry] = []  # the writable ones
         carve_outs: list[MemoryExceptionEntry] = []
         for entry in self.register_list[start:end + 1]:
@@ -309,22 +313,32 @@ class VaultState:
             if kind is StackEntry:
                 if entry.all:
                     push(read(entry.frame_top, entry.frame_base - entry.frame_top))
+                    images.append(entry.frame_top)
                     frames.append(entry)
             elif kind is MemoryEntry:
                 push(read(entry.base, entry.length))
+                images.append(entry.base)
                 if not entry.read_only:
                     objects.append(entry)
             else:
                 carve_outs.append(entry)
+        # The carve-outs whose callee writes closing keeps; most windows have none.
+        self._close_plans.append(
+            (images, [c for c in carve_outs if not c.read_only] if carve_outs else ()))
         for carve_out in carve_outs:
             push(read(carve_out.base, carve_out.length))
 
+        clear, cleared = memory.clear_region, 0
         for frame in frames:
-            self._clear(memory, frame.frame_top, frame.frame_base - frame.frame_top)
+            length = frame.frame_base - frame.frame_top
+            clear(frame.frame_top, length)
+            cleared += length
         for carve_out in reversed(carve_outs):
             memory.write_bytes(carve_out.base, self.save_buffer.pop())
         for obj in objects:
-            self._clear(memory, obj.base, obj.length)
+            clear(obj.base, obj.length)
+            cleared += obj.length
+        self._bytes_cleared += cleared
 
     def stop_protect(self, memory: ProcessMemory, caller_pc: int) -> VaultException | None:
         """Close the innermost protection window and restore saved data.
@@ -333,13 +347,15 @@ class VaultState:
         RegisterList must not have grown since; otherwise the window stays
         open and nothing is restored.
         """
-        fid = self._resolve("stop_protect", caller_pc)
-        if isinstance(fid, VaultException):
-            return fid
-        if not self.protect_list:
+        self._calls["stop_protect"] += 1
+        fid = self.identity.resolve(caller_pc)
+        if fid is None:
+            return self._unknown_caller("stop_protect", caller_pc)
+        protect_list = self.protect_list
+        if not protect_list:
             return self._flag(ExceptionKind.IDENTITY_MISMATCH, "stop_protect", caller_pc,
                               "no protection window is open")
-        top = self.protect_list[-1]
+        top = protect_list[-1]
         if top.caller != fid:
             return self._flag(ExceptionKind.IDENTITY_MISMATCH, "stop_protect", caller_pc,
                               f"window opened by {self._name(top.caller)}, "
@@ -349,32 +365,27 @@ class VaultState:
                               f"RegisterList grew from {top.register_index} to "
                               f"{len(self.register_list)} inside the window")
 
-        self.protect_list.pop()
-        self._close_window(memory, self.watermark(), len(self.register_list) - 1)
+        protect_list.pop()
+        self._close_window(memory, protect_list[-1].register_index if protect_list else 0,
+                           top.register_index - 1)
         return None
 
     def _close_window(self, memory: ProcessMemory, start: int, end: int) -> None:
-        """Pop every image in [start, end] back in reverse registration
-        order, then write the writable carve-outs back as the callee left
-        them.
+        """Close the window over [start, end] by the plan _open_window
+        recorded: pop every image back in reverse push order, then write
+        the writable carve-outs back as the callee left them.
 
+        The plan still holds, because an open window freezes its slice:
+        stop_protect closes only over the registrations it opened over.
         _open_window takes every image before it clears anything, so
         overlapping images hold the same bytes and their order does not
         matter; the writable carve-outs, read first, are written last.
         """
-        images: list[int] = []  # where each saved image goes back, in push order
-        carve_outs: list[tuple[int, bytes]] = []
-        for entry in self.register_list[start:end + 1]:
-            kind = type(entry)
-            if kind is StackEntry:
-                if entry.all:
-                    images.append(entry.frame_top)
-            elif kind is MemoryEntry:
-                images.append(entry.base)
-            elif not entry.read_only:
-                carve_outs.append((entry.base, memory.read_bytes(entry.base, entry.length)))
+        images, writable = self._close_plans.pop()
+        read = memory.read_bytes
+        kept = [(entry.base, read(entry.base, entry.length)) for entry in writable]
         pop, write = self.save_buffer.pop, memory.write_bytes
         for addr in reversed(images):
             write(addr, pop())
-        for addr, data in carve_outs:
+        for addr, data in kept:
             write(addr, data)

@@ -10,7 +10,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import example, given, strategies as st
 
-from framevault.executor import image_map_for
+from framevault.executor import Executor, image_map_for
 from framevault.fuzzer import (
     FORGERIES,
     MAX_CHAIN,
@@ -27,7 +27,9 @@ from framevault.fuzzer import (
     scenario_from_json,
     scenario_to_json,
 )
+from framevault.identity import load_image_map
 from framevault.instrument import instrument, parse_lists
+from framevault.memory import ProcessMemory
 from framevault.program import (
     AbsoluteTarget,
     Assign,
@@ -59,6 +61,30 @@ def runtime_saves_without_clearing(monkeypatch):
     monkeypatch.setattr(VaultState, "_open_window",
                         lambda self, memory, start, end:
                         open_window(self, _NoClear(memory), start, end))
+
+
+@pytest.mark.parametrize("config", [FuzzConfig(), FuzzConfig(adversarial=True)],
+                         ids=["clean", "adversarial"])
+def test_every_cleared_byte_goes_through_clear_region(monkeypatch, config):
+    """The broken runtimes above skip clearing by replacing clear_region,
+    so each byte a protected run zeroes must pass through it: the lengths
+    it is asked to clear sum to the run's bytes_cleared."""
+    asked: list[tuple[ProcessMemory, int]] = []
+    clear_region = ProcessMemory.clear_region
+
+    def counting(memory, addr, length):
+        asked.append((memory, length))
+        clear_region(memory, addr, length)
+    monkeypatch.setattr(ProcessMemory, "clear_region", counting)
+    total = 0
+    for i in range(40):
+        scenario = generate_scenario(7, i, config)
+        executor = Executor(scenario.program, load_image_map(scenario.image_map))
+        cleared = executor.run(scenario.entry).stats.bytes_cleared
+        assert sum(length for memory, length in asked if memory is executor.memory) == cleared
+        asked.clear()
+        total += cleared
+    assert total > 0
 
 
 class TestDeterminism:

@@ -511,6 +511,26 @@ class TestAssignsAtConstruction:
                          body=(Assign("x", b"\x01"), Assign("nope", b"\x01"), Return()))
         assert str(exc.value) == "body[1]: assign to undeclared variable 'nope' of function 'main'"
 
+    def test_a_variable_name_that_is_no_string_is_refused(self):
+        with pytest.raises(ProgramFormatError) as exc:
+            FunctionDesc(name="main", locals=(VarDesc(["x"], 4),))
+        assert (exc.value.at, exc.value.message) == ("", "variable name ['x'] is not a string")
+
+    def test_a_function_name_that_is_no_string_is_refused(self):
+        with pytest.raises(ProgramFormatError) as exc:
+            ProgramDesc(functions=(FunctionDesc(name=["m"]),))
+        assert (exc.value.at, exc.value.message) == ("", "function name ['m'] is not a string")
+
+    def test_a_callee_that_is_no_string_is_refused_before_any_run(self):
+        body = (Call(["f"]), Return())
+        with pytest.raises(ProgramFormatError) as exc:
+            FunctionDesc(name="main", body=body)
+        assert str(exc.value) == "body[0]: callee ['f'] is not a string"
+        # A description cannot carry it around the check to run_native.
+        program = ProgramDesc(functions=(FunctionDesc(name="main"),))
+        with pytest.raises(ProgramFormatError):
+            replace(program.functions[0], body=body)
+
     def test_inject_forged_refuses_an_unfit_assign(self):
         program = generate_scenario(5, 0, FuzzConfig()).program
         (param, *_) = program.function("lib0").params

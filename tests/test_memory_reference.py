@@ -10,7 +10,7 @@ and the reference side by side, and every result and fault is compared.
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from framevault.memory import (HEAP_BASE, HEAP_CAPACITY, HEAP_LIMIT, STACK_BASE,
                                STACK_CAPACITY, STACK_LIMIT, TEXT_BASE, TEXT_LIMIT,
@@ -181,6 +181,16 @@ def _apply(m: ProcessMemory, ref: Reference, op) -> None:
 
 @settings(max_examples=150, deadline=None)
 @given(ops=st.lists(operations, max_size=30))
+# A clear the grown stack segment holds, zeroed in place.
+@example(ops=[("write", STACK_BASE - 100, b"\x05" * 60), ("clear", STACK_BASE - 90, 20),
+              ("read", STACK_BASE - 100, 60), ("signature",)])
+# A clear that straddles the segment's low end, which must grow to hold it.
+@example(ops=[("write", STACK_BASE - 10, b"\x07" * 10), ("clear", STACK_BASE - 4100, 4095),
+              ("read", STACK_BASE - 4200, 4200), ("signature",)])
+# Zero-length clears, inside the segment, below it and outside every region.
+@example(ops=[("write", STACK_BASE - 8, b"\x01" * 8), ("clear", STACK_BASE - 4, 0),
+              ("clear", STACK_BASE - 9000, 0), ("clear", 0x10, 0), ("read", STACK_BASE - 8, 8),
+              ("signature",)])
 def test_memory_matches_a_per_address_reference(ops):
     m, ref = ProcessMemory(), Reference()
     for op in ops:

@@ -482,10 +482,26 @@ def contract_actions():
     ]
 
 
-def contract_call(memory, vault, call, operands):
+def contract_call(memory, vault, call, operands, opened=None):
+    """Make the call. With `opened`, the stack of the registrations each
+    open window opened over, also check that an accepted stop_protect
+    closes over those very entries."""
+    closing = None
     if call in ("start_protect", "stop_protect", "unregister_stack"):
+        if call == "stop_protect" and opened is not None:
+            outer = vault.protect_list[-2].register_index if len(vault.protect_list) > 1 else 0
+            closing = vault.register_list[outer:]
         operands = (memory, *operands)
-    return getattr(vault, call)(*operands)
+    watermark = vault.protect_list[-1].register_index if vault.protect_list else 0
+    result = getattr(vault, call)(*operands)
+    if result is None and opened is not None:
+        if call == "start_protect":
+            opened.append(vault.register_list[watermark:])
+        elif call == "stop_protect":
+            entries = opened.pop()
+            assert len(closing) == len(entries)
+            assert all(a is b for a, b in zip(closing, entries))
+    return result
 
 
 def check_refusal_contract(depth: int):
@@ -494,29 +510,33 @@ def check_refusal_contract(depth: int):
     At every step the call must not raise, and must either return None and
     log nothing, or log one exception and return it while the register
     and protect lists, the saved images and memory stay as they were.
-    Returns the number of distinct states and the (kind, syscall) pairs
-    of the refusals seen."""
+    The state includes the close plans the open windows recorded, and
+    every accepted stop_protect must close over the very entries its
+    window opened over. Returns the number of distinct states and the
+    (kind, syscall) pairs of the refusals seen."""
     actions = contract_actions()
 
     def replay(path):
         memory, vault, *_ = contract_setup()
+        opened = []
         for i in path:
-            contract_call(memory, vault, *actions[i])
-        return memory, vault
+            contract_call(memory, vault, *actions[i], opened)
+        return memory, vault, opened
 
     def state(memory, vault):
         return (repr(vault.register_list), tuple(vault.protect_list),
-                tuple(vault.save_buffer.images), tuple(memory.content_signature().items()))
+                tuple(vault.save_buffer.images), repr(vault._close_plans),
+                tuple(memory.content_signature().items()))
 
-    seen, frontier, refusals = {state(*replay(()))}, [()], set()
+    seen, frontier, refusals = {state(*replay(())[:2])}, [()], set()
     for _ in range(depth):
         grown = []
         for path in frontier:
             for i, action in enumerate(actions):
-                memory, vault = replay(path)
+                memory, vault, opened = replay(path)
                 before, logged = state(memory, vault), len(vault.exception_log)
                 where = [actions[j] for j in path] + [action]
-                result = contract_call(memory, vault, *action)
+                result = contract_call(memory, vault, *action, opened)
                 after = state(memory, vault)
                 if result is None:
                     assert len(vault.exception_log) == logged, where

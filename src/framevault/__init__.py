@@ -5,12 +5,12 @@ every byte back.
 The pipeline: describe a program (`program`), insert protection calls
 from annotations (`instrument`), execute over simulated memory with
 synthesized program-counter identity (`executor`, `memory`, `identity`,
-`runtime`), and check the whole machine against a page-dump reference
-runtime (`oracle`) and randomized adversaries (`fuzzer`).
+`runtime`), and check the whole machine with verdicts and a page-dump
+reference runtime (`oracle`) and randomized adversaries (`fuzzer`).
 """
 
-from .executor import (ExecutionReport, Executor, IntegrityBreach, Leak, Observation,
-                       image_map_for, run, run_native, secret_bytes_observed)
+from .executor import (ExecutionReport, Executor, Observation, image_map_for, run, run_native,
+                       secret_bytes_observed)
 from .fuzzer import (CampaignResult, Finding, FuzzConfig, Scenario, check_scenario,
                      fuzz, generate_scenario, minimize)
 from .identity import (FunctionSpan, IdentityTable, ImageMapError, load_image_map,
@@ -19,7 +19,7 @@ from .instrument import (AnnotationError, ListParseError, Prototype, instrument,
                          parse_lists, provenance_listing)
 from .memory import (FRAME_METADATA_BYTES, HEAP_BASE, MemoryFault, ProcessMemory,
                      STACK_BASE, TEXT_BASE)
-from .oracle import OracleVault
+from .oracle import IntegrityBreach, Leak, OracleVault
 from .program import (FunctionDesc, ProgramDesc, ProgramFormatError, Sensitivity,
                       VarDesc, emit, parse)
 from .reporting import render_campaign, render_diff, render_report, stats_table

@@ -1,36 +1,11 @@
 """Executes program descriptions over the simulated memory and the
-protection runtime.
+protection runtime: the interpreter.
 
 Program-counter values are synthesized per statement from the executing
 function's image-map span, so the runtime sees the same unforgeable caller
-identity a hardware PC would give it. The executor also owns the ground
-truth for verdicts; the runtime's save buffer plays no part in it, so a
-runtime bug cannot mask itself. At each window open the executor keeps a
-copy of the registrations the window opens over, takes from
-`oracle.window_regions` what closing must leave intact and the writable
-carve-outs, and snapshots those regions with its own reads. What the
-window must hide is derived from the kept registrations by
-`oracle.window_hidden` only when a leak scan first needs it, at most once
-per window: most windows see no non-zero untrusted read.
-
-Verdict bookkeeping works on byte intervals, never on single addresses:
-a window's hidden bytes are (addr, length) pairs, and an untrusted read
-that sees non-zero bytes counts its secret bytes by clipping the ranges
-of every open window to the read, merging them, and counting non-zero
-bytes in each merged slice. What must survive is snapshotted once per
-registered frame or object and compared at close; a window with writable
-carve-outs also reads them just before it closes.
-
-Bytes are counted and compared where they lie, with no slice copies.
-`_nonzero` counts a span of up to _COUNT_SMALL bytes with `bytes.count`,
-which goes byte by byte; a longer one takes a memchr (`find(0)`) over its
-non-zero start and then goes chunk by chunk, where an all-zero chunk
-costs a memcmp against `memory._ZEROS` and only a chunk holding a zero
-byte is counted. Every read probe, write probe and leak scan counts this
-way. At close each snapshot is compared in place with
-`ProcessMemory.holds`; only a region that changed is read back, and
-compared piece by piece without its carve-outs. The first mismatch of a
-piece is the lowest set bit of the two XORed as ints.
+identity a hardware PC would give it. A protected run leaves its verdicts
+to an `oracle.WindowChecker` and keeps only the stack of open window ids
+that observations name.
 
 A program is compiled once per program and image map: the first run
 under an identity table compiles it, and the plan stays on the program
@@ -55,18 +30,19 @@ from __future__ import annotations
 
 import hashlib
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .identity import FunctionSpan, IdentityTable, synthesize_image_map
-from .memory import _ZEROS, FRAME_METADATA_BYTES, MemoryFault, ProcessMemory, StackFrame
-from .oracle import subtract_intervals, window_hidden, window_regions
+from .memory import (_COUNT_SMALL, FRAME_METADATA_BYTES, MemoryFault, ProcessMemory, StackFrame,
+                     _nonzero)
+from .oracle import IntegrityBreach, Leak, WindowChecker
 from .program import (AbsoluteTarget, AddrOfArg, Assign, Call, DerefTarget,
                       FrameTarget, FunctionDesc, HeapAlloc, HeapTarget, PointeeRef,
                       ProgramDesc, ReadProbe, Return, RuntimeCall, VarRef, VarTarget,
                       WriteProbe, shown)
-from .runtime import RegisterEntry, SyscallStats, VaultException, VaultState
+from .runtime import SyscallStats, VaultException, VaultState
 
 MAX_CALL_DEPTH = 128
 MAX_STATEMENTS = 1_000_000
@@ -83,30 +59,6 @@ class Observation(NamedTuple):
     length: int
     nonzero: int
     preview: str
-
-
-@dataclass(frozen=True)
-class Leak:
-    """An untrusted read saw a non-zero byte at a hidden address while a
-    protection window was open."""
-
-    window: int
-    function: str
-    address: int
-    length: int
-    secret_bytes: int
-    detail: str
-
-
-@dataclass(frozen=True)
-class IntegrityBreach:
-    """After a window closed, protected bytes differ from their value at
-    window open (carve-outs: from their value just before close)."""
-
-    window: int
-    address: int
-    length: int
-    detail: str
 
 
 Violation = Leak | IntegrityBreach | VaultException
@@ -132,44 +84,6 @@ class ExecutionReport:
 def secret_bytes_observed(report: ExecutionReport) -> int:
     """Non-zero bytes untrusted reads managed to observe."""
     return sum(o.nonzero for o in report.observations if o.kind == "read")
-
-
-# `bytes.count` with a one-byte needle goes byte by byte, so it counts
-# only spans up to _COUNT_SMALL bytes and the mixed chunks of longer ones.
-_COUNT_SMALL = 4096
-_COUNT_CHUNK = 16384
-
-
-def _nonzero(data: bytes, start: int = 0, end: int | None = None) -> int:
-    """Non-zero bytes of data[start:end], counted in place."""
-    if end is None:
-        end = len(data)
-    if end - start <= _COUNT_SMALL:
-        return end - start - data.count(0, start, end)
-    first = data.find(0, start, end)  # every byte before it is non-zero
-    if first < 0:
-        return end - start
-    count = first - start
-    for lo in range(first, end, _COUNT_CHUNK):
-        hi = min(lo + _COUNT_CHUNK, end)
-        if not data.startswith(_ZEROS[:hi - lo], lo):
-            zero = data.find(0, lo, hi)
-            count += hi - lo - (0 if zero < 0 else data.count(0, zero, hi))
-    return count
-
-
-def hidden_nonzero(data: bytes, addr: int, ranges: Iterable[tuple[int, int]]) -> int:
-    """Non-zero bytes of `data`, read from `addr`, that lie in any of the
-    (lo, hi) ranges. Overlapping ranges count each byte once."""
-    end = addr + len(data)
-    count = 0
-    done = addr  # bytes below this address are already counted
-    for lo, hi in sorted((lo, hi) for lo, hi in ranges if lo < end and addr < hi):
-        lo, hi = max(lo, done), min(hi, end)
-        if lo < hi:
-            count += _nonzero(data, lo - addr, hi - addr)
-            done = hi
-    return count
 
 
 def function_layout(fn: FunctionDesc) -> tuple[dict[str, int], int]:
@@ -280,24 +194,6 @@ class _FrameCtx(NamedTuple):
     vars: dict[str, tuple[int, int]]  # name -> (offset from the frame top, size)
 
 
-class _Window:
-    """One open window and the registrations it opened over."""
-
-    __slots__ = ("wid", "entries", "integrity", "carve_outs", "hidden")
-
-    def __init__(self, wid: int, entries: list[RegisterEntry],
-                 integrity: list[tuple[int, bytes]], carve_outs: list[tuple[int, int]]):
-        self.wid = wid
-        self.entries = entries  # a copy of the slice, as it stood at open
-        # (addr, the bytes there at window open) of each frame and object;
-        # closing must leave them as they were, but for the carve-outs
-        self.integrity = integrity
-        self.carve_outs = carve_outs  # (addr, length) of the writable carve-outs
-        # (addr, length) intervals the window must hide, or None until a
-        # leak scan first needs them
-        self.hidden: list[tuple[int, int]] | None = None
-
-
 class _Halt(Exception):
     pass
 
@@ -318,8 +214,10 @@ class Executor:
         self.violations: list[Violation] = []
         self.faults: list[str] = []
         self.provenance_counts: dict[str, int] = {}
-        self.windows: list[_Window] = []
+        self.windows: list[int] = []  # the ids of the open windows, innermost last
         self._wid = 0
+        self.checker = None if self.vault is None else WindowChecker(
+            self.memory, self.vault, self.violations)
         self._frame_history: dict[str, _FrameCtx] = {}
         # Suspended callers, outermost first: (context, statement iterator)
         self._callers: list[tuple[_FrameCtx, Iterator]] = []
@@ -490,19 +388,10 @@ def _read_probe(ex: Executor, ctx: _FrameCtx, stmt: ReadProbe) -> None:
     # cost more than the count.
     nonzero = length - data.count(0) if length <= _COUNT_SMALL else _nonzero(data)
     windows = ex.windows
-    ex.observations.append(Observation("read", ctx.func.name,
-                                       windows[-1].wid if windows else None, addr, length,
-                                       nonzero, data[:16].hex()))
-    if nonzero and windows:
-        for w in windows:
-            if w.hidden is None:
-                w.hidden = window_hidden(w.entries)
-        secret = hidden_nonzero(data, addr, ((lo, lo + n) for w in windows for lo, n in w.hidden))
-        if secret:
-            ex.violations.append(Leak(
-                window=windows[-1].wid, function=ctx.func.name, address=addr,
-                length=length, secret_bytes=secret,
-                detail="untrusted read observed protected bytes"))
+    ex.observations.append(Observation("read", ctx.func.name, windows[-1] if windows else None,
+                                       addr, length, nonzero, data[:16].hex()))
+    if nonzero and windows and ex.checker is not None:
+        ex.checker.scan(ctx.func.name, addr, data)
 
 
 def _write_probe(ex: Executor, ctx: _FrameCtx, stmt: WriteProbe) -> None:
@@ -518,7 +407,7 @@ def _write_probe(ex: Executor, ctx: _FrameCtx, stmt: WriteProbe) -> None:
     windows = ex.windows
     length = len(value)
     ex.observations.append(Observation(
-        "write", ctx.func.name, windows[-1].wid if windows else None, addr, length,
+        "write", ctx.func.name, windows[-1] if windows else None, addr, length,
         length - value.count(0) if length <= _COUNT_SMALL else _nonzero(value),
         value[:16].hex()))
 
@@ -609,62 +498,28 @@ def _register_region(ex: Executor, ctx: _FrameCtx, operand: tuple) -> VaultExcep
 def _start_protect(ex: Executor, ctx: _FrameCtx, operand: tuple) -> VaultException | None:
     stmt, pc, key = operand
     ex.provenance_counts[key] += 1
-    vault, read = ex.vault, ex.memory.read_bytes
-    protect_list = vault.protect_list
-    entries = vault.register_list[protect_list[-1].register_index if protect_list else 0:]
-    regions, carve_outs = window_regions(entries)
-    integrity = [(addr, read(addr, length)) for addr, length in regions]
-    refused = vault.start_protect(ex.memory, pc)
+    if ex.checker is not None:
+        ex.checker.opening()
+    refused = ex.vault.start_protect(ex.memory, pc)
     if refused is None:
         ex._wid += 1
-        ex.windows.append(_Window(ex._wid, entries, integrity, carve_outs))
+        ex.windows.append(ex._wid)
+        if ex.checker is not None:
+            ex.checker.opened(ex._wid)
     return refused
 
 
 def _stop_protect(ex: Executor, ctx: _FrameCtx, operand: tuple) -> VaultException | None:
     stmt, pc, key = operand
     ex.provenance_counts[key] += 1
-    windows, read = ex.windows, ex.memory.read_bytes
-    carve_outs = windows[-1].carve_outs if windows else ()
-    pre_close = [(addr, read(addr, length)) for addr, length in carve_outs] if carve_outs else ()
+    if ex.checker is not None:
+        ex.checker.closing()
     refused = ex.vault.stop_protect(ex.memory, pc)
-    if refused is not None:
-        return refused  # window still open; nothing was restored
-    window = windows.pop()
-    # Each region is compared whole in place; only one that changed is read
-    # back and compared piece by piece.
-    holds = ex.memory.holds
-    for addr, snapshot in window.integrity:
-        if not holds(addr, snapshot):
-            _breaches(ex, window.wid, addr, snapshot, window.carve_outs)
-    for addr, snapshot in pre_close:
-        if not holds(addr, snapshot):
-            _breaches(ex, window.wid, addr, snapshot, ())
-    return None
-
-
-def _breaches(ex: Executor, wid: int, addr: int, snapshot: bytes,
-              holes: list[tuple[int, int]]) -> None:
-    """Log an IntegrityBreach for each piece of the region at addr, outside
-    `holes` (the writable carve-outs its callee may change), whose bytes
-    differ from the snapshot."""
-    view = memoryview(ex.memory.read_bytes(addr, len(snapshot)))
-    for lo, length in subtract_intervals([(addr, len(snapshot))], holes):
-        off = lo - addr
-        if not snapshot.startswith(view[off:off + length], off):
-            ex.violations.append(IntegrityBreach(
-                window=wid, address=lo, length=length,
-                detail=f"first mismatch at byte "
-                       f"{_first_mismatch(view[off:off + length], snapshot, off)}"))
-
-
-def _first_mismatch(actual: memoryview, snapshot: bytes, off: int) -> int:
-    """Index of the first byte of `actual` that differs from the snapshot's
-    bytes from `off` on; one must differ. The lowest set bit of the two
-    XORed as little-endian ints lies in that byte."""
-    diff = (int.from_bytes(actual, "little")
-            ^ int.from_bytes(memoryview(snapshot)[off:off + len(actual)], "little"))
-    return ((diff & -diff).bit_length() - 1) // 8
+    if refused is None:  # else the window stays open and nothing was restored
+        ex.windows.pop()
+        if ex.checker is not None:
+            ex.checker.closed()
+    return refused
 
 
 def _unregister_stack(ex: Executor, ctx: _FrameCtx, operand: tuple) -> VaultException | None:

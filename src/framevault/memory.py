@@ -38,6 +38,31 @@ _CHUNK = 4096
 # the resident set; a fresh bytes(n) per clear would fault in n new bytes.
 _ZEROS = memoryview(bytes(max(STACK_CAPACITY, HEAP_CAPACITY)))
 
+# `bytes.count` with a one-byte needle goes byte by byte, so it counts
+# only spans up to _COUNT_SMALL bytes and the mixed chunks of longer ones.
+_COUNT_SMALL = 4096
+_COUNT_CHUNK = 16384
+
+
+def _nonzero(data: bytes, start: int = 0, end: int | None = None) -> int:
+    """Non-zero bytes of data[start:end], counted in place. A long span
+    takes a memchr (`find(0)`) over its non-zero start, then a memcmp
+    against _ZEROS per chunk; only a chunk that is not all zero is counted."""
+    if end is None:
+        end = len(data)
+    if end - start <= _COUNT_SMALL:
+        return end - start - data.count(0, start, end)
+    first = data.find(0, start, end)  # every byte before it is non-zero
+    if first < 0:
+        return end - start
+    count = first - start
+    for lo in range(first, end, _COUNT_CHUNK):
+        hi = min(lo + _COUNT_CHUNK, end)
+        if not data.startswith(_ZEROS[:hi - lo], lo):
+            zero = data.find(0, lo, hi)
+            count += hi - lo - (0 if zero < 0 else data.count(0, zero, hi))
+    return count
+
 
 class MemoryFault(Exception):
     """Access outside the readable or writable regions."""

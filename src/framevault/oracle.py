@@ -1,27 +1,63 @@
-"""Reference runtime for differential checking, and the one derivation of
-which bytes a protection window hides.
+"""The verdicts, the one derivation of which bytes a protection window
+hides and keeps, and a page-dump reference runtime.
 
-`window_bytes` turns a RegisterList slice into the byte intervals a window
-clears, restores and leaves to the callee. It joins two passes over the
-slice: `window_regions`, what closing must leave intact and the writable
-carve-outs, and `window_hidden`, what the window hides. The oracle below
-uses `window_bytes`. The executor's verdicts take `window_regions` when a
-window opens, and `window_hidden`, from a copy of the same slice, only
-when a leak scan first needs it. The runtime under test uses none of them.
+`window_kept` and `window_hidden` each take a RegisterList slice. The
+first gives what closing a window over it restores, cut around its
+writable carve-outs, and those carve-outs; the second what the window
+hides. `WindowChecker` and `OracleVault` use them; the runtime under
+test uses neither.
 
-The oracle keeps the registration bookkeeping and identity/index
-verification of the real runtime but replaces the window save/restore
-machinery wholesale: a whole-memory page dump is taken when a window
-opens, and the kept regions are written back from it when the window
-closes. A correct runtime must leave memory byte-identical to this one.
+`WindowChecker` owns the Leak and IntegrityBreach verdicts. The save
+buffer plays no part in them, so a runtime bug cannot mask itself. At
+each window open the checker copies the slice and snapshots, with its
+own reads, exactly the pieces closing keeps; at close it compares each
+piece in place with `ProcessMemory.holds`, then the writable carve-outs
+with what they held just before the close. What a window hides is
+derived from its copy only when a leak scan first needs it: most windows
+see no non-zero untrusted read. A scan clips the hidden intervals of
+every open window to the read, merges them, and counts the non-zero
+bytes of each merged slice in place.
+
+`OracleVault` keeps the real runtime's registration bookkeeping and
+identity/index checks but replaces its save/restore machinery: a
+whole-memory page dump when a window opens, and the kept pieces written
+back from it when the window closes. A correct runtime must leave memory
+byte-identical to this one.
 """
 
 from __future__ import annotations
 
-from .memory import ProcessMemory, bytes_from_dump
+from collections.abc import Iterable
+from dataclasses import dataclass
+
+from .memory import ProcessMemory, _nonzero, bytes_from_dump
 from .runtime import MemoryEntry, RegisterEntry, StackEntry, VaultState
 
 Interval = tuple[int, int]  # (addr, length)
+
+
+@dataclass(frozen=True)
+class Leak:
+    """An untrusted read saw a non-zero byte at a hidden address while a
+    protection window was open."""
+
+    window: int
+    function: str
+    address: int
+    length: int
+    secret_bytes: int
+    detail: str
+
+
+@dataclass(frozen=True)
+class IntegrityBreach:
+    """After a window closed, protected bytes differ from their value at
+    window open (carve-outs: from their value just before close)."""
+
+    window: int
+    address: int
+    length: int
+    detail: str
 
 
 def subtract_intervals(intervals: list[Interval], holes: list[Interval]) -> list[Interval]:
@@ -46,27 +82,12 @@ def subtract_intervals(intervals: list[Interval], holes: list[Interval]) -> list
     return out
 
 
-def window_bytes(entries: list[RegisterEntry], start: int,
-                 end: int) -> tuple[list[Interval], list[Interval], list[Interval]]:
-    """The (hidden, kept, writable carve-outs) intervals of a window over
-    entries[start:end + 1].
-
-    hidden: what the window zeroes, i.e. all=True frames minus every
-    carve-out, then writable objects. kept: what closing the window
-    restores, i.e. those frames and every object, read-only ones too,
-    minus the writable carve-outs. Writable carve-outs: regions whose
-    callee writes closing keeps; a read-only carve-out is restored with
-    its frame. all=False frames contribute nothing themselves.
-    """
-    window = entries[start:end + 1]
-    regions, writable = window_regions(window)
-    return window_hidden(window), subtract_intervals(regions, writable), writable
-
-
-def window_regions(window: list[RegisterEntry]) -> tuple[list[Interval], list[Interval]]:
-    """What closing a window over these registrations must leave intact,
-    before its writable carve-outs are cut out (the all=True frames, then
-    the objects), and those writable carve-outs."""
+def window_kept(window: list[RegisterEntry]) -> tuple[list[Interval], list[Interval]]:
+    """What closing a window over these registrations restores: the
+    all=True frames, then every object, read-only ones too, each minus
+    the writable carve-outs; and those carve-outs, whose callee writes
+    closing keeps. A read-only carve-out is restored with its frame;
+    all=False frames contribute nothing themselves."""
     frames: list[Interval] = []
     objects: list[Interval] = []
     writable: list[Interval] = []
@@ -79,7 +100,7 @@ def window_regions(window: list[RegisterEntry]) -> tuple[list[Interval], list[In
             objects.append((entry.base, entry.length))
         elif not entry.read_only:
             writable.append((entry.base, entry.length))
-    return frames + objects, writable
+    return subtract_intervals(frames + objects, writable), writable
 
 
 def window_hidden(window: list[RegisterEntry]) -> list[Interval]:
@@ -101,6 +122,97 @@ def window_hidden(window: list[RegisterEntry]) -> list[Interval]:
     return subtract_intervals(frames, carve_outs) + objects
 
 
+def hidden_nonzero(data: bytes, addr: int, ranges: Iterable[tuple[int, int]]) -> int:
+    """Non-zero bytes of `data`, read from `addr`, that lie in any of the
+    (lo, hi) ranges. Overlapping ranges count each byte once."""
+    end = addr + len(data)
+    count = 0
+    done = addr  # bytes below this address are already counted
+    for lo, hi in sorted((lo, hi) for lo, hi in ranges if lo < end and addr < hi):
+        lo, hi = max(lo, done), min(hi, end)
+        if lo < hi:
+            count += _nonzero(data, lo - addr, hi - addr)
+            done = hi
+    return count
+
+
+def _first_mismatch(actual: bytes, snapshot: bytes) -> int:
+    """Index of the first differing byte: the one holding the lowest set
+    bit of the two XORed as little-endian ints. One byte must differ."""
+    diff = int.from_bytes(actual, "little") ^ int.from_bytes(snapshot, "little")
+    return ((diff & -diff).bit_length() - 1) // 8
+
+
+@dataclass(slots=True)
+class _Window:
+    """One open window and the registrations it opened over."""
+
+    wid: int
+    entries: list[RegisterEntry]  # a copy of the slice, as it stood at open
+    kept: list[tuple[int, bytes]]  # (addr, the bytes there at open) of each kept piece
+    writable: list[Interval]  # (addr, length) of the writable carve-outs
+    hidden: list[Interval] | None = None  # what it hides, once a leak scan needs it
+
+
+class WindowChecker:
+    """The Leak and IntegrityBreach verdicts of one protected run over
+    `memory` and `vault`, appended to `violations` as they arise."""
+
+    def __init__(self, memory: ProcessMemory, vault: VaultState, violations: list):
+        self.memory = memory
+        self.vault = vault
+        self.violations = violations
+        self.windows: list[_Window] = []  # the open windows, innermost last
+        self._pending = ()  # what opening() or closing() read for the call that follows
+
+    def opening(self) -> None:
+        """Before a start_protect: copy the slice the window would open
+        over and snapshot the pieces closing it must keep."""
+        vault, read = self.vault, self.memory.read_bytes
+        protect_list = vault.protect_list
+        entries = vault.register_list[protect_list[-1].register_index if protect_list else 0:]
+        kept, writable = window_kept(entries)
+        self._pending = (entries, [(addr, read(addr, length)) for addr, length in kept],
+                         writable)
+
+    def opened(self, wid: int) -> None:
+        """After an accepted start_protect, which opened window `wid`."""
+        self.windows.append(_Window(wid, *self._pending))
+
+    def closing(self) -> None:
+        """Before a stop_protect: read the innermost window's writable
+        carve-outs, whose callee writes closing must keep."""
+        writable = self.windows[-1].writable if self.windows else ()
+        self._pending = [(addr, self.memory.read_bytes(addr, length)) for addr, length in writable]
+
+    def closed(self) -> None:
+        """After an accepted stop_protect: log an IntegrityBreach for each
+        kept piece, then each writable carve-out, that changed."""
+        window = self.windows.pop()
+        holds = self.memory.holds
+        for snapshots in (window.kept, self._pending):
+            for addr, snapshot in snapshots:
+                if not holds(addr, snapshot):
+                    actual = self.memory.read_bytes(addr, len(snapshot))
+                    self.violations.append(IntegrityBreach(
+                        window=window.wid, address=addr, length=len(snapshot),
+                        detail=f"first mismatch at byte {_first_mismatch(actual, snapshot)}"))
+
+    def scan(self, function: str, addr: int, data: bytes) -> None:
+        """After `function`'s read of `data` at `addr` saw non-zero bytes
+        while a window was open: log a Leak if any lies in hidden bytes."""
+        windows = self.windows
+        for w in windows:
+            if w.hidden is None:
+                w.hidden = window_hidden(w.entries)
+        secret = hidden_nonzero(data, addr, ((lo, lo + n) for w in windows for lo, n in w.hidden))
+        if secret:
+            self.violations.append(Leak(
+                window=windows[-1].wid, function=function, address=addr,
+                length=len(data), secret_bytes=secret,
+                detail="untrusted read observed protected bytes"))
+
+
 class OracleVault(VaultState):
     """Drop-in replacement for VaultState with page-dump windows."""
 
@@ -112,9 +224,9 @@ class OracleVault(VaultState):
         self._windows: list[tuple[dict[int, bytes], list[Interval]]] = []
 
     def _open_window(self, memory: ProcessMemory, start: int, end: int) -> None:
-        hidden, kept, _ = window_bytes(self.register_list, start, end)
-        self._windows.append((memory.dump_pages(), kept))
-        for addr, length in hidden:
+        window = self.register_list[start:end + 1]
+        self._windows.append((memory.dump_pages(), window_kept(window)[0]))
+        for addr, length in window_hidden(window):
             memory.clear_region(addr, length)
 
     def _close_window(self, memory: ProcessMemory, start: int, end: int) -> None:

@@ -17,6 +17,12 @@ Windows close innermost first, and each pops the images it pushed. A
 read-only registration, such as a `write_sensitive` slot, is restored
 even when it is a carve-out, so a callee's write to it is reverted in
 whole-frame and fine-grained mode alike.
+
+The runtime assumes the call discipline that instrumentation gives:
+untrusted code never runs between a trusted function's registration and
+its first window. Without it, a window untrusted code opens over a fresh
+frame registration writes that frame back when it closes, after its
+owner has scrubbed and popped it.
 """
 
 from __future__ import annotations

@@ -3,20 +3,19 @@ isolation, and equivalence against the page-dump oracle."""
 
 from __future__ import annotations
 
+import ast
 import dataclasses
+import pathlib
 
 import pytest
 from hypothesis import example, given, strategies as st
 
+import framevault
 from framevault.executor import (
-    _COUNT_CHUNK,
-    _COUNT_SMALL,
     Executor,
     IntegrityBreach,
     Leak,
-    _nonzero,
     function_layout,
-    hidden_nonzero,
     image_map_for,
     run,
     run_native,
@@ -24,8 +23,9 @@ from framevault.executor import (
 )
 from framevault.identity import load_image_map, synthesize_image_map
 from framevault.instrument import instrument, parse_lists
-from framevault.memory import HEAP_BASE, FRAME_METADATA_BYTES, STACK_BASE
-from framevault.oracle import OracleVault
+from framevault.memory import (_COUNT_CHUNK, _COUNT_SMALL, HEAP_BASE, FRAME_METADATA_BYTES,
+                               STACK_BASE, _nonzero)
+from framevault.oracle import OracleVault, hidden_nonzero
 from framevault.program import (
     AbsoluteTarget,
     Annotation,
@@ -697,3 +697,33 @@ class TestCompiledPrograms:
         run(program, pwdgen_table(), "main")
         assert program == parse(text) and hash(program) == hash(parse(text))
         assert emit(program) == text
+
+
+def package_imports(module: str) -> dict[str, set[str]]:
+    """The modules a framevault module imports, each with the names it
+    takes from it. A relative import is keyed by its module's name."""
+    path = pathlib.Path(framevault.__file__).parent / f"{module}.py"
+    imports: dict[str, set[str]] = {}
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imports.setdefault(alias.name, set())
+        elif isinstance(node, ast.ImportFrom):
+            key = node.module if node.level == 0 else "." * node.level + (node.module or "")
+            imports.setdefault(key, set()).update(alias.name for alias in node.names)
+    return imports
+
+
+class TestModuleBoundaries:
+    """The verdicts and the window derivation stand apart from the
+    interpreter, the instrumenter and the fuzzer, so that a ground truth
+    written apart from them can replace a verdict in oracle.py alone."""
+
+    def test_oracle_imports_only_memory_and_runtime_of_the_package(self):
+        ours = {key for key in package_imports("oracle")
+                if key.startswith(".") or key.partition(".")[0] == "framevault"}
+        assert ours == {".memory", ".runtime"}
+
+    def test_executor_takes_only_the_checker_and_the_verdicts_from_oracle(self):
+        assert package_imports("executor")[".oracle"] == {"IntegrityBreach", "Leak",
+                                                          "WindowChecker"}

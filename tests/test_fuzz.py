@@ -10,7 +10,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import example, given, strategies as st
 
-from framevault.executor import Executor, image_map_for
+from framevault.executor import Executor, image_map_for, run
 from framevault.fuzzer import (
     FORGERIES,
     MAX_CHAIN,
@@ -42,6 +42,7 @@ from framevault.program import (
     RuntimeCall,
     VarDesc,
 )
+from framevault.reporting import render_report
 from framevault.runtime import ExceptionKind, SaveBuffer, VaultException, VaultState
 
 from test_executor import _NoClear
@@ -85,6 +86,50 @@ def test_every_cleared_byte_goes_through_clear_region(monkeypatch, config):
         asked.clear()
         total += cleared
     assert total > 0
+
+
+def checker_mismatches(seed: int, count: int, config: FuzzConfig) -> tuple[int, list[tuple]]:
+    """Run scenarios 0..count-1 of seed as built and again with the
+    executor's checker removed: the verdicts must change nothing the run
+    does, and the checked run must render as `run()`'s report does.
+    Returns the number of windows the checked runs opened and an (index,
+    what differs) pair for each difference."""
+    windows, mismatches = 0, []
+    for index in range(count):
+        scenario = generate_scenario(seed, index, config)
+        table = load_image_map(scenario.image_map)
+        runs = []
+        for checker in (True, False):
+            executor = Executor(scenario.program, table)
+            if not checker:
+                executor.checker = None
+            runs.append((executor, executor.run(scenario.entry)))
+        (checked, report), (unchecked, bare) = runs
+        windows += checked._wid
+        for what, a, b in (
+                ("memory", checked.memory.content_signature(),
+                 unchecked.memory.content_signature()),
+                ("observations", report.observations, bare.observations),
+                ("faults", report.faults, bare.faults),
+                ("stats", report.stats, bare.stats),
+                ("provenance counts", report.provenance_counts, bare.provenance_counts),
+                ("exception log", checked.vault.exception_log, unchecked.vault.exception_log),
+                ("final digest and halt", (report.final_digest, report.halted),
+                 (bare.final_digest, bare.halted)),
+                ("verdicts without the checker", unchecked.vault.exception_log, bare.violations),
+                ("report", render_report(run(scenario.program, table, scenario.entry)),
+                 render_report(report))):
+            if a != b:
+                mismatches.append((index, what))
+    return windows, mismatches
+
+
+@pytest.mark.parametrize("config", [FuzzConfig(), FuzzConfig(adversarial=True)],
+                         ids=["clean", "adversarial"])
+def test_the_checker_changes_nothing_a_run_does(config):
+    windows, mismatches = checker_mismatches(7, 100, config)
+    assert windows > 100
+    assert mismatches == []
 
 
 class TestDeterminism:

@@ -12,8 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from framevault.identity import load_image_map
 from framevault.memory import ProcessMemory, STACK_BASE
-from framevault.oracle import (OracleVault, subtract_intervals, window_bytes, window_hidden,
-                               window_regions)
+from framevault.oracle import OracleVault, subtract_intervals, window_hidden, window_kept
 from framevault.runtime import (ExceptionKind, MemoryEntry, MemoryExceptionEntry, SaveBuffer,
                                 StackEntry, VaultState)
 
@@ -444,6 +443,32 @@ class TestAttachUnderAWindow:
             assert memory.read_bytes(frame.top, 32) == FRAME_PATTERN[:32]
 
 
+class TestCallDiscipline:
+    def test_a_window_forged_before_the_victims_first_reopens_its_popped_frame(self):
+        # The runtime assumes that untrusted code never runs between a
+        # trusted function's registration and its first window. Here the
+        # intruder does: its window opens over the victim's frame, saves
+        # the secret, and its accepted close writes it back after the
+        # victim has unregistered, scrubbed and popped the frame. Only the
+        # writable carve-out keeps the scrub.
+        secret = bytes(range(1, 65))
+        for vault_cls in (VaultState, OracleVault):
+            memory, vault = make_state(vault_cls)
+            frame = memory.push_frame(0, 64)
+            memory.write_bytes(frame.top, secret)
+            whole = dict(all=True, frame_base=frame.base, frame_top=frame.top)
+            assert vault.register_stack(VPC, **whole) is None
+            assert vault.register_memory_exception(VPC, frame.top + 8, 8, False) is None
+            assert vault.start_protect(memory, IPC) is None  # the intruder's window
+            assert vault.register_stack(VPC, **whole) is None
+            assert vault.unregister_stack(memory, VPC) is None
+            memory.pop_frame()  # the victim returns
+            assert memory.read_bytes(frame.top, 64) == bytes(64)
+            assert vault.stop_protect(memory, IPC) is None
+            assert vault.exception_log == [] and vault.protect_list == []
+            assert memory.read_bytes(frame.top, 64) == secret[:8] + bytes(8) + secret[16:]
+
+
 def contract_setup():
     """A victim frame, an intruder frame and a heap object, each holding
     its own non-zero pattern, and a vault with nothing registered."""
@@ -597,26 +622,27 @@ class TestWindowBytes:
     ]
 
     def test_carve_outs_are_cut_out_of_hidden_and_kept(self):
-        hidden, kept, carve_outs = window_bytes(self.ENTRIES, 0, 4)
+        hidden, (kept, carve_outs) = window_hidden(self.ENTRIES), window_kept(self.ENTRIES)
         assert carve_outs == [(0x1008, 4)]
         assert hidden[:2] == kept[:2] == [(0x1000, 8), (0x100C, 0xF4)]
 
     def test_read_only_objects_are_kept_but_not_hidden(self):
-        hidden, kept, _ = window_bytes(self.ENTRIES, 0, 4)
+        hidden, (kept, _) = window_hidden(self.ENTRIES), window_kept(self.ENTRIES)
         assert hidden[2:] == [(0x5000, 32)]
         assert kept[2:] == [(0x5000, 32), (0x6000, 16)]
 
     def test_read_only_carve_outs_are_cut_out_of_hidden_only(self):
         entries = self.ENTRIES[:3] + [
             MemoryExceptionEntry(owner=0, base=0x1008, length=4, read_only=True)]
-        hidden, kept, carve_outs = window_bytes(entries, 0, 3)
+        hidden, (kept, carve_outs) = window_hidden(entries), window_kept(entries)
         assert carve_outs == []
         assert hidden[:2] == [(0x1000, 8), (0x100C, 0xF4)]
         assert kept[0] == (0x1000, 0x100)
 
     def test_partial_frames_contribute_nothing(self):
-        assert window_bytes(self.ENTRIES, 4, 4) == ([], [], [])
-        hidden, kept, carve_outs = window_bytes(self.ENTRIES, 1, 4)
+        assert window_hidden(self.ENTRIES[4:]) == []
+        assert window_kept(self.ENTRIES[4:]) == ([], [])
+        hidden, (kept, carve_outs) = window_hidden(self.ENTRIES[1:]), window_kept(self.ENTRIES[1:])
         assert hidden == [(0x5000, 32)]
         assert kept == [(0x5000, 32), (0x6000, 16)]
         assert carve_outs == [(0x1008, 4)]
@@ -638,15 +664,12 @@ class TestWindowBytes:
                       | covered(o[:2] for o in objects if not o[2]))
         kept_ref = (covered(frames) | covered(o[:2] for o in objects)) - covered(writable)
 
-        hidden, kept, carve = window_bytes(entries, start, end)
+        hidden, (kept, carve) = window_hidden(window), window_kept(window)
         assert covered(hidden) == hidden_ref
         assert covered(kept) == kept_ref
         assert carve == writable
-        regions, regions_writable = window_regions(window)
-        assert regions == frames + [o[:2] for o in objects]
-        assert regions_writable == writable
-        assert window_hidden(window) == hidden
-        assert subtract_intervals(regions, regions_writable) == kept
+        # Kept lists each frame's pieces, then each object's, in address order.
+        assert kept == subtract_intervals(frames + [o[:2] for o in objects], writable)
 
 
 class TestOracleEquivalence:

@@ -3,9 +3,10 @@ protection runtime: the interpreter.
 
 Program-counter values are synthesized per statement from the executing
 function's image-map span, so the runtime sees the same unforgeable caller
-identity a hardware PC would give it. A protected run leaves its verdicts
-to an `oracle.WindowChecker` and keeps only the stack of open window ids
-that observations name.
+identity a hardware PC would give it. A protected run makes its
+start_protect and stop_protect calls through an `oracle.WindowChecker`,
+which owns the verdicts, and keeps only the stack of open window ids that
+observations name.
 
 A program is compiled once per program and image map: the first run
 under an identity table compiles it, and the plan stays on the program
@@ -390,7 +391,7 @@ def _read_probe(ex: Executor, ctx: _FrameCtx, stmt: ReadProbe) -> None:
     windows = ex.windows
     ex.observations.append(Observation("read", ctx.func.name, windows[-1] if windows else None,
                                        addr, length, nonzero, data[:16].hex()))
-    if nonzero and windows and ex.checker is not None:
+    if nonzero and windows:
         ex.checker.scan(ctx.func.name, addr, data)
 
 
@@ -498,27 +499,19 @@ def _register_region(ex: Executor, ctx: _FrameCtx, operand: tuple) -> VaultExcep
 def _start_protect(ex: Executor, ctx: _FrameCtx, operand: tuple) -> VaultException | None:
     stmt, pc, key = operand
     ex.provenance_counts[key] += 1
-    if ex.checker is not None:
-        ex.checker.opening()
-    refused = ex.vault.start_protect(ex.memory, pc)
+    refused = ex.checker.start_protect(pc, ex._wid + 1)
     if refused is None:
         ex._wid += 1
         ex.windows.append(ex._wid)
-        if ex.checker is not None:
-            ex.checker.opened(ex._wid)
     return refused
 
 
 def _stop_protect(ex: Executor, ctx: _FrameCtx, operand: tuple) -> VaultException | None:
     stmt, pc, key = operand
     ex.provenance_counts[key] += 1
-    if ex.checker is not None:
-        ex.checker.closing()
-    refused = ex.vault.stop_protect(ex.memory, pc)
+    refused = ex.checker.stop_protect(pc)
     if refused is None:  # else the window stays open and nothing was restored
         ex.windows.pop()
-        if ex.checker is not None:
-            ex.checker.closed()
     return refused
 
 

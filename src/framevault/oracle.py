@@ -2,21 +2,22 @@
 hides and keeps, and a page-dump reference runtime.
 
 `window_kept` and `window_hidden` each take a RegisterList slice. The
-first gives what closing a window over it restores, cut around its
-writable carve-outs, and those carve-outs; the second what the window
-hides. `WindowChecker` and `OracleVault` use them; the runtime under
-test uses neither.
+first gives the regions closing a window over it restores and the
+writable carve-outs cut out of them; the second what the window hides.
+`WindowChecker` and `OracleVault` use them; the runtime under test uses
+neither.
 
 `WindowChecker` owns the Leak and IntegrityBreach verdicts. The save
-buffer plays no part in them, so a runtime bug cannot mask itself. At
-each window open the checker copies the slice and snapshots, with its
-own reads, exactly the pieces closing keeps; at close it compares each
-piece in place with `ProcessMemory.holds`, then the writable carve-outs
-with what they held just before the close. What a window hides is
-derived from its copy only when a leak scan first needs it: most windows
-see no non-zero untrusted read. A scan clips the hidden intervals of
-every open window to the read, merges them, and counts the non-zero
-bytes of each merged slice in place.
+buffer plays no part in them, so a runtime bug cannot mask itself. The
+executor opens and closes windows through the checker. With its own
+reads it snapshots each region closing keeps as a window opens, and the
+writable carve-outs just before it closes; after the close it compares
+each in place with `ProcessMemory.holds` and reads back only one that
+changed, cut into pieces around the carve-outs. What a window hides is
+derived from a copy of its slice only when a leak scan first needs it:
+most windows see no non-zero untrusted read. A scan clips the hidden
+intervals of every open window to the read, merges them, and counts the
+non-zero bytes of each merged slice in place.
 
 `OracleVault` keeps the real runtime's registration bookkeeping and
 identity/index checks but replaces its save/restore machinery: a
@@ -31,7 +32,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .memory import ProcessMemory, _nonzero, bytes_from_dump
-from .runtime import MemoryEntry, RegisterEntry, StackEntry, VaultState
+from .runtime import MemoryEntry, RegisterEntry, StackEntry, VaultException, VaultState
 
 Interval = tuple[int, int]  # (addr, length)
 
@@ -83,9 +84,9 @@ def subtract_intervals(intervals: list[Interval], holes: list[Interval]) -> list
 
 
 def window_kept(window: list[RegisterEntry]) -> tuple[list[Interval], list[Interval]]:
-    """What closing a window over these registrations restores: the
-    all=True frames, then every object, read-only ones too, each minus
-    the writable carve-outs; and those carve-outs, whose callee writes
+    """What closing a window over these registrations keeps: the regions
+    it restores, the all=True frames then every object, read-only ones
+    too; and the writable carve-outs cut out of them, whose callee writes
     closing keeps. A read-only carve-out is restored with its frame;
     all=False frames contribute nothing themselves."""
     frames: list[Interval] = []
@@ -100,7 +101,7 @@ def window_kept(window: list[RegisterEntry]) -> tuple[list[Interval], list[Inter
             objects.append((entry.base, entry.length))
         elif not entry.read_only:
             writable.append((entry.base, entry.length))
-    return subtract_intervals(frames + objects, writable), writable
+    return frames + objects, writable
 
 
 def window_hidden(window: list[RegisterEntry]) -> list[Interval]:
@@ -136,20 +137,13 @@ def hidden_nonzero(data: bytes, addr: int, ranges: Iterable[tuple[int, int]]) ->
     return count
 
 
-def _first_mismatch(actual: bytes, snapshot: bytes) -> int:
-    """Index of the first differing byte: the one holding the lowest set
-    bit of the two XORed as little-endian ints. One byte must differ."""
-    diff = int.from_bytes(actual, "little") ^ int.from_bytes(snapshot, "little")
-    return ((diff & -diff).bit_length() - 1) // 8
-
-
 @dataclass(slots=True)
 class _Window:
     """One open window and the registrations it opened over."""
 
     wid: int
     entries: list[RegisterEntry]  # a copy of the slice, as it stood at open
-    kept: list[tuple[int, bytes]]  # (addr, the bytes there at open) of each kept piece
+    snapshots: list[tuple[int, bytes]]  # (addr, the bytes there at open) of each kept region
     writable: list[Interval]  # (addr, length) of the writable carve-outs
     hidden: list[Interval] | None = None  # what it hides, once a leak scan needs it
 
@@ -163,40 +157,53 @@ class WindowChecker:
         self.vault = vault
         self.violations = violations
         self.windows: list[_Window] = []  # the open windows, innermost last
-        self._pending = ()  # what opening() or closing() read for the call that follows
 
-    def opening(self) -> None:
-        """Before a start_protect: copy the slice the window would open
-        over and snapshot the pieces closing it must keep."""
+    def start_protect(self, pc: int, wid: int) -> VaultException | None:
+        """The vault's start_protect at `pc`, which on success opens window
+        `wid`. Copies the slice it opens over and snapshots each region
+        closing it keeps before the runtime clears them."""
         vault, read = self.vault, self.memory.read_bytes
         protect_list = vault.protect_list
         entries = vault.register_list[protect_list[-1].register_index if protect_list else 0:]
-        kept, writable = window_kept(entries)
-        self._pending = (entries, [(addr, read(addr, length)) for addr, length in kept],
-                         writable)
+        regions, writable = window_kept(entries)
+        snapshots = [(addr, read(addr, length)) for addr, length in regions]
+        refused = vault.start_protect(self.memory, pc)
+        if refused is None:
+            self.windows.append(_Window(wid, entries, snapshots, writable))
+        return refused
 
-    def opened(self, wid: int) -> None:
-        """After an accepted start_protect, which opened window `wid`."""
-        self.windows.append(_Window(wid, *self._pending))
+    def stop_protect(self, pc: int) -> VaultException | None:
+        """The vault's stop_protect at `pc`. If it closes the innermost
+        window, logs an IntegrityBreach for each piece of a kept region,
+        then of a writable carve-out, that changed: a region against its
+        snapshot at open, a carve-out against its bytes just before."""
+        memory, windows = self.memory, self.windows
+        writable = windows[-1].writable if windows else ()
+        pre_close = [(addr, memory.read_bytes(addr, length)) for addr, length in writable]
+        refused = self.vault.stop_protect(memory, pc)
+        if refused is None:  # else the window stays open and nothing was restored
+            window = windows.pop()
+            holds = memory.holds
+            for snapshots, holes in ((window.snapshots, window.writable), (pre_close, ())):
+                for addr, snapshot in snapshots:
+                    if not holds(addr, snapshot):
+                        self._breaches(window.wid, addr, snapshot, holes)
+        return refused
 
-    def closing(self) -> None:
-        """Before a stop_protect: read the innermost window's writable
-        carve-outs, whose callee writes closing must keep."""
-        writable = self.windows[-1].writable if self.windows else ()
-        self._pending = [(addr, self.memory.read_bytes(addr, length)) for addr, length in writable]
-
-    def closed(self) -> None:
-        """After an accepted stop_protect: log an IntegrityBreach for each
-        kept piece, then each writable carve-out, that changed."""
-        window = self.windows.pop()
-        holds = self.memory.holds
-        for snapshots in (window.kept, self._pending):
-            for addr, snapshot in snapshots:
-                if not holds(addr, snapshot):
-                    actual = self.memory.read_bytes(addr, len(snapshot))
-                    self.violations.append(IntegrityBreach(
-                        window=window.wid, address=addr, length=len(snapshot),
-                        detail=f"first mismatch at byte {_first_mismatch(actual, snapshot)}"))
+    def _breaches(self, wid: int, addr: int, snapshot: bytes, holes: list[Interval]) -> None:
+        """Log an IntegrityBreach for each piece of the region at `addr`,
+        outside `holes`, whose bytes differ from the snapshot. A piece's
+        first mismatch is the byte holding the lowest set bit of the two
+        XORed as little-endian ints."""
+        now = memoryview(self.memory.read_bytes(addr, len(snapshot)))
+        for lo, length in subtract_intervals([(addr, len(snapshot))], holes):
+            off = lo - addr
+            if not snapshot.startswith(now[off:off + length], off):
+                diff = (int.from_bytes(now[off:off + length], "little")
+                        ^ int.from_bytes(snapshot[off:off + length], "little"))
+                self.violations.append(IntegrityBreach(
+                    window=wid, address=lo, length=length,
+                    detail=f"first mismatch at byte {((diff & -diff).bit_length() - 1) // 8}"))
 
     def scan(self, function: str, addr: int, data: bytes) -> None:
         """After `function`'s read of `data` at `addr` saw non-zero bytes
@@ -225,7 +232,7 @@ class OracleVault(VaultState):
 
     def _open_window(self, memory: ProcessMemory, start: int, end: int) -> None:
         window = self.register_list[start:end + 1]
-        self._windows.append((memory.dump_pages(), window_kept(window)[0]))
+        self._windows.append((memory.dump_pages(), subtract_intervals(*window_kept(window))))
         for addr, length in window_hidden(window):
             memory.clear_region(addr, length)
 

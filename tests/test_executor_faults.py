@@ -29,7 +29,7 @@ from framevault.program import (AbsoluteTarget, AddressRef, AddrOfArg, Assign, C
                                 _stmt_to_dict, parse)
 from framevault.oracle import OracleVault
 from framevault.reporting import render_report, report_to_dict
-from framevault.runtime import ExceptionKind, VaultState
+from framevault.runtime import ExceptionKind, MemoryExceptionEntry, VaultState
 
 from support import pwdgen_instrumented, pwdgen_table
 
@@ -278,11 +278,27 @@ def test_a_hand_built_call_outside_the_six_is_refused_when_built():
     assert str(err.value) == "body[1]: unknown runtime call 'reboot'"
 
 
+# pwdgenerator's frame: 256 bytes of password, the carved-out `age`, then
+# the pointer `id`.
+PWDGEN_FRAME_TOP = STACK_BASE - FRAME_METADATA_BYTES - (256 + 4 + 8 + FRAME_METADATA_BYTES)
+
+
 class RestoresNothing(VaultState):
     """A broken runtime whose windows close without writing anything back."""
 
     def _close_window(self, memory, start, end):
         pass
+
+
+class ScrubsCarveOuts(VaultState):
+    """A broken runtime whose windows close and then zero their writable
+    carve-outs, losing what the callee wrote there."""
+
+    def _close_window(self, memory, start, end):
+        super()._close_window(memory, start, end)
+        for entry in self.register_list[start:end + 1]:
+            if type(entry) is MemoryExceptionEntry and not entry.read_only:
+                memory.clear_region(entry.base, entry.length)
 
 
 def test_unrestored_window_is_an_integrity_breach_in_every_rendering():
@@ -291,7 +307,7 @@ def test_unrestored_window_is_an_integrity_breach_in_every_rendering():
     # pwdgenerator's frame minus the carved-out `age`, in two pieces, then
     # the heap block `id` points to. Byte 3 of the second piece is the
     # first non-zero byte of the pointer 0x10000000.
-    frame_top = STACK_BASE - FRAME_METADATA_BYTES - (256 + 4 + 8 + FRAME_METADATA_BYTES)
+    frame_top = PWDGEN_FRAME_TOP
     expected = [(1, frame_top, 256, "first mismatch at byte 0"),
                 (1, frame_top + 260, 24, "first mismatch at byte 3"),
                 (1, 0x1000_0000, 64, "first mismatch at byte 0")]
@@ -304,6 +320,15 @@ def test_unrestored_window_is_an_integrity_breach_in_every_rendering():
     assert report_to_dict(report)["violations"] == [
         {"type": "integrity", "window": w, "addr": a, "len": n, "detail": d}
         for w, a, n, d in expected]
+
+
+def test_a_lost_carve_out_write_is_an_integrity_breach():
+    # The untrusted callee writes 0x1a into `age` inside the window; the
+    # close must keep it, so its loss is measured against the bytes `age`
+    # held just before the close, not at open.
+    report = run(pwdgen_instrumented(), pwdgen_table(), "main", vault_factory=ScrubsCarveOuts)
+    assert [(type(v), v.window, v.address, v.length, v.detail) for v in report.violations] == [
+        (IntegrityBreach, 1, PWDGEN_FRAME_TOP + 256, 4, "first mismatch at byte 0")]
 
 
 def forged_window_program() -> ProgramDesc:

@@ -610,6 +610,13 @@ def covered(intervals):
     return {a for addr, length in intervals for a in range(addr, addr + length)}
 
 
+def kept_pieces(window):
+    """What closing a window over these registrations restores, cut
+    around the writable carve-outs, and those carve-outs."""
+    regions, writable = window_kept(window)
+    return subtract_intervals(regions, writable), writable
+
+
 class TestWindowBytes:
     # A whole-frame registration [0x1000, 0x1100) with a 4-byte carve-out
     # at 0x1008, a writable and a read-only object, and an all=False frame.
@@ -622,19 +629,19 @@ class TestWindowBytes:
     ]
 
     def test_carve_outs_are_cut_out_of_hidden_and_kept(self):
-        hidden, (kept, carve_outs) = window_hidden(self.ENTRIES), window_kept(self.ENTRIES)
+        hidden, (kept, carve_outs) = window_hidden(self.ENTRIES), kept_pieces(self.ENTRIES)
         assert carve_outs == [(0x1008, 4)]
         assert hidden[:2] == kept[:2] == [(0x1000, 8), (0x100C, 0xF4)]
 
     def test_read_only_objects_are_kept_but_not_hidden(self):
-        hidden, (kept, _) = window_hidden(self.ENTRIES), window_kept(self.ENTRIES)
+        hidden, (kept, _) = window_hidden(self.ENTRIES), kept_pieces(self.ENTRIES)
         assert hidden[2:] == [(0x5000, 32)]
         assert kept[2:] == [(0x5000, 32), (0x6000, 16)]
 
     def test_read_only_carve_outs_are_cut_out_of_hidden_only(self):
         entries = self.ENTRIES[:3] + [
             MemoryExceptionEntry(owner=0, base=0x1008, length=4, read_only=True)]
-        hidden, (kept, carve_outs) = window_hidden(entries), window_kept(entries)
+        hidden, (kept, carve_outs) = window_hidden(entries), kept_pieces(entries)
         assert carve_outs == []
         assert hidden[:2] == [(0x1000, 8), (0x100C, 0xF4)]
         assert kept[0] == (0x1000, 0x100)
@@ -642,7 +649,7 @@ class TestWindowBytes:
     def test_partial_frames_contribute_nothing(self):
         assert window_hidden(self.ENTRIES[4:]) == []
         assert window_kept(self.ENTRIES[4:]) == ([], [])
-        hidden, (kept, carve_outs) = window_hidden(self.ENTRIES[1:]), window_kept(self.ENTRIES[1:])
+        hidden, (kept, carve_outs) = window_hidden(self.ENTRIES[1:]), kept_pieces(self.ENTRIES[1:])
         assert hidden == [(0x5000, 32)]
         assert kept == [(0x5000, 32), (0x6000, 16)]
         assert carve_outs == [(0x1008, 4)]
@@ -664,12 +671,12 @@ class TestWindowBytes:
                       | covered(o[:2] for o in objects if not o[2]))
         kept_ref = (covered(frames) | covered(o[:2] for o in objects)) - covered(writable)
 
-        hidden, (kept, carve) = window_hidden(window), window_kept(window)
+        hidden, (kept, carve) = window_hidden(window), kept_pieces(window)
         assert covered(hidden) == hidden_ref
         assert covered(kept) == kept_ref
         assert carve == writable
-        # Kept lists each frame's pieces, then each object's, in address order.
-        assert kept == subtract_intervals(frames + [o[:2] for o in objects], writable)
+        # The regions are the frames, then the objects, each whole.
+        assert window_kept(window) == (frames + [o[:2] for o in objects], writable)
 
 
 class TestOracleEquivalence:
